@@ -93,7 +93,10 @@ def _field_ctx(label: str) -> gw.FieldCtx:
             p = int(label[3:])
         except ValueError:
             raise ParseError(f"bad prime in field label {label!r}")
-        return gw.FieldCtx.prime_field(p)
+        try:
+            return gw.FieldCtx.prime_field(p)
+        except ValueError:
+            raise ParseError(f"field label {label!r} needs an odd prime modulus")
     raise ParseError(f"unknown field {label!r}; use Q, Fp:<p>, or Qt")
 
 
@@ -230,7 +233,7 @@ def _cmd_gw(args, out) -> int:
 def _cmd_milnor(args, out) -> int:
     s = _singularity_from_args(args)
     form = ekl.ss_form(s)
-    mu = ekl.quadratic_milnor(s)
+    mu = form.gw
     if args.json:
         _print_json(out, {
             "input": _input_json(s),

@@ -216,9 +216,6 @@ class BilinearForm:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def gw_class(self) -> GWElement:
-        return self.gw
-
 
 def ss_form(s: SingularityInput) -> BilinearForm:
     """The Scheja-Storch form of the singularity.
@@ -228,7 +225,8 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     standard-monomial basis.  A non-isolated singularity (infinite
     Jacobian quotient) raises NotIsolatedError; a degenerate Gram matrix
     cannot occur for an isolated singularity and raises
-    DegenerateFormError if it does.
+    DegenerateFormError if it does.  The rank of the class equals the
+    dimension of the Jacobian ring; this is asserted as a postcondition.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -260,6 +258,8 @@ def ss_form(s: SingularityInput) -> BilinearForm:
             if gram[i][j] != gram[j][i]:
                 raise AssertionError("Scheja-Storch Gram matrix is not symmetric; this is a bug")
     gw = diagonalize(gram)
+    if gw.rank != d:
+        raise AssertionError("rank of the quadratic Milnor number must equal dim J")
     rows = tuple(tuple(row) for row in gram)
     return BilinearForm(quotient.standard_monomials, rows, gw)
 
@@ -268,13 +268,9 @@ def quadratic_milnor(s: SingularityInput) -> GWElement:
     """The class of the Scheja-Storch form in GW(Q).
 
     Its rank equals the dimension of the Jacobian ring, i.e. the classical
-    Milnor number; this is asserted as a postcondition.
+    Milnor number; ``ss_form`` asserts this as a postcondition.
     """
-    form = ss_form(s)
-    e = form.gw_class()
-    if e.rank != form.dimension:
-        raise AssertionError("rank of the quadratic Milnor number must equal dim J")
-    return e
+    return ss_form(s).gw
 
 
 def milnor_rank_weighted(weights: Sequence[int], r: int) -> int:

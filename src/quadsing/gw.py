@@ -22,12 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
-
-from sympy import Poly as _SymPoly
-from sympy import Rational as _SymRational
-from sympy import factorint
-from sympy.abc import x as _sym_x
 
 from . import _univar as uv
 from .errors import (
@@ -45,36 +41,47 @@ _RATFUNC = "rational-functions"
 _EXTENSION = "extension"
 
 
-def _squarefree(value) -> int:
-    """The squarefree integer representing the square class of a rational."""
-    fr = Fraction(value)
-    if fr == 0:
-        raise ValueError("zero has no square class")
-    n = fr.numerator * fr.denominator
-    out = -1 if n < 0 else 1
-    for p, e in factorint(abs(n)).items():
-        if e % 2:
-            out *= int(p)
-    return out
+# ---------------------------------------------------------------------------
+# integer factoring: the one place that factors, and the primality test
+# ---------------------------------------------------------------------------
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_TRIAL_BOUND = 1 << 12
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# Miller-Rabin with the 13 prime bases 2..41 is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    """Exact primality: a table below 2^12, deterministic Miller-Rabin up to
+    3.3e24, sympy.isprime beyond."""
+    if n < _TRIAL_BOUND:
+        return n in _SMALL_PRIME_SET
     if n % 2 == 0:
         return False
-    # deterministic Miller-Rabin for 64-bit-ish inputs, ample for our use
+    if n >= _MR_BOUND:
+        from sympy import isprime
+
+        return bool(isprime(n))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
+    for a in _MR_BASES:
         v = pow(a, d, n)
-        if v in (1, n - 1):
+        if v == 1 or v == n - 1:
             continue
         for _ in range(s - 1):
             v = v * v % n
@@ -83,6 +90,57 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a nonzero integer, as sympy.factorint.
+
+    A negative n carries the key -1.  Trial division by the primes below
+    2^12 comes first; a cofactor left over is tested for primality, and
+    only a composite one is handed to sympy, which is imported then.
+    """
+    if n == 0:
+        raise ValueError("zero has no factorization")
+    out = {}
+    if n < 0:
+        out[-1] = 1
+        n = -n
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    else:
+        if n > 1 and not _is_prime(n):
+            from sympy import factorint as sympy_factorint
+
+            out.update((int(p), e) for p, e in sympy_factorint(n).items())
+            return out
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _squarefree(value) -> int:
+    """The squarefree integer representing the square class of a rational.
+
+    Numerator and denominator are coprime, so each is factored on its own;
+    their product is never formed.
+    """
+    fr = Fraction(value)
+    if fr == 0:
+        raise ValueError("zero has no square class")
+    out = 1
+    for n in (fr.numerator, fr.denominator):
+        if n != 1:
+            for p, e in factorint(n).items():
+                if e % 2:
+                    out *= p
+    return out
 
 
 class FieldCtx:
@@ -124,7 +182,10 @@ class FieldCtx:
             raise InvalidExtensionError("minimal polynomial must have degree >= 1")
         if uv.lc(g) != 1:
             raise InvalidExtensionError("minimal polynomial must be monic")
-        sym = _SymPoly([_SymRational(c) for c in reversed(g)], _sym_x)
+        from sympy import Poly, Rational
+        from sympy.abc import x
+
+        sym = Poly([Rational(c) for c in reversed(g)], x)
         if not sym.is_irreducible:
             raise InvalidExtensionError("minimal polynomial is reducible over Q")
         return cls(_EXTENSION, min_poly=g)
@@ -191,7 +252,9 @@ class FieldCtx:
     def mul_reps(self, a, b):
         """Product of two canonical representatives, renormalized."""
         if self.kind == _RATIONALS:
-            return _squarefree(a * b)
+            # squarefree a and b: a*b / gcd(a, b)^2 is squarefree, no factoring
+            g = gcd(a, b)
+            return (a // g) * (b // g)
         if self.kind == _PRIME:
             return self.normalize(a * b)
         if self.kind == _RATFUNC:
@@ -500,14 +563,33 @@ def _legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _integer_class(value) -> int:
+    """An integer in the square class of a nonzero rational: numerator * denominator."""
+    if isinstance(value, int):
+        n = value
+    else:
+        fr = Fraction(value)
+        n = fr.numerator * fr.denominator
+    if n == 0:
+        raise ValueError("zero has no square class")
+    return n
+
+
 def hilbert_symbol(a, b, p: int) -> int:
-    """The Hilbert symbol (a,b)_p at a finite prime p, for nonzero a, b."""
-    a, b = _squarefree(a), _squarefree(b)
-    if not _is_prime(p) and p != 2:
+    """The Hilbert symbol (a,b)_p at a finite prime p, for nonzero a, b.
+
+    Each rational is replaced by numerator * denominator, an integer in the
+    same square class, and its p-adic valuation and unit part are read off
+    by division by p; nothing is factored.
+    """
+    a, b = _integer_class(a), _integer_class(b)
+    if not _is_prime(p):
         raise ValueError("p must be prime")
     if p == 2:
         alpha, u = _split_p(a, 2)
         beta, v = _split_p(b, 2)
+        # the 2-adic unit parts matter only modulo 8
+        u, v = u % 8, v % 8
         eps_u, eps_v = ((u - 1) // 2) % 2, ((v - 1) // 2) % 2
         om_u, om_v = ((u * u - 1) // 8) % 2, ((v * v - 1) // 8) % 2
         e = eps_u * eps_v + alpha * om_v + beta * om_u
@@ -530,17 +612,32 @@ def hilbert_symbol_real(a, b) -> int:
 
 
 def _hasse_witt(entries: Sequence[int], p: int) -> int:
+    """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>.
+
+    By bilinearity it equals prod_j (a_1...a_{j-1}, a_j)_p, one symbol per
+    entry against the running squarefree prefix product.  At odd p a symbol
+    of two p-adic units is 1, so only pairs with p on one side are evaluated.
+    """
+    out, prefix = 1, 1
+    for a in entries:
+        if p == 2 or prefix % p == 0 or a % p == 0:
+            out *= hilbert_symbol(prefix, a, p)
+        prefix = RATIONALS.mul_reps(prefix, a)
+    return out
+
+
+def _discriminant(entries: Sequence[int]) -> int:
     out = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            out *= hilbert_symbol(entries[i], entries[j], p)
+    for a in entries:
+        out = RATIONALS.mul_reps(out, a)
     return out
 
 
 def _relevant_primes(entries: Sequence[int]) -> list[int]:
+    """2 and every prime dividing a squarefree entry; each distinct entry is factored once."""
     primes = {2}
-    for a in entries:
-        primes.update(int(p) for p in factorint(abs(a)))
+    for a in set(entries):
+        primes.update(p for p in factorint(a) if p > 0)
     return sorted(primes)
 
 
@@ -550,6 +647,9 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     Over Q the decision clears negative parts and compares the two genuine
     forms through rank, signature, discriminant, and Hasse invariants at
     every relevant place; over a prime field rank and discriminant decide.
+    The discriminants are gcd-reduced products of the squarefree entries and
+    the relevant primes come from factoring each distinct entry, so no
+    product of entries is ever factored.
     """
     if not isinstance(a, GWElement) or not isinstance(b, GWElement):
         raise TypeError("is_equal expects two GWElements")
@@ -573,12 +673,7 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     sig = lambda ent: sum(1 if v > 0 else -1 for v in ent)
     if sig(left) != sig(right):
         return False
-    dl = dr = 1
-    for v in left:
-        dl *= v
-    for v in right:
-        dr *= v
-    if _squarefree(dl) != _squarefree(dr):
+    if _discriminant(left) != _discriminant(right):
         return False
     for p in _relevant_primes(left + right):
         if _hasse_witt(left, p) != _hasse_witt(right, p):

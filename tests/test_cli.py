@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import quadsing
 from quadsing import cli
 
 
@@ -271,6 +276,40 @@ def test_unknown_variable_exits_two():
 def test_unknown_subcommand_exits_two():
     out = io.StringIO()
     assert cli.run(["frobnicate"], stdout=out) == 2
+
+
+@pytest.mark.parametrize(
+    "label",
+    # not a field: a strong pseudoprime to bases 2..37, a composite, and 2
+    ["Fp:318665857834031151167461", "Fp:15", "Fp:2"],
+)
+def test_field_without_odd_prime_modulus_is_a_parse_error(label):
+    code, doc = _run_json("gw", "invariants", "<1,2>", "--field", label, "--json")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+
+def test_import_and_small_milnor_leave_sympy_unloaded():
+    """sympy is imported on demand only, never by the package itself."""
+    script = (
+        "import io, sys\n"
+        "import quadsing, quadsing.cli\n"
+        "argv = ['milnor', '--vars', 'x,y', 'x^2 - y^3', '--json']\n"
+        "assert quadsing.cli.run(argv, stdout=io.StringIO()) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(quadsing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

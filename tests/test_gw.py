@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import gw
@@ -202,6 +203,75 @@ def test_hilbert_product_formula():
         for p in places:
             prod *= gw.hilbert_symbol(a, b, p)
         assert prod == 1
+
+
+# ---------------------------------------------------------------------------
+# the factoring layer and the bilinear Hasse invariant, against slow oracles
+# ---------------------------------------------------------------------------
+
+# 399165290221 * 798330580441: a strong pseudoprime to every prime base up to 37
+STRONG_PSEUDOPRIME = 318665857834031151167461
+
+
+def _pairwise_hasse_witt(entries, p):
+    """prod_{i<j} (a_i, a_j)_p with O(n^2) symbols: the oracle for _hasse_witt."""
+    out = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            out *= gw.hilbert_symbol(entries[i], entries[j], p)
+    return out
+
+
+def _sympy_squarefree(n):
+    out = 1
+    for p, e in sympy.factorint(n).items():
+        if e % 2:
+            out *= int(p)
+    return out
+
+
+_nonzero = st.integers(min_value=-(2**64), max_value=2**64).filter(bool)
+# the largest prime of the trial-division table, and the two primes after it
+_LAST = gw._SMALL_PRIMES[-1]
+_P1 = sympy.nextprime(_LAST)
+_P2 = sympy.nextprime(_P1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonzero)
+@example(1)
+@example(-1)
+@example(-(2**10) * 3**5)
+@example(_LAST**2)
+@example(-2 * _LAST**2)
+@example(_P1**3)
+@example(_P1 * _P2)
+@example(-(_P1 * _P2) * _LAST**2)
+@example((2**31 - 1) * (2**61 - 1))
+@example(STRONG_PSEUDOPRIME)
+def test_factorint_matches_sympy(n):
+    assert gw.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero, st.integers(min_value=1, max_value=2**64))
+def test_squarefree_of_a_fraction_matches_sympy(n, d):
+    assert gw._squarefree(Fraction(n, d)) == _sympy_squarefree(n * d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nonzero, _nonzero)
+def test_mul_reps_matches_squarefree_of_the_product(a, b):
+    a, b = QQ.normalize(a), QQ.normalize(b)
+    assert QQ.mul_reps(a, b) == gw._squarefree(a * b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3000, max_value=3000).filter(bool), max_size=12))
+def test_bilinear_hasse_witt_matches_pairwise_product(values):
+    entries = [QQ.normalize(v) for v in values]
+    for p in gw._relevant_primes(entries) + [3, 5, 7]:
+        assert gw._hasse_witt(entries, p) == _pairwise_hasse_witt(entries, p)
 
 
 # ---------------------------------------------------------------------------
