@@ -20,6 +20,14 @@ def poly(coeffs) -> Poly:
     return trim(tuple(Fraction(c) for c in coeffs))
 
 
+def of_polynomial(f) -> Poly:
+    """The coefficients of a one-variable ``poly.Polynomial``."""
+    out = [Fraction(0)] * (f.total_degree() + 1)
+    for (e,), c in f.terms.items():
+        out[e] = c
+    return tuple(out)
+
+
 def const(c) -> Poly:
     return poly([c])
 

@@ -23,16 +23,12 @@ from fractions import Fraction
 from . import conductor as cond
 from . import ekl, euler, gw, tate
 from . import poly as P
-from ._univar import poly as uv_poly
+from ._univar import of_polynomial
 from .errors import InputDomainError, ParseError, QuadsingError
 
 
 def _unicode_ok() -> bool:
     return os.environ.get("QUADSING_ASCII", "") != "1"
-
-
-def _brackets():
-    return ("⟨", "⟩") if _unicode_ok() else ("<", ">")
 
 
 def _display_entries(entries) -> list[int]:
@@ -54,20 +50,9 @@ def _display_entries(entries) -> list[int]:
 
 def display_form(e: gw.GWElement) -> str:
     """Human-readable form with hyperbolic pairs normalized to <1> + <-1>."""
-    if e.ctx.kind != "rationals":
-        return gw.format_terms(e, unicode_brackets=_unicode_ok())
-    lo, hi = _brackets()
-    if e.is_zero_form():
-        return "0"
-    parts = []
-    for a in _display_entries(e.pos):
-        parts.append(("+", f"{lo}{a}{hi}"))
-    for a in _display_entries(e.neg):
-        parts.append(("-", f"{lo}{a}{hi}"))
-    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, text in parts[1:]:
-        out += f" {sign} {text}"
-    return out
+    if e.ctx.kind == "rationals":
+        e = gw.GWElement(e.ctx, _display_entries(e.pos), _display_entries(e.neg), _raw=True)
+    return gw.format_terms(e, unicode_brackets=_unicode_ok())
 
 
 def _frac_json(v: Fraction):
@@ -100,21 +85,10 @@ def _field_ctx(label: str) -> gw.FieldCtx:
     raise ParseError(f"unknown field {label!r}; use Q, Fp:<p>, or Qt")
 
 
-def _min_poly(text: str):
-    f = P.parse(text, ["x"])
-    coeffs = [Fraction(0)] * (f.total_degree() + 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[0]] = c
-    return uv_poly(coeffs)
-
-
-def _ext_entry(text: str):
-    """An extension-field square class, written as a polynomial in x."""
-    f = P.parse(text, ["x"])
-    coeffs = [Fraction(0)] * (f.total_degree() + 1 if not f.is_zero() else 1)
-    for exps, c in f.terms.items():
-        coeffs[exps[0]] = c
-    return coeffs
+def _poly_in_x(text: str):
+    """A minimal polynomial or an extension-field square class, written as a
+    polynomial in x."""
+    return of_polynomial(P.parse(text, ["x"]))
 
 
 def _singularity_from_args(args) -> ekl.SingularityInput:
@@ -128,15 +102,6 @@ def _singularity_from_args(args) -> ekl.SingularityInput:
         except ValueError:
             raise ParseError("--weights must be a comma-separated integer list")
     return ekl.singularity(args.poly, var_names, weights, args.degree)
-
-
-def _input_json(s: ekl.SingularityInput) -> dict:
-    return {
-        "f": P.format_poly(s.f, s.var_names),
-        "vars": list(s.var_names),
-        "weights": list(s.weights) if s.weights is not None else None,
-        "degree": s.degree,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +169,9 @@ def _cmd_gw(args, out) -> int:
     if args.action == "transfer":
         if not args.min_poly:
             raise ParseError("transfer needs --min-poly")
-        g = _min_poly(args.min_poly)
+        g = _poly_in_x(args.min_poly)
         ectx = gw.FieldCtx.extension(g)
-        e = gw.parse_gw(args.args[0], ectx, entry_parser=_ext_entry)
+        e = gw.parse_gw(args.args[0], ectx, entry_parser=_poly_in_x)
         res = gw.transfer(g, e)
         if args.json:
             _print_json(out, gw.to_json_dict(res))
@@ -220,7 +185,10 @@ def _cmd_gw(args, out) -> int:
             matrix = [[Fraction(str(v)) for v in row] for row in rows]
         except (ValueError, TypeError) as exc:
             raise ParseError(f"matrix must be a JSON array of rows: {exc}")
-        e = gw.diagonalize(matrix, ctx)
+        try:
+            e = gw.diagonalize(matrix, ctx)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         if args.json:
             _print_json(out, gw.to_json_dict(e))
         else:
@@ -236,7 +204,7 @@ def _cmd_milnor(args, out) -> int:
     mu = form.gw
     if args.json:
         _print_json(out, {
-            "input": _input_json(s),
+            "input": s.to_json_dict(),
             "dimension": form.dimension,
             "basis": [list(e) for e in form.basis],
             "gram": [[_frac_json(v) for v in row] for row in form.gram],
@@ -387,12 +355,12 @@ def _cmd_batch(args, out) -> int:
             if not isinstance(entry, dict):
                 raise ParseError("entry must be a JSON object")
             if "residue_field" in entry:
-                g = _min_poly(entry["residue_field"])
+                g = _poly_in_x(entry["residue_field"])
                 ectx = gw.FieldCtx.extension(g)
                 raw = entry["milnor_form"]
                 if isinstance(raw, list):
                     raw = " + ".join(str(part) for part in raw)
-                mu = gw.parse_gw(raw, ectx, entry_parser=_ext_entry)
+                mu = gw.parse_gw(raw, ectx, entry_parser=_poly_in_x)
                 contribution = cond.transfer_conductor_point(
                     g, mu, int(entry["degree"]), int(entry["dimension"])
                 )

@@ -157,14 +157,8 @@ class ConductorReport:
     notes: list[str]
 
     def to_json_dict(self) -> dict:
-        s = self.input
         return {
-            "input": {
-                "f": P.format_poly(s.f, s.var_names),
-                "vars": list(s.var_names),
-                "weights": list(s.weights) if s.weights is not None else None,
-                "degree": s.degree,
-            },
+            "input": self.input.to_json_dict(),
             "rhs": to_json_dict(self.rhs),
             "lhs_full": to_json_dict(self.lhs_full) if self.lhs_full is not None else None,
             "rank": {"lhs": self.lhs_rank, "rhs": self.rhs.rank},

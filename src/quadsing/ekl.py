@@ -75,6 +75,15 @@ class SingularityInput:
     def nvars(self) -> int:
         return self.f.nvars
 
+    def to_json_dict(self) -> dict:
+        """The "input" object of the milnor and conductor JSON reports."""
+        return {
+            "f": P.format_poly(self.f, self.var_names),
+            "vars": list(self.var_names),
+            "weights": list(self.weights) if self.weights is not None else None,
+            "degree": self.degree,
+        }
+
     @property
     def n(self) -> int:
         """Relative dimension: variable count minus one."""

@@ -26,6 +26,7 @@ from math import gcd, isqrt
 from typing import Iterable, Mapping, Sequence
 
 from . import _univar as uv
+from . import poly as P
 from .errors import (
     ContextMismatchError,
     DegenerateFormError,
@@ -351,10 +352,6 @@ class SquareClass:
 
     ctx: FieldCtx
     rep: object
-
-    @classmethod
-    def make(cls, ctx: FieldCtx, value) -> "SquareClass":
-        return cls(ctx, ctx.normalize(value))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.ctx != other.ctx:
@@ -943,119 +940,13 @@ def from_json_dict(d: Mapping) -> GWElement:
 
 
 def parse_ratfunc(text: str) -> tuple[uv.Poly, uv.Poly]:
-    """Parse an expression in t (with + - * / ^ and parentheses) exactly.
+    """Parse an expression in t exactly, in the grammar of ``poly.parse_rational``.
 
     Returns a (numerator, denominator) pair of polynomials; used for square
     classes over Q(t), e.g. "3*t^2" or "t*(1+t)/(2-t)".
     """
-    src = text
-    pos = 0
-
-    def skip():
-        nonlocal pos
-        while pos < len(src) and src[pos].isspace():
-            pos += 1
-
-    def atom() -> tuple[uv.Poly, uv.Poly]:
-        nonlocal pos
-        skip()
-        if pos >= len(src):
-            raise ParseError("unexpected end of expression", pos)
-        ch = src[pos]
-        if ch == "(":
-            pos += 1
-            v = expr()
-            skip()
-            if pos >= len(src) or src[pos] != ")":
-                raise ParseError("missing ')'", pos)
-            pos += 1
-            return v
-        if ch == "t":
-            pos += 1
-            return ((Fraction(0), Fraction(1)), uv.ONE)
-        if ch.isdigit():
-            start = pos
-            while pos < len(src) and src[pos].isdigit():
-                pos += 1
-            if pos < len(src) and src[pos] == "/":
-                # a slash here is division of values, handled by term()
-                pass
-            return (uv.const(Fraction(int(src[start:pos]))), uv.ONE)
-        raise ParseError(f"unexpected character {ch!r} in t-expression", pos)
-
-    def power() -> tuple[uv.Poly, uv.Poly]:
-        nonlocal pos
-        v = atom()
-        skip()
-        if pos < len(src) and src[pos] == "^":
-            pos += 1
-            skip()
-            start = pos
-            while pos < len(src) and src[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise ParseError("exponent must be a non-negative integer", pos)
-            k = int(src[start:pos])
-            num, den = uv.ONE, uv.ONE
-            for _ in range(k):
-                num, den = uv.mul(num, v[0]), uv.mul(den, v[1])
-            return (num, den)
-        return v
-
-    def unary() -> tuple[uv.Poly, uv.Poly]:
-        nonlocal pos
-        skip()
-        sign = 1
-        while pos < len(src) and src[pos] in "+-":
-            if src[pos] == "-":
-                sign = -sign
-            pos += 1
-            skip()
-        num, den = power()
-        return (uv.scale(num, Fraction(sign)), den)
-
-    def term() -> tuple[uv.Poly, uv.Poly]:
-        nonlocal pos
-        num, den = unary()
-        while True:
-            skip()
-            if pos < len(src) and src[pos] == "*":
-                pos += 1
-                n2, d2 = unary()
-                num, den = uv.mul(num, n2), uv.mul(den, d2)
-            elif pos < len(src) and src[pos] == "/":
-                pos += 1
-                n2, d2 = unary()
-                if uv.is_zero(n2):
-                    raise ZeroDivisionError("division by zero in t-expression")
-                num, den = uv.mul(num, d2), uv.mul(den, n2)
-            else:
-                return (num, den)
-
-    def expr() -> tuple[uv.Poly, uv.Poly]:
-        nonlocal pos
-        num, den = term()
-        while True:
-            skip()
-            if pos < len(src) and src[pos] in "+-":
-                op = src[pos]
-                pos += 1
-                n2, d2 = term()
-                # a/b +- c/d = (ad +- cb) / bd
-                left = uv.mul(num, d2)
-                right = uv.mul(n2, den)
-                num = uv.add(left, right) if op == "+" else uv.sub(left, right)
-                den = uv.mul(den, d2)
-            else:
-                return (num, den)
-
-    out = expr()
-    skip()
-    if pos != len(src):
-        raise ParseError(f"trailing input {src[pos:]!r} in t-expression", pos)
-    if uv.is_zero(out[0]):
-        raise ValueError("zero has no square class")
-    return out
+    num, den = P.parse_rational(text, ["t"])
+    return uv.of_polynomial(num), uv.of_polynomial(den)
 
 
 def parse_gw(text: str, ctx: FieldCtx = RATIONALS, entry_parser=None) -> GWElement:
@@ -1096,17 +987,15 @@ def parse_gw(text: str, ctx: FieldCtx = RATIONALS, entry_parser=None) -> GWEleme
             for piece in body.split(","):
                 piece = piece.strip()
                 try:
-                    value = entry_parser(piece)
-                except NonSpecializableError:
-                    raise
-                except ParseError:
+                    rep = ctx.normalize(entry_parser(piece))
+                except (NonSpecializableError, ParseError):
                     raise
                 except Exception as exc:
                     raise ParseError(f"bad square-class entry {piece!r}: {exc}", i) from exc
-                (pos_vals if sign > 0 else neg_vals).append(value)
+                (pos_vals if sign > 0 else neg_vals).append(rep)
         seen = True
         sign = 1
         i = j + 1
     if not seen:
         raise ParseError("empty form expression", 0)
-    return GWElement(ctx, pos=pos_vals, neg=neg_vals)
+    return GWElement(ctx, *_cancel(pos_vals, neg_vals), _raw=True)

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over Q with a Buchberger engine.
 
 Polynomials are dictionaries from exponent tuples to nonzero Fractions.
-The module provides the expression parser used by the CLI, formal partial
-derivatives, weighted-homogeneity checks, and reduced Groebner bases with
-standard-monomial enumeration for zero-dimensional quotients.  Everything
-is exact; there is no floating point anywhere.
+The module provides the one expression grammar of the package (``parse``
+for polynomials, ``parse_rational`` for quotients such as the Q(t) entries
+of a form), formal partial derivatives, weighted-homogeneity checks, and
+reduced Groebner bases with standard-monomial enumeration for
+zero-dimensional quotients.  Everything is exact; there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -26,40 +28,29 @@ Exps = tuple[int, ...]
 
 
 class MonomialOrder:
-    """A monomial order: grevlex (default) or lex, with optional variable permutation.
+    """A monomial order: grevlex (default) or lex.
 
     ``key(exps)`` returns a sort key that is increasing in the order, so
     ``sorted(monomials, key=order.key)`` lists them smallest first.
     """
 
-    __slots__ = ("kind", "perm")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str = "grevlex", perm: Sequence[int] | None = None):
+    def __init__(self, kind: str = "grevlex"):
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self.perm = tuple(perm) if perm is not None else None
-
-    def _permuted(self, exps: Exps) -> Exps:
-        if self.perm is None:
-            return exps
-        return tuple(exps[i] for i in self.perm)
 
     def key(self, exps: Exps):
-        e = self._permuted(exps)
         if self.kind == "lex":
-            return e
-        return (sum(e), tuple(-x for x in reversed(e)))
+            return exps
+        return (sum(exps), tuple(-x for x in reversed(exps)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.perm == other.perm
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.perm))
+        return hash(self.kind)
 
     def __repr__(self):
         return f"MonomialOrder({self.kind!r})"
@@ -80,9 +71,6 @@ def mono_div(a: Exps, b: Exps) -> Exps:
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def mono_degree(a: Exps) -> int:
-    return sum(a)
 
 
 class Polynomial:
@@ -299,7 +287,7 @@ def weights_admissible(weights: Sequence[int], r: int, f: Polynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
 
 
@@ -328,11 +316,28 @@ def _tokenize(src: str):
 def parse(src: str, variables: Sequence[str]) -> Polynomial:
     """Parse a polynomial expression over the declared variables.
 
-    Grammar: integer and p/q literals, variable names, + - * ^ and
-    parentheses; ^ takes a non-negative integer exponent; multiplication is
-    always explicit.  Unknown names and syntax errors carry the offending
-    position.
+    The grammar is that of ``parse_rational``; a polynomial may divide only
+    by a nonzero constant, so "3/2*x" and "x/2" parse and "x/y" does not.
     """
+    return _parse(src, variables, True)[0]
+
+
+def parse_rational(src: str, variables: Sequence[str]) -> tuple[Polynomial, Polynomial]:
+    """Parse a rational expression as a (numerator, denominator) pair.
+
+    Grammar: integer literals, variable names, parentheses, binary + - * /
+    and ^ with a non-negative integer exponent.  * and / share a precedence
+    and associate to the left, ^ binds tighter, and a sign may precede any
+    factor, so "2/3^2" is 2/9, "t/2/3" is t/6 and "2*-x" is -2x.
+    Multiplication is always explicit.  Division by a nonzero constant is
+    folded into the numerator, so the denominator is the constant 1 unless
+    the expression divides by a non-constant.  Unknown names, syntax errors
+    and division by zero carry the offending position.
+    """
+    return _parse(src, variables, False)
+
+
+def _parse(src: str, variables: Sequence[str], polynomial: bool):
     names = list(variables)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
@@ -340,6 +345,9 @@ def parse(src: str, variables: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
     tokens = _tokenize(src)
     pos = 0
+    # the shared denominator of every value that has not divided by a
+    # non-constant; multiplications by it are skipped
+    one = Polynomial.constant(nvars, 1)
 
     def peek():
         return tokens[pos]
@@ -350,48 +358,63 @@ def parse(src: str, variables: Sequence[str]) -> Polynomial:
         pos += 1
         return t
 
-    def parse_expr() -> Polynomial:
+    def mul(a: Polynomial, b: Polynomial) -> Polynomial:
+        return a if b is one else b if a is one else a * b
+
+    def parse_expr():
+        num, den = parse_term()
+        while peek()[0] == "op" and peek()[1] in "+-":
+            op = take()[1]
+            n2, d2 = parse_term()
+            if d2 is not den:
+                num, n2, den = mul(num, d2), mul(n2, den), mul(den, d2)
+            num = num + n2 if op == "+" else num - n2
+        return num, den
+
+    def parse_term():
+        num, den = parse_unary()
+        while peek()[0] == "op" and peek()[1] in "*/":
+            op, at = take()[1:]
+            n2, d2 = parse_unary()
+            if op == "*":
+                num, den = mul(num, n2), mul(den, d2)
+            elif n2.is_zero():
+                raise ParseError("division by zero", at)
+            elif n2.total_degree() == 0:
+                num = mul(num, d2) * (1 / n2.constant_term())
+            elif polynomial:
+                raise ParseError("a polynomial may divide only by a nonzero constant", at)
+            else:
+                num, den = mul(num, d2), mul(den, n2)
+        return num, den
+
+    def parse_unary():
         sign = 1
         while peek()[0] == "op" and peek()[1] in "+-":
             if take()[1] == "-":
                 sign = -sign
-        out = parse_term() * sign
-        while peek()[0] == "op" and peek()[1] in "+-":
-            op = take()[1]
-            # allow a redundant sign run after the operator, e.g. "x - -y"
-            sign = 1
-            while peek()[0] == "op" and peek()[1] in "+-":
-                if take()[1] == "-":
-                    sign = -sign
-            rhs = parse_term() * sign
-            out = out + rhs if op == "+" else out - rhs
-        return out
+        num, den = parse_power()
+        return (num if sign > 0 else -num), den
 
-    def parse_term() -> Polynomial:
-        out = parse_factor()
-        while peek()[0] == "op" and peek()[1] == "*":
-            take()
-            out = out * parse_factor()
-        return out
-
-    def parse_factor() -> Polynomial:
-        base = parse_atom()
+    def parse_power():
+        num, den = parse_atom()
         if peek()[0] == "op" and peek()[1] == "^":
             take()
             kind, text, at = take()
-            if kind != "num" or "/" in text:
+            if kind != "num":
                 raise ParseError("exponent must be a non-negative integer", at)
-            return base ** int(text)
-        return base
+            k = int(text)
+            return num ** k, (den if den is one else den ** k)
+        return num, den
 
-    def parse_atom() -> Polynomial:
+    def parse_atom():
         kind, text, at = take()
         if kind == "num":
-            return Polynomial.constant(nvars, Fraction(text))
+            return Polynomial.constant(nvars, int(text)), one
         if kind == "name":
             if text not in index:
                 raise UnknownVariableError(f"unknown variable {text!r}", at)
-            return Polynomial.variable(nvars, index[text])
+            return Polynomial.variable(nvars, index[text]), one
         if kind == "op" and text == "(":
             inner = parse_expr()
             kind2, text2, at2 = take()

@@ -194,23 +194,6 @@ def hc_affine(n: int) -> TateObject:
     return TateObject([(-(n // 2), -n), (-n, -2 * n)])
 
 
-@dataclass(frozen=True)
-class AffineQuadricBounds:
-    m1_target: Summand
-    m2_source: Summand
-    hc_tail: Summand
-
-
-def affine_quadric_bounds(n: int) -> AffineQuadricBounds:
-    if n < 1:
-        raise InputDomainError("affine quadric dimension must be at least 1")
-    return AffineQuadricBounds(
-        m1_target=(-((n + 1) // 2), -n),
-        m2_source=(-(n // 2), -n),
-        hc_tail=(-n, -2 * n),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the variation map
 # ---------------------------------------------------------------------------

@@ -289,6 +289,35 @@ def test_field_without_odd_prime_modulus_is_a_parse_error(label):
     assert doc["error"]["code"] == "parse-error"
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gw", "equal", "<0>", "<1>"], "'0'"),
+        (["gw", "invariants", "<7>", "--field", "Fp:7"], "'7'"),
+        (["gw", "invariants", "<1/7>", "--field", "Fp:7"], "'1/7'"),
+        (["gw", "diagonalize", "[[1,2],[3,4]]"], "symmetric"),
+        (["gw", "diagonalize", "[[1,2],[2]]"], "square"),
+        (["gw", "diagonalize", '[["1/7"]]', "--field", "Fp:7"], "denominator"),
+        (["milnor", "--vars", "x", "x^2 + 1/0*x"], "division by zero"),
+    ],
+)
+def test_malformed_input_is_a_parse_error(argv, named):
+    code, doc = _run_json(*argv, "--json")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert named in doc["error"]["message"]
+
+
+def test_batch_residue_field_dividing_by_zero_is_a_parse_error(tmp_path):
+    f = tmp_path / "bad.json"
+    entry = {"residue_field": "1/0*x^2+1", "milnor_form": "<1>", "degree": 2, "dimension": 1}
+    f.write_text(json.dumps([entry]))
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert "batch entry 0: division by zero" in doc["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # start-up
 # ---------------------------------------------------------------------------
@@ -310,6 +339,12 @@ def test_import_and_small_milnor_leave_sympy_unloaded():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_exports_resolve_once():
+    assert len(quadsing.__all__) == len(set(quadsing.__all__))
+    for name in quadsing.__all__:
+        assert getattr(quadsing, name) is not None, name
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadsing import _univar as uv
+from quadsing import gw
 from quadsing import poly as P
 from quadsing.errors import (
     InfiniteQuotientError,
@@ -87,6 +89,135 @@ def test_ring_laws(f, g, h):
 @given(polys)
 def test_format_parse_round_trip(f):
     assert _p(P.format_poly(f, XY)) == f
+
+
+X = P.Polynomial.variable(2, 0)
+
+
+@pytest.mark.parametrize(
+    "src, variables, expected",
+    [
+        ("2/3^2", XY, P.Polynomial.constant(2, Fraction(2, 9))),
+        ("t/2/3", ("t",), P.Polynomial.monomial(1, (1,), Fraction(1, 6))),
+        ("x/2", XY, X * Fraction(1, 2)),
+        ("2*-x", XY, X * -2),
+    ],
+)
+def test_slash_and_sign_readings(src, variables, expected):
+    assert P.parse(src, variables) == expected
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x/y", "a polynomial may divide only by a nonzero constant"),
+        ("1/0", "division by zero"),
+        ("x/(y-y)", "division by zero"),
+    ],
+)
+def test_division_errors_point_at_the_slash(src, message):
+    with pytest.raises(ParseError) as info:
+        _p(src)
+    assert info.value.position == src.index("/")
+    assert str(info.value).startswith(message)
+
+
+# A tree is ("num", k), ("var", name), ("neg", a), ("^", a, k) or (op, a, b)
+# for op in + - * /.  _render writes it with the fewest parentheses the
+# grammar allows, so precedence, associativity and signs are exercised.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "num": 5, "var": 5}
+
+
+def _render(tree) -> str:
+    def sub(t, least):
+        text = _render(t)
+        return text if _PREC[t[0]] >= least else f"({text})"
+
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return str(tree[1])
+    if kind == "neg":
+        return "-" + sub(tree[1], 3)
+    if kind == "^":
+        return f"{sub(tree[1], 5)}^{tree[2]}"
+    left, right = (1, 2) if kind in "+-" else (2, 3)
+    return f"{sub(tree[1], left)} {kind} {sub(tree[2], right)}"
+
+
+def _evaluate(tree, leaf, divide):
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return leaf(tree)
+    a = _evaluate(tree[1], leaf, divide)
+    if kind == "neg":
+        return -a
+    if kind == "^":
+        return a ** tree[2]
+    b = _evaluate(tree[2], leaf, divide)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    return divide(a, b)
+
+
+def _numbers(low):
+    return st.integers(min_value=low, max_value=9).map(lambda k: ("num", k))
+
+
+def _trees(variables, divisors):
+    leaves = _numbers(0) | st.sampled_from(variables).map(lambda v: ("var", v))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.just("neg"), sub),
+            st.tuples(st.just("^"), sub, st.integers(min_value=0, max_value=3)),
+            st.tuples(st.sampled_from("+-*"), sub, sub),
+            st.tuples(st.just("/"), sub, divisors(sub)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _constant_divisors(sub):
+    return _numbers(1) | st.tuples(st.just("^"), _numbers(1), st.integers(min_value=0, max_value=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(XY, _constant_divisors))
+def test_parse_matches_polynomial_arithmetic(tree):
+    def leaf(t):
+        if t[0] == "num":
+            return P.Polynomial.constant(2, t[1])
+        return P.Polynomial.variable(2, XY.index(t[1]))
+
+    expected = _evaluate(tree, leaf, lambda a, b: a * (1 / b.constant_term()))
+    assert _p(_render(tree)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _trees(("t",), lambda sub: sub),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=3, max_size=3),
+)
+def test_parse_ratfunc_matches_direct_evaluation(tree, points):
+    text = _render(tree)
+    try:
+        num, den = gw.parse_ratfunc(text)
+    except ParseError:
+        # only a divisor that is identically zero is rejected
+        num = den = None
+    for x in points:
+        try:
+            value = _evaluate(
+                tree, lambda t: Fraction(t[1]) if t[0] == "num" else x, lambda a, b: a / b
+            )
+        except ZeroDivisionError:
+            continue
+        assert num is not None, text
+        assert uv.eval_at(num, x) / uv.eval_at(den, x) == value, text
 
 
 # ---------------------------------------------------------------------------
