@@ -30,6 +30,7 @@ from .ekl import SingularityInput, milnor_rank_weighted, quadratic_milnor
 from .errors import DegenerateFormError, InputDomainError
 from .euler import chi_split_quadric, euler_rank
 from .gw import (
+    RATIONALS,
     GWElement,
     diag_form,
     diagonalize,
@@ -117,10 +118,8 @@ def is_split_form(q: GWElement) -> bool:
     m = q.rank // 2
     model = diag_form([1, -1] * m)
     if q.rank % 2:
-        disc = 1
-        for a in q.pos:
-            disc *= a
-        model = model + diag_form([(-1) ** m * disc])
+        # a sign times the squarefree discriminant is already canonical
+        model = model + GWElement(RATIONALS, pos=[(-1) ** m * q.discriminant().rep], _raw=True)
     return is_equal(q, model)
 
 

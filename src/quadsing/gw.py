@@ -164,16 +164,8 @@ class FieldCtx:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def rationals(cls) -> "FieldCtx":
-        return RATIONALS
-
-    @classmethod
     def prime_field(cls, p: int) -> "FieldCtx":
         return cls(_PRIME, p=p)
-
-    @classmethod
-    def rational_functions(cls) -> "FieldCtx":
-        return RATIONAL_FUNCTIONS
 
     @classmethod
     def extension(cls, min_poly) -> "FieldCtx":
@@ -233,11 +225,7 @@ class FieldCtx:
         if self.kind == _RATIONALS:
             return _squarefree(value)
         if self.kind == _PRIME:
-            fr = Fraction(value) if not isinstance(value, int) else Fraction(value)
-            num, den = fr.numerator % self.p, fr.denominator % self.p
-            if den == 0:
-                raise ValueError("denominator vanishes in the prime field")
-            v = num * pow(den, -1, self.p) % self.p
+            v = _mod_p(value, self.p)
             if v == 0:
                 raise ValueError("zero has no square class")
             return 1 if pow(v, (self.p - 1) // 2, self.p) == 1 else self.least_nonresidue()
@@ -281,6 +269,15 @@ class FieldCtx:
             head = "t*" if parity else ""
             return head + "(" + _uv_str(num) + ")/(" + _uv_str(den) + ")"
         return _uv_str(rep)
+
+
+def _mod_p(value, p: int) -> int:
+    """The residue in [0, p) of a rational whose denominator p does not divide."""
+    fr = Fraction(value)
+    den = fr.denominator % p
+    if den == 0:
+        raise ValueError("denominator vanishes in the prime field")
+    return fr.numerator * pow(den, -1, p) % p
 
 
 def _uv_str(p: uv.Poly) -> str:
@@ -493,21 +490,14 @@ class GWElement:
             raise UnsupportedInvariantError(
                 f"signature is undefined over {self.ctx.label()}"
             )
-        return sum(1 if a > 0 else -1 for a in self.pos) - sum(
-            1 if a > 0 else -1 for a in self.neg
-        )
+        return _signature(self.pos) - _signature(self.neg)
 
     def discriminant(self) -> SquareClass:
         if self.ctx.kind not in (_RATIONALS, _PRIME):
             raise UnsupportedInvariantError(
                 f"discriminant is not computed over {self.ctx.label()}"
             )
-        rep = self.ctx.one_rep()
-        for a in self.pos:
-            rep = self.ctx.mul_reps(rep, a)
-        for a in self.neg:
-            rep = self.ctx.mul_reps(rep, a)
-        return SquareClass(self.ctx, rep)
+        return SquareClass(self.ctx, _discriminant(self.ctx, self.pos + self.neg))
 
     def invariants(self) -> InvariantTuple:
         if self.ctx.kind == _RATIONALS:
@@ -623,10 +613,16 @@ def _hasse_witt(entries: Sequence[int], p: int) -> int:
     return out
 
 
-def _discriminant(entries: Sequence[int]) -> int:
-    out = 1
+def _signature(entries: Sequence[int]) -> int:
+    return sum(1 if a > 0 else -1 for a in entries)
+
+
+def _discriminant(ctx: FieldCtx, entries: Sequence):
+    """The class of the product of the entries, multiplied pairwise with
+    ``mul_reps``; over Q a gcd-reduced product, so nothing is factored."""
+    out = ctx.one_rep()
     for a in entries:
-        out = RATIONALS.mul_reps(out, a)
+        out = ctx.mul_reps(out, a)
     return out
 
 
@@ -667,10 +663,9 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     right = b.pos + a.neg
     if sorted(left) == sorted(right):
         return True
-    sig = lambda ent: sum(1 if v > 0 else -1 for v in ent)
-    if sig(left) != sig(right):
+    if _signature(left) != _signature(right):
         return False
-    if _discriminant(left) != _discriminant(right):
+    if _discriminant(RATIONALS, left) != _discriminant(RATIONALS, right):
         return False
     for p in _relevant_primes(left + right):
         if _hasse_witt(left, p) != _hasse_witt(right, p):
@@ -775,60 +770,35 @@ def transfer(g, e: GWElement) -> GWElement:
 # ---------------------------------------------------------------------------
 
 
-class _QOps:
-    @staticmethod
-    def of(v):
-        return Fraction(v)
-
-    zero = Fraction(0)
-
-    @staticmethod
-    def is_zero(v):
-        return v == 0
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-
-class _FpOps:
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-
-    def of(self, v):
-        fr = Fraction(v)
-        den = fr.denominator % self.p
-        if den == 0:
-            raise ValueError("denominator vanishes in the prime field")
-        return fr.numerator * pow(den, -1, self.p) % self.p
-
-    def is_zero(self, v):
-        return v % self.p == 0
-
-    def div(self, a, b):
-        return a * pow(b % self.p, -1, self.p) % self.p
-
-
 def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
     """Diagonalize a symmetric matrix by congruence; return its form.
 
-    Pivoting is deterministic: the first nonzero diagonal entry of the
-    trailing block is used, and if the whole diagonal vanishes the row j is
-    added to row i (and column j to column i) for the lowest (i, j) with a
-    nonzero off-diagonal entry.  A singular matrix raises
-    DegenerateFormError.
+    Entries are read as rationals, or reduced into F_p over a prime field,
+    where they stay reduced.  Pivoting is deterministic: the first nonzero
+    diagonal entry of the trailing block is used, and if the whole diagonal
+    vanishes the row j is added to row i (and column j to column i) for the
+    lowest (i, j) with a nonzero off-diagonal entry.  The pivot is swapped
+    to the front and row operations replace the rest of the block by its
+    Schur complement, which is symmetric again, so no column pass is needed.
+    A singular matrix raises DegenerateFormError.
     """
     if ctx.kind == _RATIONALS:
-        ops = _QOps()
+        p, of = None, Fraction
     elif ctx.kind == _PRIME:
-        ops = _FpOps(ctx.p)
+        p = ctx.p
+
+        def of(v):
+            return _mod_p(v, p)
     else:
         raise UnsupportedInvariantError(
             f"diagonalization is not implemented over {ctx.label()}"
         )
+
+    def reduced(row):
+        return row if p is None else [v % p for v in row]
+
     n = len(gram)
-    a = [[ops.of(v) for v in row] for row in gram]
+    a = [[of(v) for v in row] for row in gram]
     for row in a:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -838,45 +808,31 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
                 raise ValueError("matrix must be symmetric")
 
     diag = []
-    for k in range(n):
-        pivot = None
-        for j in range(k, n):
-            if not ops.is_zero(a[j][j]):
-                pivot = j
-                break
+    while a:
+        m = len(a)
+        pivot = next((j for j in range(m) if a[j][j]), None)
         if pivot is None:
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if not ops.is_zero(a[i][j]):
-                        found = (i, j)
-                        break
-                if found:
-                    break
+            found = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
             if found is None:
                 raise DegenerateFormError(
-                    f"matrix has rank {k} < {n}; the form is degenerate"
+                    f"matrix has rank {len(diag)} < {n}; the form is degenerate"
                 )
             i, j = found
-            for col in range(n):
-                a[i][col] = a[i][col] + a[j][col]
-            for row in range(n):
-                a[row][i] = a[row][i] + a[row][j]
-            pivot = i
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
+            a[i] = [of(x + y) for x, y in zip(a[i], a[j])]
             for row in a:
-                row[k], row[pivot] = row[pivot], row[k]
-        d = a[k][k]
-        for r in range(k + 1, n):
-            if ops.is_zero(a[r][k]):
-                continue
-            f = ops.div(a[r][k], d)
-            for col in range(n):
-                a[r][col] = a[r][col] - f * a[k][col]
-            for row in range(n):
-                a[row][r] = a[row][r] - f * a[row][k]
+                row[i] = of(row[i] + row[j])
+            pivot = i
+        if pivot:
+            a[0], a[pivot] = a[pivot], a[0]
+            for row in a:
+                row[0], row[pivot] = row[pivot], row[0]
+        d, tail = a[0][0], a[0][1:]
         diag.append(d)
+        inv = 1 / d if p is None else pow(d, -1, p)
+        a = [
+            reduced([x - f * y for x, y in zip(row[1:], tail)]) if (f := row[0] * inv) else row[1:]
+            for row in a[1:]
+        ]
     return GWElement(ctx, pos=diag)
 
 

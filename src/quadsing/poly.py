@@ -5,8 +5,9 @@ The module provides the one expression grammar of the package (``parse``
 for polynomials, ``parse_rational`` for quotients such as the Q(t) entries
 of a form), formal partial derivatives, weighted-homogeneity checks, and
 reduced Groebner bases with standard-monomial enumeration for
-zero-dimensional quotients.  Everything is exact; there is no floating
-point anywhere.
+zero-dimensional quotients.  Leading terms, bases, standard monomials and
+printed terms all follow one monomial order, grevlex (``grevlex_key``).
+Everything is exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -27,37 +28,11 @@ from .errors import (
 Exps = tuple[int, ...]
 
 
-class MonomialOrder:
-    """A monomial order: grevlex (default) or lex.
-
-    ``key(exps)`` returns a sort key that is increasing in the order, so
-    ``sorted(monomials, key=order.key)`` lists them smallest first.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str = "grevlex"):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def key(self, exps: Exps):
-        if self.kind == "lex":
-            return exps
-        return (sum(exps), tuple(-x for x in reversed(exps)))
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+def grevlex_key(exps: Exps):
+    """Sort key of the graded reverse lexicographic order, the one monomial
+    order used throughout: ``sorted(monomials, key=grevlex_key)`` lists them
+    smallest first."""
+    return (sum(exps), tuple(-x for x in reversed(exps)))
 
 
 def mono_mul(a: Exps, b: Exps) -> Exps:
@@ -208,15 +183,11 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Exps, Fraction]:
+    def leading(self) -> tuple[Exps, Fraction]:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
-
-    def terms_sorted(self, order: MonomialOrder = GREVLEX, reverse: bool = True):
-        for e in sorted(self.terms, key=order.key, reverse=reverse):
-            yield e, self.terms[e]
 
 
 def partials(f: Polynomial) -> list[Polynomial]:
@@ -340,7 +311,7 @@ def parse_rational(src: str, variables: Sequence[str]) -> tuple[Polynomial, Poly
 def _parse(src: str, variables: Sequence[str], polynomial: bool):
     names = list(variables)
     if len(set(names)) != len(names):
-        raise ValueError("duplicate variable names")
+        raise ParseError("duplicate variable names")
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
     tokens = _tokenize(src)
@@ -430,12 +401,13 @@ def _parse(src: str, variables: Sequence[str], polynomial: bool):
     return out
 
 
-def format_poly(f: Polynomial, variables: Sequence[str], order: MonomialOrder = GREVLEX) -> str:
-    """Render f so that parse(format_poly(f, vs), vs) == f."""
+def format_poly(f: Polynomial, variables: Sequence[str]) -> str:
+    """Render f, largest term first, so that parse(format_poly(f, vs), vs) == f."""
     if f.is_zero():
         return "0"
     parts = []
-    for exps, c in f.terms_sorted(order):
+    for exps in sorted(f.terms, key=grevlex_key, reverse=True):
+        c = f.terms[exps]
         factors = []
         for name, e in zip(variables, exps):
             if e == 1:
@@ -458,22 +430,22 @@ def format_poly(f: Polynomial, variables: Sequence[str], order: MonomialOrder = 
 # ---------------------------------------------------------------------------
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    ef, cf = f.leading()
+    eg, cg = g.leading()
     l = mono_lcm(ef, eg)
     mf = Polynomial.monomial(f.nvars, mono_div(l, ef), Fraction(1) / cf)
     mg = Polynomial.monomial(g.nvars, mono_div(l, eg), Fraction(1) / cg)
     return mf * f - mg * g
 
 
-def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
+def reduce_poly(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of f modulo the basis (every term reduced)."""
-    lead = [(g.leading(order)[0], g.leading(order)[1], g) for g in basis if not g.is_zero()]
+    lead = [(*g.leading(), g) for g in basis if not g.is_zero()]
     remainder: dict[Exps, Fraction] = {}
     p = f
     while not p.is_zero():
-        e, c = p.leading(order)
+        e, c = p.leading()
         for eg, cg, g in lead:
             if mono_divides(eg, e):
                 factor = Polynomial.monomial(p.nvars, mono_div(e, eg), c / cg)
@@ -489,16 +461,16 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     return Polynomial(f.nvars, remainder)
 
 
-def _buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    basis = [g * (Fraction(1) / g.leading(order)[1]) for g in gens]
-    lead = [g.leading(order)[0] for g in basis]
+def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
+    basis = [g * (Fraction(1) / g.leading()[1]) for g in gens]
+    lead = [g.leading()[0] for g in basis]
 
     def lcm_key(i, j):
-        return order.key(mono_lcm(lead[i], lead[j]))
+        return grevlex_key(mono_lcm(lead[i], lead[j]))
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     while pairs:
-        # normal selection: smallest lcm in the order, index tie-break
+        # normal selection: smallest lcm in grevlex, index tie-break
         i, j = min(pairs, key=lambda p: (lcm_key(*p), p))
         pairs.discard((i, j))
         li, lj = lead[i], lead[j]
@@ -518,33 +490,33 @@ def _buchberger(gens: list[Polynomial], order: MonomialOrder) -> list[Polynomial
                 break
         if skip:
             continue
-        s = reduce_poly(spoly(basis[i], basis[j], order), basis, order)
+        s = reduce_poly(spoly(basis[i], basis[j]), basis)
         if s.is_zero():
             continue
-        s = s * (Fraction(1) / s.leading(order)[1])
+        s = s * (Fraction(1) / s.leading()[1])
         t = len(basis)
         basis.append(s)
-        lead.append(s.leading(order)[0])
+        lead.append(s.leading()[0])
         pairs.update((k, t) for k in range(t))
     return basis
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
     # minimize: drop elements whose leading monomial another element divides
-    basis = sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
+    basis = sorted(basis, key=lambda g: grevlex_key(g.leading()[0]))
     minimal: list[Polynomial] = []
     for g in basis:
-        lg = g.leading(order)[0]
-        if any(mono_divides(h.leading(order)[0], lg) for h in minimal):
+        lg = g.leading()[0]
+        if any(mono_divides(h.leading()[0], lg) for h in minimal):
             continue
         minimal.append(g)
     # tail-reduce each element against the others, keep monic
     out = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = reduce_poly(g, others, order) if others else g
-        out.append(r * (Fraction(1) / r.leading(order)[1]))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]))
+        r = reduce_poly(g, others) if others else g
+        out.append(r * (Fraction(1) / r.leading()[1]))
+    out.sort(key=lambda g: grevlex_key(g.leading()[0]))
     return out
 
 
@@ -553,7 +525,6 @@ class QuotientBasis:
     """A reduced Groebner basis with its standard-monomial data."""
 
     groebner: tuple[Polynomial, ...]
-    order: MonomialOrder
     nvars: int
     is_finite: bool
     _standard: tuple[Exps, ...] | None
@@ -581,7 +552,7 @@ class QuotientBasis:
             )
         if p.nvars != self.nvars:
             raise ValueError("variable count mismatch")
-        return reduce_poly(p, self.groebner, self.order)
+        return reduce_poly(p, self.groebner)
 
     def nf_vector(self, exps: Exps) -> dict[int, Fraction]:
         """Normal form of a single monomial as basis-index -> coefficient."""
@@ -596,13 +567,13 @@ class QuotientBasis:
         return vec
 
 
-def groebner(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> QuotientBasis:
-    """Reduced Groebner basis of the ideal, plus the quotient's monomial basis.
+def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
+    """Reduced grevlex Groebner basis of the ideal, plus the quotient's monomial basis.
 
-    The reduced basis is unique for the given order, so identical inputs
-    produce identical bases.  Standard monomials come back sorted ascending
-    in the order when the quotient is finite-dimensional; otherwise the
-    result is flagged infinite and the ideal's basis is still available.
+    The reduced basis is unique, so identical inputs produce identical
+    bases.  Standard monomials come back sorted ascending in grevlex when
+    the quotient is finite-dimensional; otherwise the result is flagged
+    infinite and the ideal's basis is still available.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -610,11 +581,11 @@ def groebner(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> Quot
     nvars = gens[0].nvars
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators have mixed variable counts")
-    basis = _reduce_basis(_buchberger(gens, order), order)
-    leads = [g.leading(order)[0] for g in basis]
+    basis = _reduce_basis(_buchberger(gens))
+    leads = [g.leading()[0] for g in basis]
 
     if len(basis) == 1 and basis[0].total_degree() == 0:
-        return QuotientBasis(tuple(basis), order, nvars, True, ())
+        return QuotientBasis(tuple(basis), nvars, True, ())
 
     # zero-dimensionality: each variable has a pure-power leading monomial
     bounds: list[int | None] = [None] * nvars
@@ -625,7 +596,7 @@ def groebner(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> Quot
             if bounds[i] is None or e[i] < bounds[i]:
                 bounds[i] = e[i]
     if any(b is None for b in bounds):
-        return QuotientBasis(tuple(basis), order, nvars, False, None)
+        return QuotientBasis(tuple(basis), nvars, False, None)
 
     standard: list[Exps] = []
     def enumerate_from(prefix: list[int], i: int):
@@ -639,5 +610,5 @@ def groebner(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> Quot
             enumerate_from(prefix, i + 1)
             prefix.pop()
     enumerate_from([], 0)
-    standard.sort(key=order.key)
-    return QuotientBasis(tuple(basis), order, nvars, True, tuple(standard))
+    standard.sort(key=grevlex_key)
+    return QuotientBasis(tuple(basis), nvars, True, tuple(standard))

@@ -299,6 +299,7 @@ def test_field_without_odd_prime_modulus_is_a_parse_error(label):
         (["gw", "diagonalize", "[[1,2],[2]]"], "square"),
         (["gw", "diagonalize", '[["1/7"]]', "--field", "Fp:7"], "denominator"),
         (["milnor", "--vars", "x", "x^2 + 1/0*x"], "division by zero"),
+        (["milnor", "--vars", "x,x", "x^2"], "duplicate variable names"),
     ],
 )
 def test_malformed_input_is_a_parse_error(argv, named):

@@ -469,6 +469,142 @@ def test_diagonalize_prime_field():
     assert gw.is_equal(e, gw.diag_form([1, -1], F7))
 
 
+class _QOps:
+    zero = Fraction(0)
+
+    @staticmethod
+    def of(v):
+        return Fraction(v)
+
+    @staticmethod
+    def is_zero(v):
+        return v == 0
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+
+class _FpOps:
+    def __init__(self, p):
+        self.p = p
+        self.zero = 0
+
+    def of(self, v):
+        fr = Fraction(v)
+        den = fr.denominator % self.p
+        if den == 0:
+            raise ValueError("denominator vanishes in the prime field")
+        return fr.numerator * pow(den, -1, self.p) % self.p
+
+    def is_zero(self, v):
+        return v % self.p == 0
+
+    def div(self, a, b):
+        return a * pow(b % self.p, -1, self.p) % self.p
+
+
+def _full_elimination(gram, ctx):
+    """Congruence diagonalization by full-matrix elimination, the oracle for
+    ``gw.diagonalize``: the same pivot rule, but every row operation and its
+    column operation run over the whole matrix, and F_p entries are left
+    unreduced."""
+    ops = _QOps() if ctx == QQ else _FpOps(ctx.p)
+    n = len(gram)
+    a = [[ops.of(v) for v in row] for row in gram]
+    diag = []
+    for k in range(n):
+        pivot = next((j for j in range(k, n) if not ops.is_zero(a[j][j])), None)
+        if pivot is None:
+            found = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if not ops.is_zero(a[i][j])),
+                None,
+            )
+            if found is None:
+                raise DegenerateFormError(f"matrix has rank {k} < {n}; the form is degenerate")
+            i, j = found
+            for col in range(n):
+                a[i][col] = a[i][col] + a[j][col]
+            for row in range(n):
+                a[row][i] = a[row][i] + a[row][j]
+            pivot = i
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            for row in a:
+                row[k], row[pivot] = row[pivot], row[k]
+        d = a[k][k]
+        for r in range(k + 1, n):
+            if ops.is_zero(a[r][k]):
+                continue
+            f = ops.div(a[r][k], d)
+            for col in range(n):
+                a[r][col] = a[r][col] - f * a[k][col]
+            for row in range(n):
+                a[row][r] = a[row][r] - f * a[row][k]
+        diag.append(d)
+    return gw.GWElement(ctx, pos=diag)
+
+
+_DIAG_FIELDS = [QQ] + [gw.FieldCtx.prime_field(p) for p in (3, 5, 7)]
+# denominators are powers of 2, so every entry is defined in each F_p
+_entry = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def _symmetric(draw, shape="any"):
+    """A symmetric matrix; "hyperbolic" is [[0, B], [B^T, 0]], "antidiagonal"
+    has its nonzeros on the antidiagonal, and "singular" repeats a row and
+    column, so it is singular over every field."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if shape == "hyperbolic":
+        h = (n + 1) // 2
+        b = [[draw(_entry) for _ in range(h)] for _ in range(h)]
+        return [
+            [b[i][j - h] if i < h <= j else b[j][i - h] if j < h <= i else Fraction(0)
+             for j in range(2 * h)]
+            for i in range(2 * h)
+        ]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if shape != "antidiagonal" or i + j == n - 1:
+                m[i][j] = m[j][i] = draw(_entry)
+    if shape == "singular":
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        m = [row + [row[src]] for row in m]
+        m.append(list(m[src]))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_DIAG_FIELDS),
+    st.one_of(_symmetric(), _symmetric("hyperbolic"), _symmetric("antidiagonal")),
+)
+@example(QQ, [[0, 1], [1, 0]])
+@example(gw.FieldCtx.prime_field(3), [[0, 0, 1], [0, 0, 2], [1, 2, 0]])
+@example(QQ, [[0, 0, 0, 5], [0, 0, 3, 0], [0, 3, 0, 0], [5, 0, 0, 0]])
+def test_diagonalize_matches_full_elimination(ctx, gram):
+    try:
+        want = _full_elimination(gram, ctx)
+    except DegenerateFormError:
+        # a random matrix may be singular, most often over a small F_p
+        with pytest.raises(DegenerateFormError):
+            gw.diagonalize(gram, ctx)
+        return
+    assert gw.diagonalize(gram, ctx) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_DIAG_FIELDS), _symmetric("singular"))
+@example(QQ, [[0, 0], [0, 0]])
+@example(gw.FieldCtx.prime_field(5), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+def test_diagonalize_rejects_singular_like_full_elimination(ctx, gram):
+    for impl in (_full_elimination, gw.diagonalize):
+        with pytest.raises(DegenerateFormError):
+            impl(gram, ctx)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sparse polynomial arithmetic, parsing, monomial orders, and Groebner
+"""Sparse polynomial arithmetic, parsing, the grevlex order, and Groebner
 quotient bases."""
 
 from __future__ import annotations
@@ -6,7 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
@@ -221,28 +222,21 @@ def test_parse_ratfunc_matches_direct_evaluation(tree, points):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order
 # ---------------------------------------------------------------------------
 
 
 def test_grevlex_ordering():
-    key = P.GREVLEX.key
+    key = P.grevlex_key
     # degree first
     assert key((2, 0)) > key((1, 0))
     # same degree: grevlex puts x^2 above xy above y^2
     assert key((2, 0)) > key((1, 1)) > key((0, 2))
 
 
-def test_lex_ordering():
-    key = P.LEX.key
-    assert key((1, 0)) > key((0, 5))
-    assert key((1, 1)) > key((1, 0))
-
-
 def test_leading_term():
     f = _p("x*y + y^3")
-    assert f.leading(P.GREVLEX)[0] == (0, 3)
-    assert f.leading(P.LEX)[0] == (1, 1)
+    assert f.leading()[0] == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +296,10 @@ def test_groebner_d5_jacobian():
     assert q.dimension == 5
     assert q.standard_monomials == ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0))
     # reduced basis is monic and sorted by leading monomial
-    lead = [g.leading(q.order)[0] for g in q.groebner]
+    lead = [g.leading()[0] for g in q.groebner]
     assert lead == [(1, 1), (0, 3), (3, 0)]
     for g in q.groebner:
-        assert g.leading(q.order)[1] == 1
+        assert g.leading()[1] == 1
 
 
 def test_groebner_unit_ideal():
@@ -343,19 +337,47 @@ def test_nf_vector_matches_normal_form():
         assert nf.coefficient(m) == vec.get(idx, 0)
 
 
-def test_dimension_independent_of_order():
-    """The quotient dimension is intrinsic; grevlex and lex must agree."""
-    systems = [
-        [_p("2*x", XY), _p("-3*y^2", XY)],
-        [_p("2*x*y", XY), _p("x^2 + 4*y^3", XY)],
-        [_p("3*x^2", XY), _p("-5*y^4", XY)],
-        [_p("3*x^2", XYZ), _p("3*y^2", XYZ), _p("3*z^2", XYZ)],
-        [_p("2*x", XYZ), _p("-2*y", XYZ), _p("2*z", XYZ)],
-    ]
-    for gens in systems:
-        a = P.groebner(gens, P.GREVLEX)
-        b = P.groebner(gens, P.LEX)
-        assert a.dimension == b.dimension
+@st.composite
+def _ideals(draw):
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars).filter(lambda e: sum(e) <= 3)
+    term = st.tuples(exps, st.integers(min_value=-3, max_value=3).filter(bool))
+    gen = st.lists(term, min_size=1, max_size=3).map(lambda ts: P.Polynomial(nvars, dict(ts)))
+    return draw(st.lists(gen.filter(lambda f: not f.is_zero()), min_size=1, max_size=3))
+
+
+def _to_sympy(f, syms):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, exps)))
+        for exps, c in f.terms.items()
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals())
+@example([_p("2*x", XY), _p("-3*y^2", XY)])
+@example([_p("2*x*y", XY), _p("x^2 + 4*y^3", XY)])
+@example([_p("3*x^2", XY), _p("-5*y^4", XY)])
+@example([_p("3*x^2", XYZ), _p("3*y^2", XYZ), _p("3*z^2", XYZ)])
+@example([_p("2*x", XYZ), _p("-2*y", XYZ), _p("2*z", XYZ)])
+@example([_p("x*y - 1", XY), _p("x^2 - y", XY)])
+def test_groebner_matches_sympy_grevlex(gens):
+    """The reduced grevlex basis is unique, so it must equal sympy's, made monic."""
+    syms = sympy.symbols(f"x0:{gens[0].nvars}")
+    theirs = sympy.groebner(
+        [_to_sympy(f, syms) for f in gens], *syms, order="grevlex", domain="QQ"
+    )
+    expected = set()
+    for g in theirs.polys:
+        terms = g.terms(order="grevlex")
+        lc = terms[0][1]
+        expected.add(frozenset(
+            (m, Fraction(int((c / lc).p), int((c / lc).q))) for m, c in terms
+        ))
+    q = P.groebner(gens)
+    assert {frozenset(g.terms.items()) for g in q.groebner} == expected
+    # sympy does not call the unit ideal zero-dimensional; here its quotient is finite
+    assert q.is_finite == (theirs.is_zero_dimensional or q.contains_one())
 
 
 def test_reduced_basis_is_deterministic():
