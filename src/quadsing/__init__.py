@@ -50,12 +50,9 @@ from .errors import (
 )
 from .euler import (
     HodgeTable,
-    K0Class,
     chi_split_quadric,
     euler_rank,
-    k0_nearby_class,
     primitive_hodge,
-    scissor_relation,
 )
 from .gw import (
     QQ,
@@ -116,7 +113,6 @@ __all__ = [
     "InputDomainError",
     "InvalidExtensionError",
     "InvalidIdealError",
-    "K0Class",
     "NonSpecializableError",
     "NotIsolatedError",
     "ParseError",
@@ -146,7 +142,6 @@ __all__ = [
     "hom_dim",
     "is_equal",
     "is_split_form",
-    "k0_nearby_class",
     "kummer_monodromy",
     "lhs_conductor_quadric",
     "lhs_rank_general",
@@ -159,7 +154,6 @@ __all__ = [
     "quadratic_milnor",
     "quadric_motive",
     "rhs_conductor",
-    "scissor_relation",
     "singularity",
     "specialize",
     "split_quadric_singularity",

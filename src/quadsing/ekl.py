@@ -1,12 +1,18 @@
 """The quadratic Milnor number via the Scheja-Storch bilinear form.
 
-Given an isolated singularity at the origin (polynomial f over Q with
-f(0) = 0), the Bezoutian of the partial derivatives is reduced modulo the
-Jacobian ideal in its X-block and Y-block separately.  Reading off the
-coefficients over the standard-monomial basis of the Jacobian ring gives a
-symmetric Gram matrix; its class in GW(Q) is the quadratic Milnor number.
-Its rank is the classical Milnor number, which the weighted Milnor-Orlik
-product reproduces independently.
+Given a polynomial f over Q with f(0) = 0 and isolated critical points, the
+Bezoutian of the partial derivatives is reduced modulo the Jacobian ideal J
+in its X-block and Y-block separately.  Reading off the coefficients over
+the standard-monomial basis of Q[x]/J gives a symmetric Gram matrix, and
+its class in GW(Q) is what this module computes.
+
+The form is taken over all of Q[x]/J, so the class is the sum of the local
+classes over every critical point of f.  It is the quadratic Milnor number
+of the singularity at the origin only when the origin is the only critical
+point, as it is for weighted-homogeneous f; for x^3 - x the class has rank
+2 while the local class at the origin is 0.  The rank is dim Q[x]/J, which
+for weighted-homogeneous f the Milnor-Orlik product reproduces
+independently.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ class SingularityInput:
     weights are supplied the polynomial must be quasi-homogeneous for them,
     and ``degree`` (inferred if omitted) is the common weighted degree.
     For unweighted homogeneous f, ``degree`` is inferred as the total
-    degree.  Critical points away from the origin must be translated to it
-    by the caller.
+    degree.  The forms built from it cover every critical point of f, not
+    only the origin: they are the class at the origin only when f has no
+    other critical point (true for weighted-homogeneous f), and translating
+    another critical point to the origin does not remove the rest.
     """
 
     __slots__ = ("f", "var_names", "weights", "degree")
@@ -227,15 +235,18 @@ class BilinearForm:
 
 
 def ss_form(s: SingularityInput) -> BilinearForm:
-    """The Scheja-Storch form of the singularity.
+    """The Scheja-Storch form on the whole Jacobian ring Q[x]/J.
 
     Reduces the Bezoutian of the partials modulo the Jacobian ideal in the
     X and Y blocks separately and reads off the Gram matrix over the
-    standard-monomial basis.  A non-isolated singularity (infinite
-    Jacobian quotient) raises NotIsolatedError; a degenerate Gram matrix
-    cannot occur for an isolated singularity and raises
-    DegenerateFormError if it does.  The rank of the class equals the
-    dimension of the Jacobian ring; this is asserted as a postcondition.
+    standard-monomial basis.  Its class is the sum over every critical point
+    of f, which is the local class at the origin only when the origin is the
+    only critical point (x^3 - x gives rank 2; its local class at the origin
+    is 0).  A non-isolated singularity (infinite Jacobian quotient) raises
+    NotIsolatedError; a degenerate Gram matrix cannot occur for an isolated
+    singularity and raises DegenerateFormError if it does.  The rank of the
+    class equals the dimension of the Jacobian ring; this is asserted as a
+    postcondition.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -274,10 +285,12 @@ def ss_form(s: SingularityInput) -> BilinearForm:
 
 
 def quadratic_milnor(s: SingularityInput) -> GWElement:
-    """The class of the Scheja-Storch form in GW(Q).
+    """The class of the Scheja-Storch form in GW(Q), summed over every
+    critical point of f (see ``ss_form``).
 
-    Its rank equals the dimension of the Jacobian ring, i.e. the classical
-    Milnor number; ``ss_form`` asserts this as a postcondition.
+    Its rank equals the dimension of the Jacobian ring, which is the
+    classical Milnor number when the origin is the only critical point;
+    ``ss_form`` asserts the first as a postcondition.
     """
     return ss_form(s).gw
 

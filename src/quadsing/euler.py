@@ -5,15 +5,12 @@ form: its Hilbert series ((1 - t^(d-1))/(1 - t))^(N+1) yields the
 primitive Hodge numbers, hence the topological Euler characteristic.  At
 the Grothendieck-Witt level the compactly-supported characteristic is
 implemented for split quadrics through their pure-Tate decomposition,
-using chi^c of the i-th Tate twist = <-1>^i.  The symbolic K0 classes tie
-the two together via the relation [D] = [A] + [C].
+using chi^c of the i-th Tate twist = <-1>^i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 from .errors import InputDomainError
 from .gw import GWElement, RATIONALS, diag_form
@@ -84,136 +81,3 @@ def chi_split_quadric(n: int) -> GWElement:
     if n % 2 == 0:
         entries.append((-1) ** (n // 2))
     return diag_form(entries, RATIONALS)
-
-
-# ---------------------------------------------------------------------------
-# symbolic K0 classes
-# ---------------------------------------------------------------------------
-
-ATOMS = ("D", "C", "A", "A1", "pt")
-
-_DEFAULT_GW = {
-    "A1": diag_form([-1], RATIONALS),
-    "pt": diag_form([1], RATIONALS),
-}
-_DEFAULT_RANK = {"A1": 1, "pt": 1}
-
-
-class K0Class:
-    """A formal integer combination of products of the symbols D, C, A, A1, pt.
-
-    Multiplication concatenates symbol products.  ``substitute`` rewrites
-    one symbol by a class (used for the relation [D] = [A] + [C]);
-    ``evaluate`` sends every symbol to a GWElement, with chi^c defaults
-    [A1] = <-1> and [pt] = <1>.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[str, ...], int] | None = None):
-        self.coeffs: dict[tuple[str, ...], int] = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                key = tuple(sorted(key))
-                for atom in key:
-                    if atom not in ATOMS:
-                        raise ValueError(f"unknown K0 symbol {atom!r}")
-                if c:
-                    self.coeffs[key] = self.coeffs.get(key, 0) + int(c)
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
-
-    @classmethod
-    def atom(cls, name: str) -> "K0Class":
-        return cls({(name,): 1})
-
-    @classmethod
-    def one(cls) -> "K0Class":
-        return cls({(): 1})
-
-    def __eq__(self, other):
-        return isinstance(other, K0Class) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return K0Class(out)
-
-    def __neg__(self):
-        return K0Class({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return K0Class({k: v * other for k, v in self.coeffs.items()})
-        out: dict[tuple[str, ...], int] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = tuple(sorted(ka + kb))
-                out[k] = out.get(k, 0) + va * vb
-        return K0Class(out)
-
-    __rmul__ = __mul__
-
-    def substitute(self, name: str, value: "K0Class") -> "K0Class":
-        out = K0Class()
-        for key, c in self.coeffs.items():
-            term = K0Class({(): c})
-            for atom in key:
-                term = term * (value if atom == name else K0Class.atom(atom))
-            out = out + term
-        return out
-
-    def evaluate(self, assignments: Mapping[str, GWElement] | None = None) -> GWElement:
-        """chi^c evaluation; every symbol that occurs must get a value."""
-        values = dict(_DEFAULT_GW)
-        if assignments:
-            values.update(assignments)
-        out = GWElement.zero(RATIONALS)
-        for key, c in self.coeffs.items():
-            term = GWElement.unit(RATIONALS)
-            for atom in key:
-                if atom not in values:
-                    raise InputDomainError(f"no chi^c value assigned to [{atom}]")
-                term = term * values[atom]
-            out = out + c * term
-        return out
-
-    def rank_evaluate(self, assignments: Mapping[str, int] | None = None) -> int:
-        values = dict(_DEFAULT_RANK)
-        if assignments:
-            values.update(assignments)
-        out = 0
-        for key, c in self.coeffs.items():
-            term = 1
-            for atom in key:
-                if atom not in values:
-                    raise InputDomainError(f"no rank value assigned to [{atom}]")
-                term *= values[atom]
-            out += c * term
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "K0Class(0)"
-        parts = []
-        for key in sorted(self.coeffs):
-            c = self.coeffs[key]
-            body = "*".join(f"[{a}]" for a in key) or "1"
-            parts.append(f"{c:+}*{body}")
-        return "K0Class(" + " ".join(parts) + ")"
-
-
-def k0_nearby_class() -> K0Class:
-    """The class [D] - [A1]*[C] whose chi^c evaluation is chi^c(D) - <-1>*chi^c(C)."""
-    return K0Class.atom("D") - K0Class.atom("A1") * K0Class.atom("C")
-
-
-def scissor_relation() -> tuple[K0Class, K0Class]:
-    """The two sides of [D] = [A] + [C]."""
-    return K0Class.atom("D"), K0Class.atom("A") + K0Class.atom("C")

@@ -781,6 +781,12 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
     to the front and row operations replace the rest of the block by its
     Schur complement, which is symmetric again, so no column pass is needed.
     A singular matrix raises DegenerateFormError.
+
+    Rows are held sparse, as {original column: nonzero entry}, and a list
+    holds the current order of the trailing block.  By symmetry a pivot
+    changes only the rows in its own support, so it costs O(support^2)
+    rather than O(m^2): graded and Brieskorn-Pham Gram matrices have few
+    nonzeros per row.
     """
     if ctx.kind == _RATIONALS:
         p, of = None, Fraction
@@ -794,45 +800,58 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
             f"diagonalization is not implemented over {ctx.label()}"
         )
 
-    def reduced(row):
-        return row if p is None else [v % p for v in row]
+    def put(row, col, v):
+        """Store v as row[col], reduced, or drop the entry when it is zero."""
+        if p is not None:
+            v %= p
+        if v:
+            row[col] = v
+        else:
+            row.pop(col, None)
 
     n = len(gram)
-    a = [[of(v) for v in row] for row in gram]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+    rows = [{j: w for j, v in enumerate(row) if v != 0 and (w := of(v))} for row in gram]
+    if any(len(row) != n for row in gram):
+        raise ValueError("matrix must be square")
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if rows[j].get(i, 0) != v:
                 raise ValueError("matrix must be symmetric")
 
+    order = list(range(n))  # order[k:] is the trailing block after k pivots
+    where = list(range(n))  # where[order[k]] == k
     diag = []
-    while a:
-        m = len(a)
-        pivot = next((j for j in range(m) if a[j][j]), None)
+    for k in range(n):
+        pivot = next((q for q in range(k, n) if order[q] in rows[order[q]]), None)
         if pivot is None:
-            found = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
-            if found is None:
+            pivot = next((q for q in range(k, n) if rows[order[q]]), None)
+            if pivot is None:
                 raise DegenerateFormError(
                     f"matrix has rank {len(diag)} < {n}; the form is degenerate"
                 )
-            i, j = found
-            a[i] = [of(x + y) for x, y in zip(a[i], a[j])]
-            for row in a:
-                row[i] = of(row[i] + row[j])
-            pivot = i
-        if pivot:
-            a[0], a[pivot] = a[pivot], a[0]
-            for row in a:
-                row[0], row[pivot] = row[pivot], row[0]
-        d, tail = a[0][0], a[0][1:]
+            # the whole diagonal vanishes: add row j and column j to row and
+            # column i, which leaves 2*a_ij on the diagonal
+            i = order[pivot]
+            j = min(rows[i], key=where.__getitem__)
+            ri, rj = rows[i], rows[j]
+            for c, v in rj.items():
+                if c == i:
+                    put(ri, i, 2 * v)
+                else:
+                    put(ri, c, ri.get(c, 0) + v)
+                    put(rows[c], i, ri.get(c, 0))
+        order[k], order[pivot] = order[pivot], order[k]
+        where[order[k]], where[order[pivot]] = k, pivot
+        piv = order[k]
+        row = rows[piv]
+        d = row.pop(piv)
         diag.append(d)
         inv = 1 / d if p is None else pow(d, -1, p)
-        a = [
-            reduced([x - f * y for x, y in zip(row[1:], tail)]) if (f := row[0] * inv) else row[1:]
-            for row in a[1:]
-        ]
+        for r in row:
+            rr = rows[r]
+            f = rr.pop(piv) * inv
+            for c, y in row.items():
+                put(rr, c, rr.get(c, 0) - f * y)
     return GWElement(ctx, pos=diag)
 
 

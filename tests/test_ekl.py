@@ -7,10 +7,13 @@ groebner for the quotient, Berkowitz determinants) before being frozen.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadsing import ekl, gw
 from quadsing import poly as P
@@ -193,6 +196,41 @@ def test_signature_zero_for_plain_curve_singularities():
         k = rng.choice([3, 5, 7])
         mu = ekl.quadratic_milnor(ekl.singularity(f"x^2 - y^{k}", XY))
         assert mu.signature() == 0
+
+
+_H = gw.diag_form([1, -1])
+
+
+def _one_variable_class(c, a):
+    """mu^q of c*x^a: its Gram matrix is the antidiagonal of size a - 1 with
+    entry a*c, so ((a - 1)/2)*H for odd a and ((a - 2)/2)*H + <a*c> for even a."""
+    if a % 2:
+        return (a - 1) // 2 * _H
+    return (a - 2) // 2 * _H + _form(a * c)
+
+
+_brieskorn_pham = st.lists(
+    st.tuples(
+        st.integers(min_value=-9, max_value=9).filter(bool),
+        st.integers(min_value=2, max_value=40),
+    ),
+    min_size=2,
+    max_size=3,
+).filter(lambda terms: math.prod(a - 1 for _, a in terms) <= 250)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_brieskorn_pham)
+@example([(1, 25), (1, 25)])
+@example([(-3, 2), (5, 4), (2, 6)])
+def test_thom_sebastiani_product(terms):
+    """mu^q of sum_i c_i*x_i^a_i is the product of the one-variable classes."""
+    names = XYZ[: len(terms)]
+    src = " + ".join(f"{c}*{x}^{a}" for (c, a), x in zip(terms, names))
+    want = gw.GWElement.unit()
+    for c, a in terms:
+        want = want * _one_variable_class(c, a)
+    assert gw.is_equal(ekl.quadratic_milnor(ekl.singularity(src, names)), want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Hodge numbers of smooth hypersurfaces, split-quadric Euler classes, and
-the small K-theory bookkeeping layer."""
+"""Hodge numbers of smooth hypersurfaces and split-quadric Euler classes."""
 
 from fractions import Fraction
 
@@ -77,48 +76,3 @@ def test_chi_split_quadric_signature():
         assert euler.chi_split_quadric(n).signature() == 0
     for n in (0, 4, 8):
         assert euler.chi_split_quadric(n).signature() == 2
-
-
-# ---------------------------------------------------------------------------
-# K0 bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def test_k0_class_algebra():
-    D = euler.K0Class.atom("D")
-    C = euler.K0Class.atom("C")
-    one = euler.K0Class.one()
-    assert (D + C) - C == D
-    assert D * one == D
-    assert (D - D).rank_evaluate({"D": 5}) == 0
-    assert (2 * D).rank_evaluate({"D": 3}) == 6
-
-
-def test_k0_nearby_class_shape():
-    cls = euler.k0_nearby_class()
-    # [D] - [A1][C]
-    assert cls.rank_evaluate({"D": 7, "C": 3, "A1": 1}) == 4
-
-
-def test_k0_default_evaluation():
-    # defaults send A1 to <-1> and pt to <1>
-    cls = euler.k0_nearby_class()
-    e = cls.evaluate({"D": _form(1, 1), "C": _form(1)})
-    assert gw.is_equal(e, _form(1, 1) - _form(-1))
-
-
-def test_k0_substitute():
-    D = euler.K0Class.atom("D")
-    C = euler.K0Class.atom("C")
-    sub = (D - C).substitute("D", 2 * C)
-    assert sub.rank_evaluate({"C": 5}) == 5
-
-
-def test_scissor_relation_evaluates_consistently():
-    total, pieces = euler.scissor_relation()
-    assign = {
-        "D": _form(1, 1, -1),
-        "A": _form(1, -1),
-        "C": _form(1),
-    }
-    assert gw.is_equal(total.evaluate(assign), pieces.evaluate(assign))

@@ -458,6 +458,9 @@ def _det(m):
 def test_diagonalize_rejects_nonsymmetric_and_singular():
     with pytest.raises(ValueError):
         gw.diagonalize([[0, 1], [2, 0]])
+    # a zero facing a nonzero, which a check of one side's nonzeros would miss
+    with pytest.raises(ValueError):
+        gw.diagonalize([[1, 0], [3, 1]])
     with pytest.raises(DegenerateFormError):
         gw.diagonalize([[1, 1], [1, 1]])
 
@@ -551,39 +554,81 @@ _entry = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_
 
 
 @st.composite
-def _symmetric(draw, shape="any"):
-    """A symmetric matrix; "hyperbolic" is [[0, B], [B^T, 0]], "antidiagonal"
-    has its nonzeros on the antidiagonal, and "singular" repeats a row and
-    column, so it is singular over every field."""
-    n = draw(st.integers(min_value=1, max_value=6))
+def _symmetric(draw, shape="any", singular=False):
+    """A symmetric matrix.  "hyperbolic" is [[0, B], [B^T, 0]];
+    "antidiagonal" has its nonzeros on the antidiagonal; "sparse" is up to
+    14x14 with about 15% of the off-diagonal entries and a mostly zero
+    diagonal; "involution" has nonzeros only at (i, s(i)) for a random
+    involution s, the pattern of a Brieskorn-Pham Gram matrix.  With
+    ``singular`` a row and its column are repeated, so the matrix is
+    singular over every field."""
     if shape == "hyperbolic":
-        h = (n + 1) // 2
+        h = (draw(st.integers(min_value=1, max_value=6)) + 1) // 2
         b = [[draw(_entry) for _ in range(h)] for _ in range(h)]
-        return [
+        m = [
             [b[i][j - h] if i < h <= j else b[j][i - h] if j < h <= i else Fraction(0)
              for j in range(2 * h)]
             for i in range(2 * h)
         ]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if shape != "antidiagonal" or i + j == n - 1:
-                m[i][j] = m[j][i] = draw(_entry)
-    if shape == "singular":
-        src = draw(st.integers(min_value=0, max_value=n - 1))
+    else:
+        n = draw(st.integers(min_value=1, max_value=14 if shape == "sparse" else 6))
+        partner = list(range(n))
+        if shape == "involution":
+            perm = draw(st.permutations(range(n)))
+            for k in range(draw(st.integers(min_value=0, max_value=n // 2))):
+                a, b = perm[2 * k], perm[2 * k + 1]
+                partner[a], partner[b] = b, a
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if shape == "antidiagonal":
+                    keep = i + j == n - 1
+                elif shape == "involution":
+                    keep = partner[i] == j
+                elif shape == "sparse":
+                    keep = draw(st.integers(min_value=0, max_value=99)) < (5 if i == j else 15)
+                else:
+                    keep = True
+                if keep:
+                    m[i][j] = m[j][i] = draw(_entry)
+    if singular:
+        src = draw(st.integers(min_value=0, max_value=len(m) - 1))
         m = [row + [row[src]] for row in m]
         m.append(list(m[src]))
     return m
 
 
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _antidiagonal(values):
+    n = len(values)
+    return [[values[i] if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+
+
+# the Thom-Sebastiani pattern of x^3 + y^4: a Kronecker product of antidiagonals
+_E6_PATTERN = _kron(_antidiagonal([3, 3]), _antidiagonal([4, -2, 4]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(_DIAG_FIELDS),
-    st.one_of(_symmetric(), _symmetric("hyperbolic"), _symmetric("antidiagonal")),
+    st.one_of(
+        _symmetric(),
+        _symmetric("hyperbolic"),
+        _symmetric("antidiagonal"),
+        _symmetric("sparse"),
+        _symmetric("involution"),
+    ),
 )
 @example(QQ, [[0, 1], [1, 0]])
 @example(gw.FieldCtx.prime_field(3), [[0, 0, 1], [0, 0, 2], [1, 2, 0]])
 @example(QQ, [[0, 0, 0, 5], [0, 0, 3, 0], [0, 3, 0, 0], [5, 0, 0, 0]])
+# the Scheja-Storch Gram matrix of the D5 singularity x^2*y + y^4 (tests/test_ekl.py)
+@example(QQ, [[0, 0, 0, 0, -2], [0, 0, 0, 8, 0], [0, 0, -2, 0, 0], [0, 8, 0, 0, 0], [-2, 0, 0, 0, 0]])
+@example(QQ, _E6_PATTERN)
+@example(gw.FieldCtx.prime_field(7), _E6_PATTERN)
 def test_diagonalize_matches_full_elimination(ctx, gram):
     try:
         want = _full_elimination(gram, ctx)
@@ -596,7 +641,14 @@ def test_diagonalize_matches_full_elimination(ctx, gram):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(_DIAG_FIELDS), _symmetric("singular"))
+@given(
+    st.sampled_from(_DIAG_FIELDS),
+    st.one_of(
+        _symmetric(singular=True),
+        _symmetric("sparse", singular=True),
+        _symmetric("involution", singular=True),
+    ),
+)
 @example(QQ, [[0, 0], [0, 0]])
 @example(gw.FieldCtx.prime_field(5), [[0, 1, 1], [1, 0, 0], [1, 0, 0]])
 def test_diagonalize_rejects_singular_like_full_elimination(ctx, gram):
