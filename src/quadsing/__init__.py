@@ -28,6 +28,7 @@ from .ekl import (
     BilinearForm,
     SingularityInput,
     bezoutian,
+    jacobian_hilbert_series,
     milnor_rank_weighted,
     quadratic_milnor,
     singularity,
@@ -142,6 +143,7 @@ __all__ = [
     "hom_dim",
     "is_equal",
     "is_split_form",
+    "jacobian_hilbert_series",
     "kummer_monodromy",
     "lhs_conductor_quadric",
     "lhs_rank_general",

@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import conductor as cond
 from . import ekl, euler, gw, tate
 from . import poly as P
-from ._univar import of_polynomial
 from .errors import InputDomainError, ParseError, QuadsingError
 
 
@@ -83,12 +82,6 @@ def _field_ctx(label: str) -> gw.FieldCtx:
         except ValueError:
             raise ParseError(f"field label {label!r} needs an odd prime modulus")
     raise ParseError(f"unknown field {label!r}; use Q, Fp:<p>, or Qt")
-
-
-def _poly_in_x(text: str):
-    """A minimal polynomial or an extension-field square class, written as a
-    polynomial in x."""
-    return of_polynomial(P.parse(text, ["x"]))
 
 
 def _singularity_from_args(args) -> ekl.SingularityInput:
@@ -169,9 +162,9 @@ def _cmd_gw(args, out) -> int:
     if args.action == "transfer":
         if not args.min_poly:
             raise ParseError("transfer needs --min-poly")
-        g = _poly_in_x(args.min_poly)
+        g = gw.parse_poly_in_x(args.min_poly)
         ectx = gw.FieldCtx.extension(g)
-        e = gw.parse_gw(args.args[0], ectx, entry_parser=_poly_in_x)
+        e = gw.parse_gw(args.args[0], ectx)
         res = gw.transfer(g, e)
         if args.json:
             _print_json(out, gw.to_json_dict(res))
@@ -261,6 +254,8 @@ def _cmd_euler(args, out) -> int:
             out.write(f"chi^c(split quadric, dim {args.quadric}) = {display_form(e)}\n")
             out.write(f"rank: {e.rank}\n")
         return 0
+    if args.ambient is None:
+        raise ParseError("euler needs --ambient together with --degree")
     table = euler.primitive_hodge(args.degree, args.ambient)
     chi = euler.euler_rank(args.degree, args.ambient)
     if args.json:
@@ -355,12 +350,12 @@ def _cmd_batch(args, out) -> int:
             if not isinstance(entry, dict):
                 raise ParseError("entry must be a JSON object")
             if "residue_field" in entry:
-                g = _poly_in_x(entry["residue_field"])
+                g = gw.parse_poly_in_x(entry["residue_field"])
                 ectx = gw.FieldCtx.extension(g)
                 raw = entry["milnor_form"]
                 if isinstance(raw, list):
                     raw = " + ".join(str(part) for part in raw)
-                mu = gw.parse_gw(raw, ectx, entry_parser=_poly_in_x)
+                mu = gw.parse_gw(raw, ectx)
                 contribution = cond.transfer_conductor_point(
                     g, mu, int(entry["degree"]), int(entry["dimension"])
                 )
@@ -478,10 +473,6 @@ def run(argv, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.command == "euler" and args.quadric is None and args.ambient is None:
-        print("error: euler needs --ambient together with --degree", file=sys.stderr)
-        return 2
-
     json_mode = getattr(args, "json", False)
     try:
         return _DISPATCH[args.command](args, out)

@@ -12,8 +12,8 @@ The left-hand side is realized two ways:
   the alternative reading through the open complement A gives the wrong
   rank and is rejected; every report carries a note to that effect);
 * at rank level for any degree, through graded Jacobian-ring Euler
-  characteristics, or through the Milnor-Orlik product for weighted
-  inputs.
+  characteristics, or through the Milnor-Orlik number, the sum of
+  ``ekl.jacobian_hilbert_series``, for weighted inputs.
 
 Verdicts state exactly the checks that ran; anything unverifiable is
 reported as skipped with the reason.
@@ -172,7 +172,7 @@ def verify(s: SingularityInput) -> ConductorReport:
     GW-level comparison runs for unweighted r = 2 inputs whose quadric
     pair is split; rank-level comparison runs for homogeneous inputs (via
     graded Euler characteristics) and for weighted inputs (via the
-    Milnor-Orlik product).  Everything else is skipped with a reason.
+    Milnor-Orlik number).  Everything else is skipped with a reason.
     Identical inputs yield identical reports.
     """
     mu = quadratic_milnor(s)

@@ -11,7 +11,7 @@ classes over every critical point of f.  It is the quadratic Milnor number
 of the singularity at the origin only when the origin is the only critical
 point, as it is for weighted-homogeneous f; for x^3 - x the class has rank
 2 while the local class at the origin is 0.  The rank is dim Q[x]/J, which
-for weighted-homogeneous f the Milnor-Orlik product reproduces
+for weighted-homogeneous f the Jacobian Hilbert series reproduces
 independently.
 """
 
@@ -295,13 +295,34 @@ def quadratic_milnor(s: SingularityInput) -> GWElement:
     return ss_form(s).gw
 
 
-def milnor_rank_weighted(weights: Sequence[int], r: int) -> int:
-    """Milnor-Orlik product prod_i (r - a_i)/a_i for admissible weights."""
-    out = 1
+def jacobian_hilbert_series(weights: Sequence[int], r: int) -> tuple[int, ...]:
+    """Coefficients of prod_i (1 - t^(r - a_i)) / prod_i (1 - t^(a_i)).
+
+    For f quasi-homogeneous of degree r with an isolated singularity,
+    coefficient k is the dimension of the weighted-degree-k piece of the
+    Jacobian ring.  Each factor 1 - t^a is divided out exactly by the stride
+    recurrence q[k] = p[k] + q[k-a]; a remainder means no isolated
+    singularity has these weights and raises InadmissibleWeightsError.
+    """
+    if any(a < 1 or a > r for a in weights):
+        raise InadmissibleWeightsError(f"weights must lie in [1, {r}] for degree {r}")
+    series = [1]
+    for a in weights:  # multiply by 1 - t^e, top down
+        e = r - a
+        series += [0] * e
+        for k in reversed(range(e, len(series))):
+            series[k] -= series[k - e]
     for a in weights:
-        if a < 1 or (r - a) % a:
+        for k in range(a, len(series)):
+            series[k] += series[k - a]
+        if any(series[-a:]):
             raise InadmissibleWeightsError(
-                f"(r - {a})/{a} is not a non-negative integer for r = {r}"
+                f"weights {tuple(weights)} and degree {r} give no polynomial Hilbert series"
             )
-        out *= (r - a) // a
-    return out
+        del series[-a:]
+    return tuple(series)
+
+
+def milnor_rank_weighted(weights: Sequence[int], r: int) -> int:
+    """The Milnor number: the sum of ``jacobian_hilbert_series``."""
+    return sum(jacobian_hilbert_series(weights, r))

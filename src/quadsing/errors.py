@@ -48,7 +48,8 @@ class NotIsolatedError(QuadsingError):
 
 
 class InadmissibleWeightsError(QuadsingError):
-    """A weight vector fails the divisibility/coprimality requirements."""
+    """No isolated singularity has these weights and degree: the Jacobian
+    Hilbert series is not a polynomial."""
 
     code = "inadmissible-weights"
 

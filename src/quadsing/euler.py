@@ -1,17 +1,18 @@
 """Euler characteristics of smooth projective hypersurfaces.
 
 Rank-level values come from the graded Jacobian ring of a smooth degree-d
-form: its Hilbert series ((1 - t^(d-1))/(1 - t))^(N+1) yields the
-primitive Hodge numbers, hence the topological Euler characteristic.  At
-the Grothendieck-Witt level the compactly-supported characteristic is
-implemented for split quadrics through their pure-Tate decomposition,
-using chi^c of the i-th Tate twist = <-1>^i.
+form in N+1 variables: ``ekl.jacobian_hilbert_series`` with all weights 1
+yields the primitive Hodge numbers, hence the topological Euler
+characteristic.  At the Grothendieck-Witt level the compactly-supported
+characteristic is implemented for split quadrics through their pure-Tate
+decomposition, using chi^c of the i-th Tate twist = <-1>^i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ekl import jacobian_hilbert_series
 from .errors import InputDomainError
 from .gw import GWElement, RATIONALS, diag_form
 
@@ -43,24 +44,11 @@ def primitive_hodge(d: int, N: int) -> HodgeTable:
         raise InputDomainError("degree must be at least 2")
     if N < 1:
         raise InputDomainError("ambient projective dimension must be at least 1")
-    # coefficients of (1 + t + ... + t^(d-2))^(N+1)
-    series = [1]
-    block = [1] * (d - 1)
-    for _ in range(N + 1):
-        out = [0] * (len(series) + len(block) - 1)
-        for i, a in enumerate(series):
-            if a:
-                for j, b in enumerate(block):
-                    out[i + j] += a * b
-        series = out
-    n = N - 1
-    prim = []
-    for q in range(n + 1):
-        k = (q + 1) * d - N - 1
-        prim.append(series[k] if 0 <= k < len(series) else 0)
-    table = HodgeTable(d, N, tuple(prim))
-    assert all(prim[q] == prim[n - q] for q in range(n + 1)), "Hodge symmetry failed"
-    return table
+    series = jacobian_hilbert_series((1,) * (N + 1), d)
+    degrees = range(d - N - 1, N * (d - 1), d)  # (q + 1)d - N - 1 for q = 0..N-1
+    prim = tuple(series[k] if 0 <= k < len(series) else 0 for k in degrees)
+    assert prim == prim[::-1], "Hodge symmetry failed"
+    return HodgeTable(d, N, prim)
 
 
 def euler_rank(d: int, N: int) -> int:

@@ -924,14 +924,20 @@ def parse_ratfunc(text: str) -> tuple[uv.Poly, uv.Poly]:
     return uv.of_polynomial(num), uv.of_polynomial(den)
 
 
-def parse_gw(text: str, ctx: FieldCtx = RATIONALS, entry_parser=None) -> GWElement:
+def parse_poly_in_x(text: str) -> uv.Poly:
+    """A minimal polynomial or an extension-field square class, read in x."""
+    return uv.of_polynomial(P.parse(text, ["x"]))
+
+
+def parse_gw(text: str, ctx: FieldCtx = RATIONALS) -> GWElement:
     """Parse "<a,b> - <c>"-style and "<a> + <b> - <c>"-style expressions.
 
     Angle brackets may be ASCII or the Unicode pair; groups carry a sign and
-    contribute all their comma-separated entries with that sign.
+    contribute all their comma-separated entries with that sign.  Entries
+    are rationals over Q and F_p, t-expressions over Q(t) and polynomials
+    in x over an extension.
     """
-    if entry_parser is None:
-        entry_parser = parse_ratfunc if ctx.kind == _RATFUNC else Fraction
+    entry_parser = {_RATFUNC: parse_ratfunc, _EXTENSION: parse_poly_in_x}.get(ctx.kind, Fraction)
     src = text.replace("⟨", "<").replace("⟩", ">").replace("−", "-")
     i, n = 0, len(src)
     pos_vals, neg_vals = [], []

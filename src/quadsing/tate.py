@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputDomainError
-from .gw import GWElement, RATIONALS
 
 Summand = tuple[int, int]
 
@@ -68,14 +67,6 @@ class TateObject:
         for t, s in self.summands:
             out[t] = out.get(t, 0) + (-1) ** (s % 2)
         return {t: v for t, v in out.items() if v}
-
-    def chi_compact(self) -> GWElement:
-        """chi^c, sending 1(a)[b] to (-1)^b * <(-1)^a>."""
-        pos, neg = [], []
-        for t, s in self.summands:
-            cls = (-1) ** (t % 2)
-            (pos if s % 2 == 0 else neg).append(cls)
-        return GWElement(RATIONALS, pos=pos, neg=neg)
 
     def to_json(self) -> list[list[int]]:
         return [[t, s] for t, s in self.summands]

@@ -96,6 +96,22 @@ def test_conductor_json_weighted_validates():
     assert doc["verdicts"]["gw"] == "skipped"
 
 
+def test_conductor_weighted_without_dividing_weights():
+    """No weight needs to divide the degree: D5, E7 and x^3*y + y^5."""
+    for weights, degree, src, mu in [
+        ("3,2", "8", "x^2*y + y^4", 5),
+        ("3,2", "9", "x^3 + x*y^3", 7),
+        ("4,3", "15", "x^3*y + y^5", 11),
+    ]:
+        code, doc = _run_json(
+            "conductor", "--json", "--vars", "x,y", "--weights", weights,
+            "--degree", degree, src,
+        )
+        assert code == 0
+        assert doc["verdicts"] == {"gw": "skipped", "rank": True}
+        assert doc["rank"] == {"lhs": -mu, "rhs": -mu}
+
+
 # ---------------------------------------------------------------------------
 # euler / monodromy
 # ---------------------------------------------------------------------------
@@ -117,6 +133,10 @@ def test_euler_quadric_report():
 def test_euler_requires_ambient():
     out = io.StringIO()
     assert cli.run(["euler", "--degree", "3"], stdout=out) == 2
+    code, doc = _run_json("euler", "--degree", "3", "--json")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert "--ambient" in doc["error"]["message"]
 
 
 def test_monodromy_even_is_zero():
@@ -325,12 +345,21 @@ def test_batch_residue_field_dividing_by_zero_is_a_parse_error(tmp_path):
 
 
 def test_import_and_small_milnor_leave_sympy_unloaded():
-    """sympy is imported on demand only, never by the package itself."""
+    """sympy is imported on demand only, never by the package itself, nor
+    by the milnor, euler, conductor and monodromy calls of a cold CLI."""
+    argvs = [
+        ["milnor", "--vars", "x,y", "x^2 - y^3", "--json"],
+        ["euler", "--degree", "4", "--ambient", "3", "--json"],
+        ["conductor", "--vars", "x,y", "--degree", "2", "x^2 - y^2", "--json"],
+        ["conductor", "--vars", "x,y", "--weights", "3,2", "--degree", "8",
+         "x^2*y + y^4", "--json"],
+        ["monodromy", "--quadratic", "--dimension", "1", "--json"],
+    ]
     script = (
         "import io, sys\n"
         "import quadsing, quadsing.cli\n"
-        "argv = ['milnor', '--vars', 'x,y', 'x^2 - y^3', '--json']\n"
-        "assert quadsing.cli.run(argv, stdout=io.StringIO()) == 0\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert quadsing.cli.run(argv, stdout=io.StringIO()) == 0, argv\n"
         "print('sympy' in sys.modules)\n"
     )
     src = str(Path(quadsing.__file__).resolve().parents[1])

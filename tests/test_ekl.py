@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import ekl, gw
@@ -273,7 +273,7 @@ def test_smooth_point_gives_zero_dimensional_ring():
 
 
 # ---------------------------------------------------------------------------
-# Milnor-Orlik rank oracle
+# the Jacobian Hilbert series and the Milnor-Orlik number
 # ---------------------------------------------------------------------------
 
 
@@ -282,11 +282,81 @@ def test_milnor_rank_weighted_values():
     assert ekl.milnor_rank_weighted((5, 2), 10) == 4
     assert ekl.milnor_rank_weighted((4, 3), 12) == 6
     assert ekl.milnor_rank_weighted((1, 1), 2) == 1
+    # no weight needs to divide the degree: D5, E7 and x^3*y + y^5
+    assert ekl.milnor_rank_weighted((3, 2), 8) == 5
+    assert ekl.milnor_rank_weighted((3, 2), 9) == 7
+    assert ekl.milnor_rank_weighted((4, 3), 15) == 11
 
 
 def test_milnor_rank_weighted_rejects_bad_weights():
+    # (1 - t^5)(1 - t^4) / ((1 - t^3)(1 - t^2)) is not a polynomial
     with pytest.raises(InadmissibleWeightsError):
-        ekl.milnor_rank_weighted((3, 2), 8)
+        ekl.milnor_rank_weighted((3, 2), 7)
+    with pytest.raises(InadmissibleWeightsError):
+        ekl.jacobian_hilbert_series((5, 2), 4)
+
+
+def test_jacobian_hilbert_series_values():
+    assert ekl.jacobian_hilbert_series((3, 2), 8) == (1, 0, 1, 1, 1, 0, 1)
+    assert ekl.jacobian_hilbert_series((1, 1, 1), 3) == (1, 3, 3, 1)
+    # a linear term: the Jacobian ring is zero
+    assert ekl.jacobian_hilbert_series((2, 1), 2) == ()
+
+
+def _chain_weights(blocks):
+    """Rational weights of the chain sum over blocks of exponents (e_1..e_m):
+    x_1^e_1*x_2 + ... + x_(m-1)^e_(m-1)*x_m + x_m^e_m, with q_m = 1/e_m and
+    q_i = (1 - q_(i+1))/e_i; scaled to integer weights and degree."""
+    qs = []
+    for exps in blocks:
+        block = [Fraction(1, exps[-1])]
+        for e in reversed(exps[:-1]):
+            block.insert(0, (1 - block[0]) / e)
+        qs.extend(block)
+    r = math.lcm(*(q.denominator for q in qs))
+    return tuple(int(q * r) for q in qs), r
+
+
+def _chain_source(blocks, coeffs):
+    names, terms = iter(XYZ), []
+    for exps in blocks:
+        vs = [next(names) for _ in exps]
+        for i, e in enumerate(exps):
+            tail = f"*{vs[i + 1]}" if i + 1 < len(vs) else ""
+            terms.append(f"{coeffs[len(terms)]}*{vs[i]}^{e}{tail}")
+    return " + ".join(terms), XYZ[: sum(map(len, blocks))]
+
+
+_chains = st.lists(
+    st.lists(st.integers(2, 7), min_size=1, max_size=3), min_size=1, max_size=3
+).filter(lambda blocks: sum(map(len, blocks)) <= 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chains, st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3))
+@example([[2, 4]], [1, 1, 1])  # D5 = x^2*y + y^4
+@example([[3, 3]], [1, 1, 1])  # E7 = y^3*x + x^3 up to renaming
+@example([[3, 5]], [1, 1, 1])  # x^3*y + y^5
+@example([[4, 3]], [1, 1, 1])  # x^4*y + y^3, i.e. x^3 + x*y^4 up to renaming
+@example([[4], [5], [6]], [1, 1, 1])
+def test_jacobian_hilbert_series_counts_standard_monomials(blocks, coeffs):
+    """Brieskorn-Pham sums and D_k / E7 chains: the series counts the
+    standard monomials of the Jacobian ideal by weighted degree, is
+    palindromic about half the socle degree, and sums to the dimension of
+    the Scheja-Storch form."""
+    weights, r = _chain_weights(blocks)
+    series = ekl.jacobian_hilbert_series(weights, r)
+    assume(sum(series) <= 150)
+    src, names = _chain_source(blocks, coeffs)
+    s = ekl.singularity(src, names, weights=weights, degree=r)
+    quotient = P.groebner(P.partials(s.f))
+    counts = [0] * len(series)
+    for m in quotient.standard_monomials:
+        counts[P.weighted_degree(m, weights)] += 1
+    assert tuple(counts) == series
+    assert len(series) - 1 == sum(r - 2 * a for a in weights)
+    assert series == series[::-1]
+    assert sum(series) == ekl.ss_form(s).dimension
 
 
 def test_weighted_rank_matches_groebner_dimension():

@@ -399,6 +399,15 @@ def test_transfer_rank_scales_by_degree():
         assert gw.transfer(g, e).rank == 2 * e.rank
 
 
+def test_parse_gw_reads_extension_entries_in_x():
+    g = uv_poly([1, 0, 1])  # x^2 + 1
+    ext = gw.FieldCtx.extension(g)
+    e = gw.parse_gw("<1, x> - <x^3 + 2>", ext)
+    want = gw.diag_form([1, uv_poly([0, 1])], ext) - gw.diag_form([uv_poly([2, -1])], ext)
+    assert e == want
+    assert gw.parse_gw("<1/2>", ext) == gw.diag_form([Fraction(1, 2)], ext)
+
+
 def test_transfer_rejects_reducible_polynomial():
     with pytest.raises(InvalidExtensionError):
         gw.FieldCtx.extension(uv_poly([-1, 0, 1]))  # x^2 - 1
