@@ -79,7 +79,6 @@ from .poly import (
     groebner,
     parse,
     partials,
-    weights_admissible,
 )
 from .tate import (
     TateMap,
@@ -165,5 +164,4 @@ __all__ = [
     "transfer_conductor_point",
     "variation_quadric",
     "verify",
-    "weights_admissible",
 ]

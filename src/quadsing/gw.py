@@ -11,7 +11,9 @@ with sign +1 and one with sign -1.  Supported base fields:
 * rational functions in one variable t (``RATIONAL_FUNCTIONS``): classes are
   kept as an exact power of t times a unit at t=0, ready for ``specialize``;
 * simple extensions Q[x]/(g) (``FieldCtx.extension(g)``): storage-only
-  contexts whose classes are polynomial residues, consumed by ``transfer``.
+  contexts whose classes are polynomial residues, consumed by ``transfer``;
+  g is checked irreducible exactly, by a discriminant test up to degree 2
+  and by sympy, imported on demand, from degree 3.
 
 Virtual elements stay unreduced apart from cancellation of identical
 classes between the two signs, so ``==`` is structural; use ``is_equal``
@@ -169,17 +171,31 @@ class FieldCtx:
 
     @classmethod
     def extension(cls, min_poly) -> "FieldCtx":
-        """Q[x]/(g) for monic irreducible g, given by ascending coefficients."""
+        """Q[x]/(g) for monic irreducible g, given by ascending coefficients.
+
+        Irreducibility is decided exactly.  Degree 1 always is; x^2 + b*x + c
+        is reducible iff b^2 - 4c is a rational square, 0 included, read off
+        with ``isqrt`` on the numerator and the denominator.  Only degree 3
+        and up asks sympy's ``Poly.is_irreducible``, imported then.
+        """
         g = uv.poly(min_poly)
-        if uv.degree(g) < 1:
+        n = uv.degree(g)
+        if n < 1:
             raise InvalidExtensionError("minimal polynomial must have degree >= 1")
         if uv.lc(g) != 1:
             raise InvalidExtensionError("minimal polynomial must be monic")
-        from sympy import Poly, Rational
-        from sympy.abc import x
+        if n == 1:
+            reducible = False
+        elif n == 2:
+            disc = g[1] * g[1] - 4 * g[0]
+            num, den = disc.numerator, disc.denominator
+            reducible = num >= 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+        else:
+            from sympy import Poly, Rational
+            from sympy.abc import x
 
-        sym = Poly([Rational(c) for c in reversed(g)], x)
-        if not sym.is_irreducible:
+            reducible = not Poly([Rational(c) for c in reversed(g)], x).is_irreducible
+        if reducible:
             raise InvalidExtensionError("minimal polynomial is reducible over Q")
         return cls(_EXTENSION, min_poly=g)
 

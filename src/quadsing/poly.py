@@ -12,7 +12,6 @@ Everything is exact; there is no floating point anywhere.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,32 +224,6 @@ def is_quasi_homogeneous(f: Polynomial, weights: Sequence[int], r: int) -> bool:
 
 def is_homogeneous(f: Polynomial) -> bool:
     return is_quasi_homogeneous(f, (1,) * f.nvars, f.total_degree()) if f.terms else True
-
-
-def weights_admissible(weights: Sequence[int], r: int, f: Polynomial) -> bool:
-    """Admissibility of a weight system for f of weighted degree r.
-
-    Checks: weights pairwise coprime, each weight divides r, and for every
-    weight a_i > 1 the pure power T_i^(r/a_i) appears in f with a nonzero
-    coefficient (the coordinate-vertex condition).  Smoothness of the
-    associated projective data is the caller's obligation.
-    """
-    ws = list(weights)
-    if len(ws) != f.nvars or any(w < 1 for w in ws):
-        return False
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            if math.gcd(ws[i], ws[j]) != 1:
-                return False
-    for i, w in enumerate(ws):
-        if r % w != 0:
-            return False
-        if w > 1:
-            e = [0] * f.nvars
-            e[i] = r // w
-            if not f.coefficient(tuple(e)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_c5_milnor_orlik_weighted_ranks(capsys):
     ok = True
     for src, weights, r in battery:
         f = P.parse(src, ("x", "y"))
-        ok = ok and P.weights_admissible(weights, r, f)
+        ok = ok and P.is_quasi_homogeneous(f, weights, r)
         s = ekl.singularity(src, ("x", "y"), weights=weights, degree=r)
         mu_rank = ekl.quadratic_milnor(s).rank
         product = ekl.milnor_rank_weighted(weights, r)

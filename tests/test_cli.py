@@ -329,6 +329,16 @@ def test_malformed_input_is_a_parse_error(argv, named):
     assert named in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("min_poly", ["x^2-1", "x^2-1/4", "x^2"])
+def test_reducible_min_poly_is_invalid_extension(min_poly):
+    code, doc = _run_json("gw", "transfer", "--min-poly", min_poly, "<1>", "--json")
+    assert code == 1
+    assert doc["error"] == {
+        "code": "invalid-extension",
+        "message": "minimal polynomial is reducible over Q",
+    }
+
+
 def test_batch_residue_field_dividing_by_zero_is_a_parse_error(tmp_path):
     f = tmp_path / "bad.json"
     entry = {"residue_field": "1/0*x^2+1", "milnor_form": "<1>", "degree": 2, "dimension": 1}
@@ -344,9 +354,14 @@ def test_batch_residue_field_dividing_by_zero_is_a_parse_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_import_and_small_milnor_leave_sympy_unloaded():
+def test_import_and_small_milnor_leave_sympy_unloaded(tmp_path):
     """sympy is imported on demand only, never by the package itself, nor
-    by the milnor, euler, conductor and monodromy calls of a cold CLI."""
+    by the milnor, euler, conductor and monodromy calls of a cold CLI, nor
+    by a transfer or batch over a quadratic residue field."""
+    points = tmp_path / "points.json"
+    points.write_text(
+        json.dumps([{"residue_field": "x^2+1", "milnor_form": "<1>", "degree": 2, "dimension": 1}])
+    )
     argvs = [
         ["milnor", "--vars", "x,y", "x^2 - y^3", "--json"],
         ["euler", "--degree", "4", "--ambient", "3", "--json"],
@@ -354,6 +369,9 @@ def test_import_and_small_milnor_leave_sympy_unloaded():
         ["conductor", "--vars", "x,y", "--weights", "3,2", "--degree", "8",
          "x^2*y + y^4", "--json"],
         ["monodromy", "--quadratic", "--dimension", "1", "--json"],
+        ["gw", "transfer", "--min-poly", "x^2+1", "<1>", "--json"],
+        ["gw", "transfer", "--min-poly", "x^2-2", "<1, x>", "--json"],
+        ["batch", str(points), "--json"],
     ]
     script = (
         "import io, sys\n"

@@ -415,6 +415,54 @@ def test_transfer_rejects_reducible_polynomial():
         gw.transfer(uv_poly([-1, 0, 1]), _form(1))
 
 
+def _refuses(g) -> bool:
+    try:
+        gw.FieldCtx.extension(g)
+    except InvalidExtensionError:
+        return True
+    return False
+
+
+# small rationals often give a discriminant with only one square part
+_rational = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=12)
+) | st.builds(
+    Fraction,
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=1, max_value=2**20),
+)
+
+
+@st.composite
+def _monic_quadratics(draw):
+    """x^2 + b*x + c as ascending coefficients: half split, half random."""
+    if draw(st.booleans()):
+        r, s = draw(_rational), draw(_rational)
+        return (r * s, -(r + s), Fraction(1))
+    return (draw(_rational), draw(_rational), Fraction(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_quadratics())
+@example((Fraction(1), Fraction(0), Fraction(1)))  # x^2 + 1
+@example((Fraction(-2), Fraction(0), Fraction(1)))  # x^2 - 2
+@example((Fraction(-1, 4), Fraction(0), Fraction(1)))  # x^2 - 1/4
+@example((Fraction(-1, 8), Fraction(0), Fraction(1)))  # x^2 - 1/8, discriminant 1/2
+@example((Fraction(0), Fraction(0), Fraction(1)))  # x^2, discriminant 0
+@example((Fraction(0), Fraction(1), Fraction(1)))  # x^2 + x
+@example((Fraction(1, 9), Fraction(2, 3), Fraction(1)))  # (x + 1/3)^2
+def test_quadratic_irreducibility_matches_sympy(g):
+    x = sympy.Symbol("x")
+    sym = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g)], x)
+    assert _refuses(uv_poly(g)) == (not sym.is_irreducible)
+
+
+def test_higher_degree_irreducibility_keeps_sympys_answers():
+    assert not _refuses(uv_poly([-2, 0, 0, 1]))  # x^3 - 2
+    assert not _refuses(uv_poly([1, 0, 0, 0, 1]))  # x^4 + 1, reducible mod every prime
+    assert _refuses(uv_poly([4, 0, 0, 0, 1]))  # x^4 + 4, no rational root
+
+
 # ---------------------------------------------------------------------------
 # diagonalization
 # ---------------------------------------------------------------------------

@@ -266,17 +266,6 @@ def test_quasi_homogeneity():
     assert not P.is_homogeneous(f)
 
 
-def test_weights_admissible():
-    f = _p("x^2 - y^3")
-    assert P.weights_admissible((3, 2), 6, f)
-    # 8 is not divisible by 3
-    assert not P.weights_admissible((3, 2), 8, _p("x^2 - y^4"))
-    # weights 2,4 share a factor
-    assert not P.weights_admissible((2, 4), 8, _p("x^4 - y^2"))
-    # admissible weights need the pure power of each variable with a_i > 1
-    assert not P.weights_admissible((3, 2), 6, _p("x^2 - x*y"))
-
-
 # ---------------------------------------------------------------------------
 # Groebner bases and quotient structure
 # ---------------------------------------------------------------------------
