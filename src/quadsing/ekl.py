@@ -13,6 +13,13 @@ point, as it is for weighted-homogeneous f; for x^3 - x the class has rank
 2 while the local class at the origin is 0.  The rank is dim Q[x]/J, which
 for weighted-homogeneous f the Jacobian Hilbert series reproduces
 independently.
+
+For f quasi-homogeneous with declared weights, or homogeneous, Q[x]/J is
+graded and the form pairs the piece of weighted degree e only with the piece
+of degree s - e, s the socle degree.  So every pair of pieces off the middle
+is hyperbolic, and only the middle piece of degree s/2 is diagonalized; its
+diagonal representatives are the ones printed.  Any other input is a single
+piece, and its whole Gram matrix is diagonalized.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .errors import (
     InputDomainError,
     NotIsolatedError,
 )
-from .gw import GWElement, RATIONALS, diagonalize
+from .gw import GWElement, RATIONALS, congruence_pivots, diagonalize
 
 
 class SingularityInput:
@@ -36,11 +43,12 @@ class SingularityInput:
     ``weights`` of None means the input is treated as unweighted; when
     weights are supplied the polynomial must be quasi-homogeneous for them,
     and ``degree`` (inferred if omitted) is the common weighted degree.
-    For unweighted homogeneous f, ``degree`` is inferred as the total
-    degree.  The forms built from it cover every critical point of f, not
-    only the origin: they are the class at the origin only when f has no
-    other critical point (true for weighted-homogeneous f), and translating
-    another critical point to the origin does not remove the rest.
+    For unweighted homogeneous f, ``degree`` is the total degree, and a
+    declared degree must equal it.  The forms built from it cover every
+    critical point of f, not only the origin: they are the class at the
+    origin only when f has no other critical point (true for
+    weighted-homogeneous f), and translating another critical point to the
+    origin does not remove the rest.
     """
 
     __slots__ = ("f", "var_names", "weights", "degree")
@@ -72,8 +80,13 @@ class SingularityInput:
                 raise InputDomainError(
                     f"f is not quasi-homogeneous of degree {degree} for the given weights"
                 )
-        elif degree is None and not f.is_zero() and P.is_homogeneous(f):
-            degree = f.total_degree()
+        elif not f.is_zero() and P.is_homogeneous(f):
+            if degree is None:
+                degree = f.total_degree()
+            elif int(degree) != f.total_degree():
+                raise InputDomainError(
+                    f"f is homogeneous of degree {f.total_degree()}, not {degree}"
+                )
         self.f = f
         self.var_names = var_names
         self.weights = weights
@@ -99,6 +112,19 @@ class SingularityInput:
 
     def is_weighted(self) -> bool:
         return self.weights is not None and any(w != 1 for w in self.weights)
+
+    def grading(self) -> tuple[tuple[int, ...], int]:
+        """Weights and a degree for which f is quasi-homogeneous.
+
+        These are the declared weights, or weight 1 for each variable when f
+        is homogeneous; both degrees were checked against f.  Any other
+        input gets weight 0 and degree 0, the grading with a single piece.
+        """
+        if self.weights is not None:
+            return self.weights, self.degree
+        if self.degree is not None and P.is_homogeneous(self.f):
+            return (1,) * self.nvars, self.degree
+        return (0,) * self.nvars, 0
 
     def __repr__(self):
         text = P.format_poly(self.f, self.var_names)
@@ -244,9 +270,19 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     only critical point (x^3 - x gives rank 2; its local class at the origin
     is 0).  A non-isolated singularity (infinite Jacobian quotient) raises
     NotIsolatedError; a degenerate Gram matrix cannot occur for an isolated
-    singularity and raises DegenerateFormError if it does.  The rank of the
-    class equals the dimension of the Jacobian ring; this is asserted as a
-    postcondition.
+    singularity and raises DegenerateFormError if it does.
+
+    The class is assembled piece by piece of the grading of
+    ``SingularityInput.grading``.  With weights w_i and degree r the ring
+    splits into pieces A_e of weighted degree e, and the form pairs A_e only
+    with A_(s-e), where s = sum_i (r - 2*w_i) is the socle degree.  Every
+    pair of pieces with e < s/2 is a hyperbolic space, dim A_e copies of
+    <1> + <-1>; its block is only checked to be nonsingular, by congruence
+    pivots without square classes.  Only the middle piece A_(s/2) is
+    diagonalized.  An ungraded input has a single piece of degree 0, which
+    is the whole ring.  A nonzero entry that pairs degrees not summing to s,
+    like an asymmetric entry, raises AssertionError, and so does a class
+    whose rank is not the dimension of the Jacobian ring.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -273,11 +309,33 @@ def ss_form(s: SingularityInput) -> BilinearForm:
             ca = c * a
             for l, b in vy.items():
                 gram[k][l] += ca * b
+
+    weights, r = s.grading()
+    socle = sum(r - 2 * w for w in weights)
+    degree = [P.weighted_degree(b, weights) for b in quotient.standard_monomials]
     for i in range(d):
-        for j in range(i + 1, d):
-            if gram[i][j] != gram[j][i]:
+        partner = socle - degree[i]
+        for j in range(i, d):
+            v = gram[i][j]
+            if v != gram[j][i]:
                 raise AssertionError("Scheja-Storch Gram matrix is not symmetric; this is a bug")
-    gw = diagonalize(gram)
+            if degree[j] != partner and v:
+                raise AssertionError("Scheja-Storch Gram matrix is not graded; this is a bug")
+    pieces: dict[int, list[int]] = {}
+    for i, e in enumerate(degree):
+        pieces.setdefault(e, []).append(i)
+
+    def block(indices):
+        return [[gram[i][j] for j in indices] for i in indices]
+
+    hyperbolic = 0
+    for e, indices in pieces.items():
+        if 2 * e < socle:
+            congruence_pivots(block(indices + pieces.get(socle - e, [])))
+            hyperbolic += len(indices)
+    gw = GWElement(RATIONALS, pos=(1, -1) * hyperbolic)
+    if socle % 2 == 0 and socle // 2 in pieces:
+        gw = gw + diagonalize(block(pieces[socle // 2]))
     if gw.rank != d:
         raise AssertionError("rank of the quadratic Milnor number must equal dim J")
     rows = tuple(tuple(row) for row in gram)

@@ -789,11 +789,22 @@ def transfer(g, e: GWElement) -> GWElement:
 def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
     """Diagonalize a symmetric matrix by congruence; return its form.
 
-    Entries are read as rationals, or reduced into F_p over a prime field,
-    where they stay reduced.  Pivoting is deterministic: the first nonzero
-    diagonal entry of the trailing block is used, and if the whole diagonal
-    vanishes the row j is added to row i (and column j to column i) for the
-    lowest (i, j) with a nonzero off-diagonal entry.  The pivot is swapped
+    The form is that of the pivots of ``congruence_pivots``, each normalized
+    to its square class.
+    """
+    return GWElement(ctx, pos=congruence_pivots(gram, ctx))
+
+
+def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
+    """The diagonal of a congruence diagonalization, not normalized.
+
+    No square class is taken, so no integer is factored: calling this alone
+    checks that a symmetric matrix is nonsingular.  Entries are read as
+    rationals, or reduced into F_p over a prime field, where they stay
+    reduced.  Pivoting is deterministic: the first nonzero diagonal entry of
+    the trailing block is used, and if the whole diagonal vanishes the row j
+    is added to row i (and column j to column i) for the lowest (i, j) with
+    a nonzero off-diagonal entry.  The pivot is swapped
     to the front and row operations replace the rest of the block by its
     Schur complement, which is symmetric again, so no column pass is needed.
     A singular matrix raises DegenerateFormError.
@@ -868,7 +879,7 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
             f = rr.pop(piv) * inv
             for c, y in row.items():
                 put(rr, c, rr.get(c, 0) - f * y)
-    return GWElement(ctx, pos=diag)
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,7 @@ class QuotientBasis:
     is_finite: bool
     _standard: tuple[Exps, ...] | None
     _nf_cache: dict[Exps, dict[int, Fraction]] = field(default_factory=dict, repr=False)
+    _leads: tuple[Exps, ...] = field(default=(), repr=False)
 
     @property
     def standard_monomials(self) -> tuple[Exps, ...]:
@@ -519,6 +520,7 @@ class QuotientBasis:
         return len(self.groebner) == 1 and self.groebner[0].total_degree() == 0
 
     def normal_form(self, p: Polynomial) -> Polynomial:
+        """Normal form of p by polynomial division (``reduce_poly``)."""
         if not self.is_finite:
             raise InfiniteQuotientError(
                 "normal forms are only exposed for finite-dimensional quotients"
@@ -528,16 +530,62 @@ class QuotientBasis:
         return reduce_poly(p, self.groebner)
 
     def nf_vector(self, exps: Exps) -> dict[int, Fraction]:
-        """Normal form of a single monomial as basis-index -> coefficient."""
+        """Normal form of a single monomial as basis-index -> coefficient.
+
+        No polynomial is divided; this is the multiplication-matrix step of
+        FGLM (Faugere, Gianni, Lazard and Mora, 1993).  A standard monomial
+        is its own unit vector and a leading monomial of the reduced basis is
+        minus its tail.  Any other monomial m lies in the leading-term ideal
+        and is x_i*m' with m' still in it, so NF(m) = sum_b NF(m')_b *
+        NF(x_i*b) over standard b.  Every monomial on the right is smaller
+        than m in grevlex, so the recursion ends; it runs on an explicit
+        stack, and every vector is kept for the later calls.
+        """
         exps = tuple(exps)
-        hit = self._nf_cache.get(exps)
+        cache = self._nf_cache
+        hit = cache.get(exps)
         if hit is not None:
             return hit
-        nf = self.normal_form(Polynomial.monomial(self.nvars, exps))
-        pos = {e: i for i, e in enumerate(self.standard_monomials)}
-        vec = {pos[e]: c for e, c in nf.terms.items()}
-        self._nf_cache[exps] = vec
-        return vec
+        if not cache:
+            self._seed_nf_cache()
+        standard = self._standard
+        stack = [exps]
+        while stack:
+            m = stack[-1]
+            if m in cache:
+                stack.pop()
+                continue
+            lead = next(l for l in self._leads if mono_divides(l, m))
+            i = next(k for k, (a, b) in enumerate(zip(m, lead)) if a > b)
+            shorter = m[:i] + (m[i] - 1,) + m[i + 1 :]
+            head = cache.get(shorter)
+            if head is None:
+                stack.append(shorter)
+                continue
+            shifted = [standard[b][:i] + (standard[b][i] + 1,) + standard[b][i + 1 :] for b in head]
+            missing = [t for t in shifted if t not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            acc: dict[int, Fraction] = {}
+            for c, t in zip(head.values(), shifted):
+                for k, a in cache[t].items():
+                    acc[k] = acc.get(k, 0) + c * a
+            cache[m] = {k: v for k, v in acc.items() if v}
+            stack.pop()
+        return cache[exps]
+
+    def _seed_nf_cache(self) -> None:
+        """Unit vectors of the standard monomials and the leading monomials'
+        normal forms, minus their tails."""
+        pos = {e: k for k, e in enumerate(self.standard_monomials)}
+        cache = self._nf_cache
+        for e, k in pos.items():
+            cache[e] = {k: Fraction(1)}
+        for g in self.groebner:
+            lead, c = g.leading()
+            cache[lead] = {pos[e]: -v / c for e, v in g.terms.items() if e != lead}
+        self._leads = tuple(g.leading()[0] for g in self.groebner)
 
 
 def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:

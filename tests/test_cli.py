@@ -329,6 +329,20 @@ def test_malformed_input_is_a_parse_error(argv, named):
     assert named in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conductor", "--vars", "x,y", "--degree", "3", "x^2 - y^2"],
+        ["conductor", "--vars", "x,y", "--weights", "1,1", "--degree", "3", "x^2 - y^2"],
+        ["milnor", "--vars", "x,y", "--degree", "4", "x^3 + y^3"],
+    ],
+)
+def test_degree_contradicting_f_is_invalid_input(argv):
+    code, doc = _run_json(*argv, "--json")
+    assert code == 1
+    assert doc["error"]["code"] == "invalid-input"
+
+
 @pytest.mark.parametrize("min_poly", ["x^2-1", "x^2-1/4", "x^2"])
 def test_reducible_min_poly_is_invalid_extension(min_poly):
     code, doc = _run_json("gw", "transfer", "--min-poly", min_poly, "<1>", "--json")

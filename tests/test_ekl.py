@@ -7,6 +7,7 @@ groebner for the quotient, Berkowitz determinants) before being frozen.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -125,15 +126,21 @@ def test_e6_family_forms():
 
 
 def test_fermat_cubic_curve_form():
+    """Homogeneous, so graded: the pieces of degree 0 and 2 pair into
+    <1> + <-1> and only the middle piece, spanned by x and y, is
+    diagonalized."""
     bf = ekl.ss_form(ekl.singularity("x^3 + y^3", XY))
     assert _gram(bf) == _antidiagonal(4, 9)
-    assert _classes(bf.gw) == [-2, -2, 2, 2]
+    assert _classes(bf.gw) == [-2, -1, 1, 2]
+    assert gw.is_equal(bf.gw, _form(-2, -2, 2, 2))
 
 
 def test_fermat_cubic_surface_form():
+    """The socle degree 3 is odd, so every piece pairs hyperbolically."""
     bf = ekl.ss_form(ekl.singularity("x^3 + y^3 + z^3", XYZ))
     assert bf.dimension == 8
-    assert _classes(bf.gw) == [-6, -6, -6, -6, 6, 6, 6, 6]
+    assert _classes(bf.gw) == [-1, -1, -1, -1, 1, 1, 1, 1]
+    assert gw.is_equal(bf.gw, _form(-6, -6, -6, -6, 6, 6, 6, 6))
 
 
 def test_nonhomogeneous_input():
@@ -187,6 +194,63 @@ def test_coordinate_invariance():
             ekl.singularity(P.format_poly(g, names), names)
         )
         assert gw.is_equal(before, after)
+
+
+def _dense_form(names, degree, coeffs):
+    """The homogeneous form of the given degree with one coefficient per
+    monomial, in a fixed order."""
+    n = len(names)
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree]
+    return P.Polynomial(n, dict(zip(monomials, map(Fraction, coeffs))))
+
+
+def _isolated(f):
+    return P.groebner(P.partials(f)).is_finite
+
+
+@st.composite
+def _dense_forms(draw):
+    """A dense binary form of degree 3 to 5, or a dense ternary cubic, with an
+    isolated singularity at the origin."""
+    names, degree = draw(st.sampled_from([(XY, 3), (XY, 4), (XY, 5), (XYZ, 3)]))
+    size = math.comb(degree + len(names) - 1, len(names) - 1)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    f = _dense_form(names, degree, coeffs)
+    assume(not f.is_zero() and _isolated(f))
+    return f, names
+
+
+def _unimodular(draw, n):
+    """A product of elementary integer matrices, so of determinant one."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@st.composite
+def _changed_forms(draw):
+    f, names = draw(_dense_forms())
+    return f, names, _unimodular(draw, len(names))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_changed_forms())
+@example((P.parse("x^3 + y^3", XY), XY, [[1, 1], [0, 1]]))
+@example((P.parse("x^3 + y^3 + z^3", XYZ), XYZ, [[1, 0, 1], [-1, 1, 0], [0, 0, 1]]))
+def test_coordinate_invariance_on_random_forms(case):
+    """mu^q is unchanged by an integer linear change of coordinates of
+    determinant one.  The forms stay homogeneous, so both sides are graded."""
+    f, names, a = case
+    n = len(names)
+    images = [P.Polynomial(n, {tuple(int(k == j) for k in range(n)): a[i][j] for j in range(n)})
+              for i in range(n)]
+    g = P.substitute(f, images)
+    before = ekl.quadratic_milnor(ekl.SingularityInput(f, names))
+    after = ekl.quadratic_milnor(ekl.SingularityInput(g, names))
+    assert gw.is_equal(before, after)
 
 
 def test_signature_zero_for_plain_curve_singularities():
@@ -248,6 +312,16 @@ def test_weights_must_be_positive_and_consistent():
         ekl.singularity("x^2 - y^3", XY, weights=(0, 2), degree=6)
     with pytest.raises(InputDomainError):
         ekl.singularity("x^2 - y^3", XY, weights=(1, 1), degree=2)
+
+
+def test_declared_degree_of_homogeneous_f_is_checked():
+    assert ekl.singularity("x^2 - y^2", XY, degree=2).degree == 2
+    with pytest.raises(InputDomainError):
+        ekl.singularity("x^2 - y^2", XY, degree=3)
+    with pytest.raises(InputDomainError):
+        ekl.singularity("x^2 - y^2", XY, weights=(1, 1), degree=3)
+    # a declared degree of non-homogeneous f is its conductor multiplier
+    assert ekl.singularity("x^2 - y^3", XY, degree=6).degree == 6
 
 
 def test_degree_inference():
@@ -369,3 +443,81 @@ def test_weighted_rank_matches_groebner_dimension():
         s = ekl.singularity(src, XY, weights=weights, degree=r)
         mu = ekl.quadratic_milnor(s)
         assert mu.rank == ekl.milnor_rank_weighted(weights, r)
+
+
+# ---------------------------------------------------------------------------
+# the graded class
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _graded_inputs(draw):
+    """A dense form, or a chain sum with its weights declared."""
+    if draw(st.booleans()):
+        f, names = draw(_dense_forms())
+        return ekl.SingularityInput(f, names)
+    blocks = draw(_chains)
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3))
+    weights, r = _chain_weights(blocks)
+    assume(sum(ekl.jacobian_hilbert_series(weights, r)) <= 60)
+    src, names = _chain_source(blocks, coeffs)
+    return ekl.singularity(src, names, weights=weights, degree=r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graded_inputs())
+@example(ekl.singularity("x^3 + y^3", XY))
+@example(ekl.singularity("x^2*y + y^4", XY, weights=(3, 2), degree=8))
+@example(ekl.singularity("x^3 + y^4", XY, weights=(4, 3), degree=12))
+def test_graded_class_matches_full_diagonalization(s):
+    """Hyperbolic off-middle pairs plus the diagonalized middle piece give
+    the class of the whole Gram matrix."""
+    bf = ekl.ss_form(s)
+    assert gw.is_equal(bf.gw, gw.diagonalize(_gram(bf)))
+
+
+_OCTIC = "2*x^8 + 2*x^7*y + 2*x^6*y^2 - x^5*y^3 - x^4*y^4 + 2*x^3*y^5 - x^2*y^6 - 2*x*y^7 + 2*y^8"
+_SEPTIC = "-x^7 - 2*x^6*y - 3*x^5*y^2 + 2*x^4*y^3 + 3*x^3*y^4 + 3*x^2*y^5 - 3*x*y^6 + 2*y^7"
+_CUBIC = (
+    "4*x^3 + 6*x^2*y - 4*x^2*z - 9*x*y^2 + 8*x*y*z - 7*x*z^2 - 8*y^3 - 8*y^2*z - 3*y*z^2 - 2*z^3"
+)
+
+
+@pytest.mark.parametrize(
+    "src, names, sizes",
+    [
+        (_OCTIC, XY, [7]),  # socle degree 12: only A_6 is diagonalized
+        (_SEPTIC, XY, [6]),  # socle degree 10: A_5
+        (_CUBIC, XYZ, []),  # socle degree 3 is odd: every piece pairs off
+        ("x^25 + y^25", XY, [24]),  # socle degree 46: A_23
+        ("x^2 - y^3", XY, [2]),  # ungraded: the whole Gram matrix
+    ],
+)
+def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
+    """The graded split and the division-free normal forms are what run:
+    ``diagonalize`` sees only the middle piece, and no normal form divides a
+    polynomial once the Groebner basis is known."""
+    seen, divisions, basis_known = [], [], []
+    real_groebner, real_reduce = P.groebner, P.reduce_poly
+
+    def diagonalize(gram, *args):
+        seen.append(len(gram))
+        return gw.diagonalize(gram, *args)
+
+    def groebner(gens):
+        q = real_groebner(gens)
+        basis_known.append(True)
+        return q
+
+    def reduce_poly(f, basis):
+        if basis_known:
+            divisions.append(f)
+        return real_reduce(f, basis)
+
+    monkeypatch.setattr(ekl, "diagonalize", diagonalize)
+    monkeypatch.setattr(P, "groebner", groebner)
+    monkeypatch.setattr(P, "reduce_poly", reduce_poly)
+    bf = ekl.ss_form(ekl.singularity(src, names))
+    assert seen == sizes
+    assert basis_known and not divisions
+    assert bf.gw.rank == bf.dimension

@@ -3,12 +3,13 @@ specialization, and the Scharlau transfer."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import gw
@@ -712,6 +713,61 @@ def test_diagonalize_rejects_singular_like_full_elimination(ctx, gram):
     for impl in (_full_elimination, gw.diagonalize):
         with pytest.raises(DegenerateFormError):
             impl(gram, ctx)
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def _rational_symmetric(draw):
+    """A dense symmetric matrix of rationals with denominators up to 9,
+    possibly with a zero diagonal, which forces the pivot rule's row
+    addition."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.builds(Fraction, st.integers(min_value=-20, max_value=20), st.integers(1, 9))
+    zero_diagonal = draw(st.booleans())
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            m[i][j] = m[j][i] = draw(entry)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    _rational_symmetric(), _symmetric(), _symmetric("hyperbolic"), _symmetric("sparse"),
+))
+@example([[0, 1], [1, 0]])
+@example([[Fraction(1, 3), 2], [2, Fraction(-5, 7)]])
+@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+def test_diagonalize_matches_sympy_charpoly(gram):
+    """Signature and discriminant of ``diagonalize`` against sympy.
+
+    A real symmetric matrix has only real eigenvalues, so by Descartes' rule
+    the sign changes of the characteristic polynomial p(t) count the positive
+    ones and those of p(-t) the negative ones.  The pivots of a congruence
+    multiply to the determinant exactly, and the discriminant is its square
+    class."""
+    m = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in map(Fraction, row)]
+                      for row in gram])
+    det = Fraction(int(m.det().p), int(m.det().q))
+    assume(det != 0)
+    coeffs = m.charpoly().all_coeffs()  # highest degree first
+    n = len(gram)
+    positive = _sign_changes(coeffs)
+    negative = _sign_changes([c * (-1) ** (n - k) for k, c in enumerate(coeffs)])
+    assert positive + negative == n
+
+    e = gw.diagonalize(gram)
+    assert e.rank == n
+    assert e.signature() == positive - negative
+    assert math.prod(gw.congruence_pivots(gram)) == det
+    ratio = det / e.discriminant().rep
+    assert ratio > 0
+    assert math.isqrt(ratio.numerator) ** 2 == ratio.numerator
+    assert math.isqrt(ratio.denominator) ** 2 == ratio.denominator
 
 
 # ---------------------------------------------------------------------------

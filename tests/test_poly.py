@@ -3,6 +3,8 @@ quotient bases."""
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -367,6 +369,56 @@ def test_groebner_matches_sympy_grevlex(gens):
     assert {frozenset(g.terms.items()) for g in q.groebner} == expected
     # sympy does not call the unit ideal zero-dimensional; here its quotient is finite
     assert q.is_finite == (theirs.is_zero_dimensional or q.contains_one())
+
+
+@st.composite
+def _zero_dimensional(draw):
+    """Generators with leading monomials c*x_i^a_i under grevlex: every other
+    term has a lower total degree.  So the ideal is zero-dimensional, and in
+    general neither graded nor radical.  One more generator may follow."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    coeff = st.integers(min_value=-4, max_value=4).filter(bool)
+    gens = []
+    for i in range(nvars):
+        a = draw(st.integers(min_value=1, max_value=5))
+        lead = tuple(a if k == i else 0 for k in range(nvars))
+        tail = st.tuples(*[st.integers(min_value=0, max_value=a)] * nvars).filter(
+            lambda e, a=a: sum(e) < a
+        )
+        terms = dict(draw(st.lists(st.tuples(tail, coeff), max_size=4)))
+        terms[lead] = draw(coeff)
+        gens.append(P.Polynomial(nvars, terms))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    extra = draw(st.lists(st.tuples(exps, coeff), max_size=3))
+    if extra:
+        gens.append(P.Polynomial(nvars, dict(extra)))
+    return gens
+
+
+def _nf_by_division(q, exps):
+    nf = P.reduce_poly(P.Polynomial.monomial(q.nvars, exps), q.groebner)
+    index = {m: k for k, m in enumerate(q.standard_monomials)}
+    return {index[m]: c for m, c in nf.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zero_dimensional(), st.randoms(use_true_random=False))
+@example([_p("x^3 - 5*x", ("x",)).diff(0)], random.Random(0))
+@example(P.partials(_p("x^2 - y^2 + 3*y^3")), random.Random(1))
+@example(P.partials(_p("x^2 - y^2 + 2*y^4")), random.Random(2))
+@example([_p("2*x*y"), _p("x^2 + 4*y^3")], random.Random(3))
+@example(P.partials(_p("x^2*y + y^4")), random.Random(4))
+def test_nf_vector_matches_division(gens, rng):
+    """Sixty monomials from a box twice as wide as the basis' exponents,
+    asked for in random order so that the memo fills differently, have the
+    normal forms that polynomial division gives."""
+    q = P.groebner(gens)
+    assert q.is_finite
+    top = [max(m[i] for g in q.groebner for m in g.terms) for i in range(q.nvars)]
+    monomials = list(itertools.product(*(range(2 * t + 2) for t in top)))
+    rng.shuffle(monomials)
+    for exps in monomials[:60]:
+        assert q.nf_vector(exps) == _nf_by_division(q, exps)
 
 
 def test_reduced_basis_is_deterministic():
