@@ -54,10 +54,6 @@ def display_form(e: gw.GWElement) -> str:
     return gw.format_terms(e, unicode_brackets=_unicode_ok())
 
 
-def _frac_json(v: Fraction):
-    return v.numerator if v.denominator == 1 else str(v)
-
-
 def _print_json(out, payload) -> None:
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -102,7 +98,19 @@ def _singularity_from_args(args) -> ekl.SingularityInput:
 # ---------------------------------------------------------------------------
 
 
+#: each gw action with the number of arguments it takes
+_GW_ARITY = {
+    "invariants": 1, "equal": 2, "add": 2, "mul": 2,
+    "specialize": 1, "transfer": 1, "diagonalize": 1,
+}
+
+
 def _cmd_gw(args, out) -> int:
+    arity = _GW_ARITY[args.action]
+    if len(args.args) != arity:
+        raise ParseError(
+            f"gw {args.action} takes {arity} argument{'s' * (arity > 1)}, got {len(args.args)}"
+        )
     ctx = _field_ctx(args.field)
     if args.action == "specialize":
         ctx = gw.RATIONAL_FUNCTIONS
@@ -200,7 +208,7 @@ def _cmd_milnor(args, out) -> int:
             "input": s.to_json_dict(),
             "dimension": form.dimension,
             "basis": [list(e) for e in form.basis],
-            "gram": [[_frac_json(v) for v in row] for row in form.gram],
+            "gram": [[gw.json_rational(v) for v in row] for row in form.gram],
             "form": gw.to_json_dict(mu),
         })
         return 0
@@ -332,6 +340,25 @@ def _cmd_monodromy(args, out) -> int:
     return 0
 
 
+_JSON_KINDS = {
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+}
+
+
+def _entry_field(entry: dict, key: str, kind: str, required: bool = True):
+    """entry[key], checked to be the JSON value that kind names; an optional
+    key may be absent or null."""
+    if not required and entry.get(key) is None:
+        return None
+    value = entry[key]
+    if not _JSON_KINDS[kind](value):
+        raise ParseError(f'"{key}" must be {kind}, not {json.dumps(value)}')
+    return value
+
+
 def _cmd_batch(args, out) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -344,34 +371,34 @@ def _cmd_batch(args, out) -> int:
         raise ParseError("batch file must contain a JSON array")
 
     total = gw.GWElement.zero(gw.RATIONALS)
-    points = []
+    points, contributions = [], []
     for idx, entry in enumerate(entries):
         try:
             if not isinstance(entry, dict):
                 raise ParseError("entry must be a JSON object")
             if "residue_field" in entry:
-                g = gw.parse_poly_in_x(entry["residue_field"])
+                g = gw.parse_poly_in_x(_entry_field(entry, "residue_field", "a string"))
                 ectx = gw.FieldCtx.extension(g)
                 raw = entry["milnor_form"]
                 if isinstance(raw, list):
                     raw = " + ".join(str(part) for part in raw)
                 mu = gw.parse_gw(raw, ectx)
-                contribution = cond.transfer_conductor_point(
-                    g, mu, int(entry["degree"]), int(entry["dimension"])
-                )
+                degree = _entry_field(entry, "degree", "an integer")
+                dimension = _entry_field(entry, "dimension", "an integer")
+                contribution = cond.transfer_conductor_point(g, mu, degree, dimension)
                 points.append({
                     "kind": "transfer-point",
                     "residue_field": entry["residue_field"],
-                    "degree": int(entry["degree"]),
-                    "dimension": int(entry["dimension"]),
+                    "degree": degree,
+                    "dimension": dimension,
                     "contribution": gw.to_json_dict(contribution),
                 })
             else:
                 s = ekl.singularity(
-                    entry["poly"],
-                    entry["vars"],
-                    entry.get("weights"),
-                    entry.get("degree"),
+                    _entry_field(entry, "poly", "a string"),
+                    _entry_field(entry, "vars", "a list of strings"),
+                    _entry_field(entry, "weights", "a list of integers", required=False),
+                    _entry_field(entry, "degree", "an integer", required=False),
                 )
                 report = cond.verify(s)
                 contribution = report.rhs
@@ -380,6 +407,7 @@ def _cmd_batch(args, out) -> int:
                     "report": report.to_json_dict(),
                     "contribution": gw.to_json_dict(contribution),
                 })
+            contributions.append(contribution)
             total = total + contribution
         except (QuadsingError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, QuadsingError):
@@ -390,8 +418,7 @@ def _cmd_batch(args, out) -> int:
     if args.json:
         _print_json(out, {"points": points, "total": gw.to_json_dict(total)})
         return 0
-    for idx, point in enumerate(points):
-        contrib = gw.from_json_dict(point["contribution"])
+    for idx, (point, contrib) in enumerate(zip(points, contributions)):
         out.write(f"point {idx} ({point['kind']}): {display_form(contrib)}\n")
     out.write(f"sum = {display_form(total)}\n")
     return 0
@@ -412,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gw = sub.add_parser("gw", help="Grothendieck-Witt ring arithmetic")
     p_gw.add_argument(
         "action",
-        choices=["invariants", "equal", "add", "mul", "specialize", "transfer", "diagonalize"],
+        choices=list(_GW_ARITY),
     )
     p_gw.add_argument("args", nargs="+", help="form expressions (or a JSON matrix)")
     p_gw.add_argument("--field", default="Q", help="Q (default), Fp:<p>, or Qt")
@@ -482,9 +509,6 @@ def run(argv, stdout=None) -> int:
     except QuadsingError as exc:
         _emit_error(out, exc, json_mode)
         return 1
-    except IndexError:
-        _emit_error(out, ParseError("missing argument for this action"), json_mode)
-        return 2
 
 
 def _emit_error(out, exc: QuadsingError, json_mode: bool) -> None:

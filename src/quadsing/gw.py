@@ -277,14 +277,19 @@ class FieldCtx:
             return (0, uv.ONE, uv.ONE)
         return uv.ONE
 
+    @property
+    def variables(self) -> tuple[str, ...]:
+        """The variable of this field's elements: t over Q(t), x over Q[x]/(g)."""
+        return {_RATFUNC: ("t",), _EXTENSION: ("x",)}.get(self.kind, ())
+
     def rep_str(self, rep) -> str:
         if self.kind in (_RATIONALS, _PRIME):
             return str(rep)
         if self.kind == _RATFUNC:
             parity, num, den = rep
             head = "t*" if parity else ""
-            return head + "(" + _uv_str(num) + ")/(" + _uv_str(den) + ")"
-        return _uv_str(rep)
+            return head + "(" + _uv_str(num, "t") + ")/(" + _uv_str(den, "t") + ")"
+        return _uv_str(rep, "x")
 
 
 def _mod_p(value, p: int) -> int:
@@ -296,7 +301,7 @@ def _mod_p(value, p: int) -> int:
     return fr.numerator * pow(den, -1, p) % p
 
 
-def _uv_str(p: uv.Poly) -> str:
+def _uv_str(p: uv.Poly, var: str) -> str:
     if uv.is_zero(p):
         return "0"
     parts = []
@@ -306,9 +311,9 @@ def _uv_str(p: uv.Poly) -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(f"{c}*t" if c != 1 else "t")
+            parts.append(f"{c}*{var}" if c != 1 else var)
         else:
-            parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
+            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
     return " + ".join(parts)
 
 
@@ -436,7 +441,7 @@ class GWElement:
         return hash((self.ctx, self.pos, self.neg))
 
     def __repr__(self):
-        return f"GWElement({self.ctx.label()}, {to_text(self)!r})"
+        return f"GWElement({self.ctx.label()}, {format_terms(self, unicode_brackets=False)!r})"
 
     # -- ring structure ---------------------------------------------------
 
@@ -909,19 +914,6 @@ def format_terms(e: GWElement, unicode_brackets: bool = True) -> str:
     return out
 
 
-def to_text(e: GWElement) -> str:
-    """Canonical machine form: "<p1,p2,...> - <n1,...>", or "0"."""
-    pos = ",".join(e.ctx.rep_str(r) for r in e.pos)
-    neg = ",".join(e.ctx.rep_str(r) for r in e.neg)
-    if not pos and not neg:
-        return "0"
-    if not neg:
-        return f"<{pos}>"
-    if not pos:
-        return f"-<{neg}>"
-    return f"<{pos}> - <{neg}>"
-
-
 def to_json_dict(e: GWElement) -> dict:
     if e.ctx.kind not in (_RATIONALS, _PRIME):
         raise UnsupportedInvariantError(
@@ -930,80 +922,36 @@ def to_json_dict(e: GWElement) -> dict:
     return {"field": e.ctx.label(), "pos": list(e.pos), "neg": list(e.neg)}
 
 
-def from_json_dict(d: Mapping) -> GWElement:
-    label = d["field"]
-    if label == "Q":
-        ctx = RATIONALS
-    elif label.startswith("Fp:"):
-        ctx = FieldCtx.prime_field(int(label[3:]))
-    else:
-        raise ValueError(f"unknown field label {label!r}")
-    return GWElement(ctx, pos=d["pos"], neg=d["neg"])
-
-
-def parse_ratfunc(text: str) -> tuple[uv.Poly, uv.Poly]:
-    """Parse an expression in t exactly, in the grammar of ``poly.parse_rational``.
-
-    Returns a (numerator, denominator) pair of polynomials; used for square
-    classes over Q(t), e.g. "3*t^2" or "t*(1+t)/(2-t)".
-    """
-    num, den = P.parse_rational(text, ["t"])
-    return uv.of_polynomial(num), uv.of_polynomial(den)
+def json_rational(v: Fraction):
+    """A rational as a JSON value: an integer as a number, else "p/q"."""
+    return v.numerator if v.denominator == 1 else str(v)
 
 
 def parse_poly_in_x(text: str) -> uv.Poly:
-    """A minimal polynomial or an extension-field square class, read in x."""
+    """A minimal polynomial, read in x."""
     return uv.of_polynomial(P.parse(text, ["x"]))
 
 
 def parse_gw(text: str, ctx: FieldCtx = RATIONALS) -> GWElement:
-    """Parse "<a,b> - <c>"-style and "<a> + <b> - <c>"-style expressions.
+    """Parse a form such as "<a, b> - <c>" or "⟨a⟩ + ⟨b⟩ − ⟨c⟩" over ctx.
 
-    Angle brackets may be ASCII or the Unicode pair; groups carry a sign and
-    contribute all their comma-separated entries with that sign.  Entries
-    are rationals over Q and F_p, t-expressions over Q(t) and polynomials
-    in x over an extension.
+    The grammar is ``poly.parse_form``, in the field's variables.  Over an
+    extension an entry may divide only by a nonzero constant, and an entry
+    without a square class (zero, or a multiple of p) is a ParseError.
     """
-    entry_parser = {_RATFUNC: parse_ratfunc, _EXTENSION: parse_poly_in_x}.get(ctx.kind, Fraction)
-    src = text.replace("⟨", "<").replace("⟩", ">").replace("−", "-")
-    i, n = 0, len(src)
-    pos_vals, neg_vals = [], []
-    sign = 1
-    seen = False
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "+":
-            sign = 1
-            i += 1
-            continue
-        if ch == "-":
-            sign = -sign
-            i += 1
-            continue
-        if ch == "0" and not seen and src[i + 1 :].strip() == "":
-            return GWElement.zero(ctx)
-        if ch != "<":
-            raise ParseError(f"expected '<' in form expression, found {ch!r}", i)
-        j = src.find(">", i)
-        if j < 0:
-            raise ParseError("unclosed '<' in form expression", i)
-        body = src[i + 1 : j].strip()
-        if body:
-            for piece in body.split(","):
-                piece = piece.strip()
-                try:
-                    rep = ctx.normalize(entry_parser(piece))
-                except (NonSpecializableError, ParseError):
-                    raise
-                except Exception as exc:
-                    raise ParseError(f"bad square-class entry {piece!r}: {exc}", i) from exc
-                (pos_vals if sign > 0 else neg_vals).append(rep)
-        seen = True
-        sign = 1
-        i = j + 1
-    if not seen:
-        raise ParseError("empty form expression", 0)
-    return GWElement(ctx, *_cancel(pos_vals, neg_vals), _raw=True)
+    pos, neg = [], []
+    for sign, num, den, piece, at in P.parse_form(text, ctx.variables):
+        if not ctx.variables:
+            value = num.constant_term()
+        elif ctx.kind == _RATFUNC:
+            value = uv.of_polynomial(num), uv.of_polynomial(den)
+        elif den.total_degree() > 0:
+            raise ParseError(f"entry {piece!r} may divide only by a nonzero constant", at)
+        else:
+            value = uv.of_polynomial(num)
+        try:
+            rep = ctx.normalize(value)
+        except ValueError as exc:
+            raise ParseError(f"bad square-class entry {piece!r}: {exc}", at) from exc
+        (pos if sign > 0 else neg).append(rep)
+    return GWElement(ctx, *_cancel(pos, neg), _raw=True)

@@ -2,10 +2,10 @@
 
 Polynomials are dictionaries from exponent tuples to nonzero Fractions.
 The module provides the one expression grammar of the package (``parse``
-for polynomials, ``parse_rational`` for quotients such as the Q(t) entries
-of a form), formal partial derivatives, weighted-homogeneity checks, and
-reduced Groebner bases with standard-monomial enumeration for
-zero-dimensional quotients.  Leading terms, bases, standard monomials and
+for polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
+``<a, b> - <c>`` forms whose entries are such quotients), formal partial
+derivatives, weighted-homogeneity checks, and reduced Groebner bases with
+standard-monomial enumeration for zero-dimensional quotients.  Leading terms, bases, standard monomials and
 printed terms all follow one monomial order, grevlex (``grevlex_key``).
 Everything is exact; there is no floating point anywhere.
 """
@@ -230,9 +230,11 @@ def is_homogeneous(f: Polynomial) -> bool:
 # parser
 # ---------------------------------------------------------------------------
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<num>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*/^()<>,]))"
 )
+_FORM_CHARS = str.maketrans("⟨⟩−", "<>-")
 
 
 def _tokenize(src: str):
@@ -263,7 +265,7 @@ def parse(src: str, variables: Sequence[str]) -> Polynomial:
     The grammar is that of ``parse_rational``; a polynomial may divide only
     by a nonzero constant, so "3/2*x" and "x/2" parse and "x/y" does not.
     """
-    return _parse(src, variables, True)[0]
+    return _parse(src, variables, "polynomial")[0]
 
 
 def parse_rational(src: str, variables: Sequence[str]) -> tuple[Polynomial, Polynomial]:
@@ -278,11 +280,26 @@ def parse_rational(src: str, variables: Sequence[str]) -> tuple[Polynomial, Poly
     the expression divides by a non-constant.  Unknown names, syntax errors
     and division by zero carry the offending position.
     """
-    return _parse(src, variables, False)
+    return _parse(src, variables, "rational")
 
 
-def _parse(src: str, variables: Sequence[str], polynomial: bool):
+def parse_form(src: str, variables: Sequence[str]) -> list:
+    """Parse a form such as "<1, t/2> - <3>" into (sign, numerator,
+    denominator, text, position) tuples, one per entry.
+
+    A form is "0" or signed groups "<e1, ..., ek>", a sign between any two;
+    each entry is a ``parse_rational`` expression, and "⟨", "⟩", "−" read
+    as "<", ">", "-".
+    """
+    return _parse(src.translate(_FORM_CHARS), variables, "form")
+
+
+def _parse(src: str, variables: Sequence[str], mode: str):
+    """Read src as a "polynomial", a "rational" expression or a "form"."""
     names = list(variables)
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise ParseError(f"variable name {name!r} at index {i} is not an identifier")
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names")
     nvars = len(names)
@@ -302,12 +319,21 @@ def _parse(src: str, variables: Sequence[str], polynomial: bool):
         pos += 1
         return t
 
+    def is_op(chars):
+        kind, text, _ = peek()
+        return kind == "op" and text in chars
+
+    def expect(char):
+        kind, text, at = take()
+        if (kind, text) != ("op", char):
+            raise ParseError(f"expected {char!r}, found {text or 'end of input'!r}", at)
+
     def mul(a: Polynomial, b: Polynomial) -> Polynomial:
         return a if b is one else b if a is one else a * b
 
     def parse_expr():
         num, den = parse_term()
-        while peek()[0] == "op" and peek()[1] in "+-":
+        while is_op("+-"):
             op = take()[1]
             n2, d2 = parse_term()
             if d2 is not den:
@@ -317,7 +343,7 @@ def _parse(src: str, variables: Sequence[str], polynomial: bool):
 
     def parse_term():
         num, den = parse_unary()
-        while peek()[0] == "op" and peek()[1] in "*/":
+        while is_op("*/"):
             op, at = take()[1:]
             n2, d2 = parse_unary()
             if op == "*":
@@ -326,23 +352,27 @@ def _parse(src: str, variables: Sequence[str], polynomial: bool):
                 raise ParseError("division by zero", at)
             elif n2.total_degree() == 0:
                 num = mul(num, d2) * (1 / n2.constant_term())
-            elif polynomial:
+            elif mode == "polynomial":
                 raise ParseError("a polynomial may divide only by a nonzero constant", at)
             else:
                 num, den = mul(num, d2), mul(den, n2)
         return num, den
 
-    def parse_unary():
+    def parse_sign():
         sign = 1
-        while peek()[0] == "op" and peek()[1] in "+-":
+        while is_op("+-"):
             if take()[1] == "-":
                 sign = -sign
+        return sign
+
+    def parse_unary():
+        sign = parse_sign()
         num, den = parse_power()
         return (num if sign > 0 else -num), den
 
     def parse_power():
         num, den = parse_atom()
-        if peek()[0] == "op" and peek()[1] == "^":
+        if is_op("^"):
             take()
             kind, text, at = take()
             if kind != "num":
@@ -361,13 +391,29 @@ def _parse(src: str, variables: Sequence[str], polynomial: bool):
             return Polynomial.variable(nvars, index[text]), one
         if kind == "op" and text == "(":
             inner = parse_expr()
-            kind2, text2, at2 = take()
-            if text2 != ")":
-                raise ParseError("expected ')'", at2)
+            expect(")")
             return inner
         raise ParseError(f"expected a number, variable, or '(', found {text or 'end of input'!r}", at)
 
-    out = parse_expr()
+    def parse_form():
+        entries, first = [], True
+        while first or is_op("+-"):
+            sign = parse_sign()
+            if first and peek()[1] == "0" and tokens[pos + 1][0] == "end":
+                take()
+                break
+            expect("<")
+            more = not is_op(">")
+            while more:
+                at = peek()[2]
+                num, den = parse_expr()
+                entries.append((sign, num, den, src[at : peek()[2]].strip(), at))
+                more = is_op(",") and take()
+            expect(">")
+            first = False
+        return entries
+
+    out = parse_form() if mode == "form" else parse_expr()
     kind, text, at = peek()
     if kind != "end":
         raise ParseError(f"unexpected {text!r} after expression", at)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputDomainError
+from .gw import json_rational
 
 Summand = tuple[int, int]
 
@@ -134,8 +135,7 @@ class TateMap:
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "matrix": [[str(v) if v.denominator != 1 else v.numerator for v in row]
-                       for row in self.entries],
+            "matrix": [[json_rational(v) for v in row] for row in self.entries],
         }
 
     def __repr__(self):
@@ -215,7 +215,7 @@ class VariationResult:
             "var": self.var.to_json(),
         }
         if self.kind == "factored":
-            out["scalar"] = self.scalar.numerator if self.scalar.denominator == 1 else str(self.scalar)
+            out["scalar"] = json_rational(self.scalar)
             out["m1"] = self.m1.to_json()
             out["m2_twisted"] = self.m2_twisted.to_json()
         else:

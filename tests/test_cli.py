@@ -242,7 +242,8 @@ def test_batch_single_odp_sums_to_minus_minus_one(tmp_path):
     f.write_text(json.dumps([{"vars": ["x", "y"], "poly": "x^2 - y^2"}]))
     code, doc = _run_json("batch", "--json", str(f))
     assert code == 0
-    total = gwmod.from_json_dict(doc["total"])
+    assert doc["total"]["field"] == "Q"
+    total = gwmod.GWElement(gwmod.RATIONALS, doc["total"]["pos"], doc["total"]["neg"])
     assert gwmod.is_equal(total, -gwmod.diag_form([-1]))
 
 
@@ -260,6 +261,33 @@ def test_batch_reports_bad_entry_index(tmp_path, capsys):
     out = io.StringIO()
     assert cli.run(["batch", str(f)], stdout=out) == 2
     assert "batch entry 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # once read as the variables 'x', ',' and 'y'
+        ({"vars": "x,y", "poly": "x^2 - y^2"}, '"vars" must be a list of strings, not "x,y"'),
+        # once read as the weights 3 and 2
+        ({"vars": ["x", "y"], "poly": "x^2*y + y^4", "weights": "32"},
+         '"weights" must be a list of integers, not "32"'),
+        # once truncated to 2 and 1
+        ({"vars": ["x", "y"], "poly": "x^2 - y^2", "degree": 2.7},
+         '"degree" must be an integer, not 2.7'),
+        ({"residue_field": "x^2+1", "milnor_form": "<1>", "degree": 2, "dimension": 1.9},
+         '"dimension" must be an integer, not 1.9'),
+        ({"residue_field": "x^2+1", "milnor_form": "<1>", "degree": "2", "dimension": 1},
+         '"degree" must be an integer, not "2"'),
+        # once an uncaught AttributeError
+        ({"vars": ["x", "y"], "poly": 5}, '"poly" must be a string, not 5'),
+    ],
+)
+def test_batch_entry_types_are_checked(tmp_path, entry, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps([{"vars": ["x"], "poly": "x^2"}, entry]))
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == 2
+    assert doc["error"] == {"code": "parse-error", "message": f"batch entry 1: {message}"}
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +319,54 @@ def test_unknown_variable_exits_two():
     code, doc = _run_json("milnor", "--json", "--vars", "x,y", "x^2 - z^3")
     assert code == 2
     assert doc["error"]["code"] == "unknown-variable"
+
+
+def test_vars_must_be_identifiers():
+    """--vars 1,y once declared an unreachable variable '1' and ended not-isolated."""
+    code, doc = _run_json("milnor", "--json", "--vars", "1,y", "y^2")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert "'1' at index 0 is not an identifier" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gw", "equal", "<1>", "<1>", "<2>"], "gw equal takes 2 arguments, got 3"),
+        (["gw", "invariants", "<1>", "<2>"], "gw invariants takes 1 argument, got 2"),
+        (["gw", "diagonalize", "[[1]]", "[[2]]"], "gw diagonalize takes 1 argument, got 2"),
+        (["gw", "add", "<1>"], "gw add takes 2 arguments, got 1"),
+    ],
+)
+def test_gw_actions_take_exactly_their_arguments(argv, message):
+    code, doc = _run_json(*argv, "--json")
+    assert code == 2
+    assert doc["error"] == {"code": "parse-error", "message": message}
+
+
+def test_index_error_inside_the_library_is_not_a_missing_argument(monkeypatch):
+    def broken(a, b):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli.gw, "is_equal", broken)
+    with pytest.raises(IndexError):
+        cli.run(["gw", "equal", "<1>", "<1>"], stdout=io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["gw", "invariants", "<0.5>"], 2),
+        (["gw", "invariants", "--field", "Fp:7", "<1_000>"], 2),
+        (["gw", "equal", "<1> <2>", "<1,2>"], 4),
+        (["gw", "add", "<1> +", "<2>"], 5),
+    ],
+)
+def test_form_syntax_errors_exit_two_with_a_position(argv, at):
+    code, doc = _run_json(*argv, "--json")
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert doc["error"]["message"].endswith(f"(at position {at})")
 
 
 def test_unknown_subcommand_exits_two():

@@ -12,12 +12,14 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadsing import _univar as uv
 from quadsing import gw
 from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
     ContextMismatchError,
     DegenerateFormError,
     InvalidExtensionError,
+    ParseError,
     UnsupportedInvariantError,
 )
 
@@ -777,25 +779,113 @@ def test_diagonalize_matches_sympy_charpoly(gram):
 
 def test_text_round_trip():
     e = _form(1, 2) - _form(3)
-    assert gw.parse_gw(gw.to_text(e), QQ) == e
     assert gw.parse_gw("<1, 2> - <3>", QQ) == e
     assert gw.parse_gw("⟨8⟩", QQ) == _form(2)
     assert gw.parse_gw("0", QQ) == gw.GWElement.zero()
+    assert repr(e) == "GWElement(Q, '<1> + <2> - <3>')"
+
+
+F7 = gw.FieldCtx.prime_field(7)
+EXT = gw.FieldCtx.extension(uv_poly([1, 0, 1]))  # Q[x]/(x^2 + 1)
+_UV = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=4
+).map(uv_poly).filter(bool)
+_ENTRIES = {
+    QQ: st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool),
+    F7: st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
+        lambda v: v.numerator % 7 and v.denominator % 7
+    ),
+    QT: st.tuples(_UV, _UV),
+    EXT: _UV.filter(lambda v: uv.mod(v, EXT.min_poly)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_format_terms_parses_back(data):
+    """The one text syntax reads back through the one grammar, over every field."""
+    ctx = data.draw(st.sampled_from(list(_ENTRIES)))
+    entries = st.lists(_ENTRIES[ctx], max_size=4)
+    e = gw.GWElement(ctx, data.draw(entries), data.draw(entries))
+    for unicode_brackets in (True, False):
+        assert gw.parse_gw(gw.format_terms(e, unicode_brackets), ctx) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=20).filter(bool))
+@example(Fraction(8))
+@example(Fraction(-3, 2))
+def test_constant_entry_is_the_same_rational_over_every_field(c):
+    """Over Q, over Q(t) and as an extension residue, a constant entry is c."""
+    for text in (str(c), f"({c.numerator})/({c.denominator})", f"-(-{c.numerator}/{c.denominator})"):
+        assert gw.parse_gw(f"<{text}>", QQ) == _form(c)
+        assert gw.parse_gw(f"<{text}>", QT).pos == ((0, (c,), (1,)),)
+        assert gw.parse_gw(f"<{text}>", EXT).pos == ((c,),)
+
+
+@pytest.mark.parametrize(
+    "text, pos, neg",
+    [
+        # Fraction's grammar rejected these; the expression grammar reads them
+        ("<2^3>", [8], []),
+        ("<(1+2)/3>", [1], []),
+        ("<- 3, 3/-2>", [-3, Fraction(-3, 2)], []),
+        # a '+' after a '-' no longer resets the sign to +
+        ("<1> - + <2>", [1], [2]),
+        ("- + <1>", [], [1]),
+        # unchanged: double negation, empty groups, a signed zero
+        ("<1> - - <2>", [1, 2], []),
+        ("<> + <3>", [3], []),
+        ("-0", [], []),
+    ],
+)
+def test_form_expression_readings(text, pos, neg):
+    assert gw.parse_gw(text, QQ) == _form(*pos) - _form(*neg)
+
+
+@pytest.mark.parametrize(
+    "text, ctx, at",
+    [
+        # decimal, exponent and underscore literals, once read by Fraction
+        ("<0.5>", QQ, 2),
+        ("<1e3>", QQ, 2),
+        ("<1_000>", QQ, 2),
+        ("<2, 0.5>", F7, 5),
+        ("<1e3>", F7, 2),
+        # groups with no sign between them, and a trailing sign
+        ("<1> <2>", QQ, 4),
+        ("⟨1⟩⟨2⟩", QQ, 3),
+        ("<1> +", QQ, 5),
+        ("<1> - <2> -", QQ, 11),
+        # unchanged errors, now at the offending token
+        ("<1,>", QQ, 3),
+        ("<1", QQ, 2),
+        ("<t>", QQ, 1),
+        ("<1/0>", QQ, 2),
+        ("<0>", QQ, 1),
+        ("<x/(1+x)>", EXT, 1),
+        ("", QQ, 0),
+    ],
+)
+def test_malformed_forms_name_a_position(text, ctx, at):
+    with pytest.raises(ParseError) as info:
+        gw.parse_gw(text, ctx)
+    assert info.value.position == at
 
 
 def test_json_round_trip():
     e = _form(2) - _form(-3, 5)
-    d = gw.to_json_dict(e)
-    assert d["field"] == "Q"
-    assert gw.from_json_dict(d) == e
+    assert gw.to_json_dict(e) == {"field": "Q", "pos": [2], "neg": [-3, 5]}
     F11 = gw.FieldCtx.prime_field(11)
     f = gw.diag_form([2, 6], F11)
-    assert gw.from_json_dict(gw.to_json_dict(f)) == f
+    d = gw.to_json_dict(f)
+    assert d["field"] == "Fp:11"
+    assert gw.GWElement(F11, d["pos"], d["neg"]) == f
 
 
 def test_parse_ratfunc_expressions():
-    num, den = gw.parse_ratfunc("(1+t)^2/(2-t)")
-    assert num == uv_poly([1, 2, 1])
-    assert den == uv_poly([2, -1])
+    e = _qt("(1+t)^2/(2-t)")
+    assert e.pos == ((0, uv_poly([-1, -2, -1]), uv_poly([-2, 1])),)
     e = _qt("t^3/(1+t)")
     assert e.rank == 1
+    assert e.pos == ((1, uv_poly([1]), uv_poly([1, 1])),)

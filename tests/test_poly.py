@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
-from quadsing import gw
 from quadsing import poly as P
 from quadsing.errors import (
     InfiniteQuotientError,
@@ -57,6 +56,12 @@ def test_parse_errors_carry_positions():
         _p("2 x")  # implicit multiplication is not a thing
     with pytest.raises(ParseError):
         _p("")
+
+
+@pytest.mark.parametrize("names", [["1", "y"], ["x", ",", "y"], ["x y"], [""], ["x", 2]])
+def test_variable_names_are_identifiers(names):
+    with pytest.raises(ParseError, match="is not an identifier"):
+        P.parse("0", names)
 
 
 def test_format_round_trip_is_stable():
@@ -208,7 +213,7 @@ def test_parse_matches_polynomial_arithmetic(tree):
 def test_parse_ratfunc_matches_direct_evaluation(tree, points):
     text = _render(tree)
     try:
-        num, den = gw.parse_ratfunc(text)
+        num, den = (uv.of_polynomial(q) for q in P.parse_rational(text, ("t",)))
     except ParseError:
         # only a divisor that is identically zero is rejected
         num = den = None
