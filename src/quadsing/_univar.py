@@ -52,23 +52,6 @@ def lc(p: Poly) -> Fraction:
     return p[-1]
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
 def scale(p: Poly, c) -> Poly:
     c = Fraction(c)
     if c == 0:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from . import conductor as cond
 from . import ekl, euler, gw, tate
@@ -49,7 +49,7 @@ def _display_entries(entries) -> list[int]:
 
 def display_form(e: gw.GWElement) -> str:
     """Human-readable form with hyperbolic pairs normalized to <1> + <-1>."""
-    if e.ctx.kind == "rationals":
+    if e.ctx is gw.RATIONALS:
         e = gw.GWElement(e.ctx, _display_entries(e.pos), _display_entries(e.neg), _raw=True)
     return gw.format_terms(e, unicode_brackets=_unicode_ok())
 
@@ -98,105 +98,100 @@ def _singularity_from_args(args) -> ekl.SingularityInput:
 # ---------------------------------------------------------------------------
 
 
-#: each gw action with the number of arguments it takes
-_GW_ARITY = {
-    "invariants": 1, "equal": 2, "add": 2, "mul": 2,
-    "specialize": 1, "transfer": 1, "diagonalize": 1,
+def _invariants(e: gw.GWElement):
+    inv = e.invariants()
+    lines = [f"element: {display_form(e)}", f"rank: {inv.rank}"]
+    if inv.signature is not None:
+        lines.append(f"signature: {inv.signature}")
+    lines.append(f"discriminant: {inv.discriminant}")
+    if inv.hasse:
+        lines.append("hasse: " + " ".join(f"{p}:{v:+d}" for p, v in sorted(inv.hasse.items())))
+    return {
+        "element": gw.to_json_dict(e),
+        "rank": inv.rank,
+        "signature": inv.signature,
+        "discriminant": str(inv.discriminant),
+        "hasse": {str(p): v for p, v in inv.hasse.items()},
+    }, "\n".join(lines)
+
+
+def _equal(a: gw.GWElement, b: gw.GWElement):
+    verdict = gw.is_equal(a, b)
+    return {"equal": verdict}, f"equal: {'true' if verdict else 'false'}"
+
+
+def _matrix_entry(v, i: int, j: int):
+    """A JSON integer, or a string in the expression grammar with no variables."""
+    where = f"matrix entry at row {i}, column {j}"
+    if type(v) is int:
+        return v
+    if type(v) is not str:
+        raise ParseError(f"{where} must be an integer or a string, not {json.dumps(v)}")
+    try:
+        return P.parse(v, ()).constant_term()
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _read_matrix(text: str, ctx: gw.FieldCtx) -> gw.GWElement:
+    """The form of a symmetric matrix given as a JSON array of rows."""
+    try:
+        rows = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"matrix must be a JSON array of rows: {exc}")
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ParseError(f"matrix must be a JSON array of rows, not {text}")
+    matrix = [[_matrix_entry(v, i, j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    try:
+        return gw.diagonalize(matrix, ctx)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+#: each gw action: its number of arguments, the field they are read over, and
+#: the operation on them, which returns an element or a (JSON, text) pair;
+#: diagonalize reads its matrix as the form it defines
+_GW_ACTIONS = {
+    "invariants": (1, "--field", _invariants),
+    "equal": (2, "--field", _equal),
+    "add": (2, "--field", operator.add),
+    "mul": (2, "--field", operator.mul),
+    "specialize": (1, "Q(t)", gw.specialize),
+    "transfer": (1, "--min-poly", lambda e: gw.transfer(e.ctx.min_poly, e)),
+    "diagonalize": (1, "--field", lambda e: e),
 }
 
 
 def _cmd_gw(args, out) -> int:
-    arity = _GW_ARITY[args.action]
+    arity, reads, op = _GW_ACTIONS[args.action]
     if len(args.args) != arity:
         raise ParseError(
             f"gw {args.action} takes {arity} argument{'s' * (arity > 1)}, got {len(args.args)}"
         )
-    ctx = _field_ctx(args.field)
-    if args.action == "specialize":
+    for flag, value in (("--field", args.field), ("--min-poly", args.min_poly)):
+        if value is not None and flag != reads:
+            raise ParseError(f"gw {args.action} reads {reads}, not {flag}")
+    if reads == "--field":
+        ctx = _field_ctx(args.field or "Q")
+    elif reads == "Q(t)":
         ctx = gw.RATIONAL_FUNCTIONS
-
-    def parse_elt(text):
-        return gw.parse_gw(text, ctx)
-
-    if args.action == "invariants":
-        e = parse_elt(args.args[0])
-        inv = e.invariants()
-        if args.json:
-            _print_json(out, {
-                "element": gw.to_json_dict(e),
-                "rank": inv.rank,
-                "signature": inv.signature,
-                "discriminant": str(inv.discriminant),
-                "hasse": {str(p): v for p, v in inv.hasse.items()},
-            })
-        else:
-            out.write(f"element: {display_form(e)}\n")
-            out.write(f"rank: {inv.rank}\n")
-            if inv.signature is not None:
-                out.write(f"signature: {inv.signature}\n")
-            out.write(f"discriminant: {inv.discriminant}\n")
-            if inv.hasse:
-                hasse = " ".join(f"{p}:{v:+d}" for p, v in sorted(inv.hasse.items()))
-                out.write(f"hasse: {hasse}\n")
-        return 0
-
-    if args.action == "equal":
-        a, b = parse_elt(args.args[0]), parse_elt(args.args[1])
-        verdict = gw.is_equal(a, b)
-        if args.json:
-            _print_json(out, {"equal": verdict})
-        else:
-            out.write(f"equal: {'true' if verdict else 'false'}\n")
-        return 0
-
-    if args.action in ("add", "mul"):
-        a, b = parse_elt(args.args[0]), parse_elt(args.args[1])
-        e = a + b if args.action == "add" else a * b
-        if args.json:
-            _print_json(out, gw.to_json_dict(e))
-        else:
-            out.write(display_form(e) + "\n")
-        return 0
-
-    if args.action == "specialize":
-        e = parse_elt(args.args[0])
-        sp = gw.specialize(e)
-        if args.json:
-            _print_json(out, gw.to_json_dict(sp))
-        else:
-            out.write(display_form(sp) + "\n")
-        return 0
-
-    if args.action == "transfer":
-        if not args.min_poly:
-            raise ParseError("transfer needs --min-poly")
-        g = gw.parse_poly_in_x(args.min_poly)
-        ectx = gw.FieldCtx.extension(g)
-        e = gw.parse_gw(args.args[0], ectx)
-        res = gw.transfer(g, e)
-        if args.json:
-            _print_json(out, gw.to_json_dict(res))
-        else:
-            out.write(display_form(res) + "\n")
-        return 0
-
-    if args.action == "diagonalize":
-        try:
-            rows = json.loads(args.args[0])
-            matrix = [[Fraction(str(v)) for v in row] for row in rows]
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"matrix must be a JSON array of rows: {exc}")
-        try:
-            e = gw.diagonalize(matrix, ctx)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        if args.json:
-            _print_json(out, gw.to_json_dict(e))
-        else:
-            out.write(display_form(e) + "\n")
-        return 0
-
-    raise ParseError(f"unknown gw action {args.action!r}")
+    elif not args.min_poly:
+        raise ParseError("transfer needs --min-poly")
+    else:
+        ctx = gw.FieldCtx.extension(gw.parse_poly_in_x(args.min_poly))
+    read = _read_matrix if args.action == "diagonalize" else gw.parse_gw
+    result = op(*(read(text, ctx) for text in args.args))
+    if not isinstance(result, gw.GWElement):
+        payload, text = result
+    elif args.json:
+        payload = gw.to_json_dict(result)
+    else:
+        text = display_form(result)
+    if args.json:
+        _print_json(out, payload)
+    else:
+        out.write(text + "\n")
+    return 0
 
 
 def _cmd_milnor(args, out) -> int:
@@ -435,80 +430,58 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quadratic invariants of isolated hypersurface singularities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    singular = argparse.ArgumentParser(add_help=False, parents=[common])
+    singular.add_argument("--vars", required=True, help="comma-separated variable names")
+    singular.add_argument("poly", help="polynomial expression")
+    singular.add_argument("--weights", default=None, help="comma-separated positive integers")
+    singular.add_argument("--degree", type=int, default=None)
 
-    p_gw = sub.add_parser("gw", help="Grothendieck-Witt ring arithmetic")
-    p_gw.add_argument(
-        "action",
-        choices=list(_GW_ARITY),
-    )
+    def command(name, handler, summary, parent=common):
+        p = sub.add_parser(name, parents=[parent], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_gw = command("gw", _cmd_gw, "Grothendieck-Witt ring arithmetic")
+    p_gw.add_argument("action", choices=list(_GW_ACTIONS))
     p_gw.add_argument("args", nargs="+", help="form expressions (or a JSON matrix)")
-    p_gw.add_argument("--field", default="Q", help="Q (default), Fp:<p>, or Qt")
+    p_gw.add_argument("--field", default=None, help="Q (default), Fp:<p>, or Qt")
     p_gw.add_argument("--min-poly", default=None, help="monic irreducible g(x) for transfer")
-    p_gw.add_argument("--json", action="store_true")
 
-    p_m = sub.add_parser("milnor", help="quadratic Milnor number")
-    p_m.add_argument("--vars", required=True, help="comma-separated variable names")
-    p_m.add_argument("poly", help="polynomial expression")
-    p_m.add_argument("--weights", default=None, help="comma-separated positive integers")
-    p_m.add_argument("--degree", type=int, default=None)
-    p_m.add_argument("--json", action="store_true")
+    command("milnor", _cmd_milnor, "quadratic Milnor number", singular)
+    command("conductor", _cmd_conductor, "conductor formula verification", singular)
 
-    p_c = sub.add_parser("conductor", help="conductor formula verification")
-    p_c.add_argument("--vars", required=True)
-    p_c.add_argument("poly")
-    p_c.add_argument("--weights", default=None)
-    p_c.add_argument("--degree", type=int, default=None)
-    p_c.add_argument("--json", action="store_true")
-
-    p_e = sub.add_parser("euler", help="hypersurface Euler characteristics")
+    p_e = command("euler", _cmd_euler, "hypersurface Euler characteristics")
     group = p_e.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadric", type=int, default=None, metavar="N",
                        help="chi^c of the split quadric of dimension N")
     group.add_argument("--degree", type=int, default=None)
     p_e.add_argument("--ambient", type=int, default=None, help="projective dimension N")
-    p_e.add_argument("--json", action="store_true")
 
-    p_t = sub.add_parser("monodromy", help="Tate variation and Kummer monodromy")
+    p_t = command("monodromy", _cmd_monodromy, "Tate variation and Kummer monodromy")
     group = p_t.add_mutually_exclusive_group(required=True)
     group.add_argument("--quadratic", action="store_true")
     group.add_argument("--abstract", type=int, default=None, metavar="R")
     group.add_argument("--kummer", action="store_true")
     p_t.add_argument("--dimension", type=int, default=None)
-    p_t.add_argument("--json", action="store_true")
 
-    p_b = sub.add_parser("batch", help="aggregate conductor contributions from a file")
+    p_b = command("batch", _cmd_batch, "aggregate conductor contributions from a file")
     p_b.add_argument("file")
-    p_b.add_argument("--json", action="store_true")
-
     return parser
-
-
-_DISPATCH = {
-    "gw": _cmd_gw,
-    "milnor": _cmd_milnor,
-    "conductor": _cmd_conductor,
-    "euler": _cmd_euler,
-    "monodromy": _cmd_monodromy,
-    "batch": _cmd_batch,
-}
 
 
 def run(argv, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    json_mode = getattr(args, "json", False)
     try:
-        return _DISPATCH[args.command](args, out)
-    except ParseError as exc:
-        _emit_error(out, exc, json_mode)
-        return 2
+        return args.handler(args, out)
     except QuadsingError as exc:
-        _emit_error(out, exc, json_mode)
-        return 1
+        _emit_error(out, exc, args.json)
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 def _emit_error(out, exc: QuadsingError, json_mode: bool) -> None:

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _univar as uv
 from . import poly as P
 from .ekl import SingularityInput, milnor_rank_weighted, quadratic_milnor
 from .errors import DegenerateFormError, InputDomainError
 from .euler import chi_split_quadric, euler_rank
 from .gw import (
     RATIONALS,
+    FieldCtx,
     GWElement,
     diag_form,
     diagonalize,
@@ -60,8 +62,9 @@ def conductor_multiplier(s: SingularityInput) -> int:
 
 
 def _assemble_rhs(w: int, n: int, mu: GWElement) -> GWElement:
-    wcls = diag_form([w])
-    return wcls - diag_form([1]) + (-wcls) ** n * mu
+    """<w> - <1> + (-<w>)^n * mu, over the field of mu."""
+    wcls = diag_form([w], mu.ctx)
+    return wcls - diag_form([1], mu.ctx) + (-wcls) ** n * mu
 
 
 def rhs_conductor(s: SingularityInput) -> GWElement:
@@ -254,14 +257,9 @@ def transfer_conductor_point(
     expression is formed over the extension and pushed down along the
     trace.
     """
-    from .gw import FieldCtx
-
-    ctx = FieldCtx.extension(g)
-    if milnor_form_ext.ctx != ctx:
+    if milnor_form_ext.ctx.min_poly != uv.poly(g):
+        FieldCtx.extension(g)  # a reducible g is invalid before it is a mismatch
         raise InputDomainError("the Milnor form must live over Q[x]/(g)")
     if r < 1:
         raise InputDomainError("degree must be positive")
-    rcls = GWElement(ctx, pos=[r])
-    one = GWElement(ctx, pos=[1])
-    expr = rcls - one + (-rcls) ** n * milnor_form_ext
-    return transfer(list(g), expr)
+    return transfer(g, _assemble_rhs(r, n, milnor_form_ext))

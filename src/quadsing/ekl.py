@@ -44,11 +44,11 @@ class SingularityInput:
     weights are supplied the polynomial must be quasi-homogeneous for them,
     and ``degree`` (inferred if omitted) is the common weighted degree.
     For unweighted homogeneous f, ``degree`` is the total degree, and a
-    declared degree must equal it.  The forms built from it cover every
-    critical point of f, not only the origin: they are the class at the
-    origin only when f has no other critical point (true for
-    weighted-homogeneous f), and translating another critical point to the
-    origin does not remove the rest.
+    declared degree must equal it; a declared degree is at least 1.  The
+    forms built from it cover every critical point of f, not only the
+    origin: they are the class at the origin only when f has no other
+    critical point (true for weighted-homogeneous f), and translating
+    another critical point to the origin does not remove the rest.
     """
 
     __slots__ = ("f", "var_names", "weights", "degree")
@@ -65,6 +65,8 @@ class SingularityInput:
             raise InputDomainError("variable names must match the polynomial, one or more")
         if f.constant_term() != 0:
             raise InputDomainError("f must vanish at the origin")
+        if degree is not None and int(degree) < 1:
+            raise InputDomainError(f"a declared degree must be at least 1, not {degree}")
         if weights is not None:
             weights = tuple(int(w) for w in weights)
             if len(weights) != f.nvars or any(w < 1 for w in weights):

@@ -371,11 +371,6 @@ class SquareClass:
     ctx: FieldCtx
     rep: object
 
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("square classes live over different fields")
-        return SquareClass(self.ctx, self.ctx.mul_reps(self.rep, other.rep))
-
     def __str__(self):
         return self.ctx.rep_str(self.rep)
 
@@ -773,16 +768,18 @@ def transfer(g, e: GWElement) -> GWElement:
     ``g`` is a monic irreducible polynomial given by ascending coefficients;
     ``e`` must live over the matching extension context, its classes being
     polynomial residues mod g.  Each class <c> maps to the diagonalization
-    of the Gram matrix Tr(c * x^(i+j)).
+    of the Gram matrix Tr(c * x^(i+j)).  The field of e was built from g
+    and validated then, so g is validated again only on a mismatch.
     """
-    ctx = FieldCtx.extension(g)
-    if e.ctx != ctx:
+    g = uv.poly(g)
+    if e.ctx.min_poly != g:
+        FieldCtx.extension(g)  # a reducible g is invalid before it is a mismatch
         raise ContextMismatchError("element does not live over Q[x]/(g)")
     out = GWElement.zero(RATIONALS)
     for rep in e.pos:
-        out = out + diagonalize(trace_form_gram(ctx.min_poly, rep))
+        out = out + diagonalize(trace_form_gram(g, rep))
     for rep in e.neg:
-        out = out - diagonalize(trace_form_gram(ctx.min_poly, rep))
+        out = out - diagonalize(trace_form_gram(g, rep))
     return out
 
 

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import quadsing
-from quadsing import cli
+from quadsing import cli, gw
 
 
 def _run(*argv):
@@ -205,6 +205,111 @@ def test_gw_json_validates():
     assert code == 0
     jsonschema.validate(doc, _schema("gw_element.schema.json"))
     assert doc["pos"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # once read by Fraction(str(v)) as 1000, 1/2, 1000, 2 and 1000
+        ('[["1e3"]]', ": unexpected 'e3' after expression (at position 1)"),
+        ('[["0.5"]]', ": unexpected character '.' (at position 1)"),
+        ('[["1_000"]]', ": unexpected '_000' after expression (at position 1)"),
+        ("[[0.5]]", " must be an integer or a string, not 0.5"),
+        ("[[2.0]]", " must be an integer or a string, not 2.0"),
+        # once a parse-error through Fraction("True") and Fraction("None")
+        ("[[true]]", " must be an integer or a string, not true"),
+        ("[[null]]", " must be an integer or a string, not null"),
+        # once an uncaught ZeroDivisionError
+        ('[["3/0"]]', ": division by zero (at position 1)"),
+    ],
+)
+def test_matrix_entries_outside_the_grammar_are_parse_errors(matrix, message):
+    code, doc = _run_json("gw", "diagonalize", matrix, "--json")
+    assert code == 2
+    assert doc["error"] == {
+        "code": "parse-error",
+        "message": f"matrix entry at row 0, column 0{message}",
+    }
+
+
+def test_matrix_entry_errors_name_row_and_column():
+    code, doc = _run_json("gw", "diagonalize", '[[1, 2], [2, "4/x"]]', "--json")
+    assert code == 2
+    assert doc["error"]["message"] == (
+        "matrix entry at row 1, column 1: unknown variable 'x' (at position 2)"
+    )
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    # once read as [], [[5]] and [[1, 2], [2, 1]] by iterating strings and keys
+    ["{}", '"5"', '["12", "21"]'],
+)
+def test_matrix_rows_must_be_json_arrays(matrix):
+    code, doc = _run_json("gw", "diagonalize", matrix, "--json")
+    assert code == 2
+    assert doc["error"] == {
+        "code": "parse-error",
+        "message": f"matrix must be a JSON array of rows, not {matrix}",
+    }
+
+
+@pytest.mark.parametrize(
+    "matrix, field, pos",
+    [
+        # once parse-errors: Fraction reads neither
+        ('[["2^3"]]', "Q", [2]),
+        ('[["(1+2)/3"]]', "Q", [1]),
+        ('[["2^3", 1], [1, "-(1+2)/3"]]', "Fp:5", [2, 2]),
+        # read as before
+        ('[[" 3 ", "1/2"], ["1/2", 0]]', "Q", [-3, 3]),
+    ],
+)
+def test_matrix_entries_read_in_the_one_grammar(matrix, field, pos):
+    code, doc = _run_json("gw", "diagonalize", matrix, "--field", field, "--json")
+    assert code == 0
+    assert sorted(doc["pos"]) == pos and doc["neg"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # once computed over Q(t) or Q[x]/(g), the flag ignored
+        (["gw", "specialize", "--field", "Fp:7", "<t>"], "gw specialize reads Q(t), not --field"),
+        (["gw", "specialize", "--field", "Qt", "<t>"], "gw specialize reads Q(t), not --field"),
+        (["gw", "transfer", "--field", "Q", "--min-poly", "x^2+1", "<1>"],
+         "gw transfer reads --min-poly, not --field"),
+        (["gw", "add", "--min-poly", "x^2+1", "<1>", "<2>"],
+         "gw add reads --field, not --min-poly"),
+        (["gw", "specialize", "--min-poly", "x^2+1", "<t>"],
+         "gw specialize reads Q(t), not --min-poly"),
+        (["gw", "diagonalize", "[[1]]", "--min-poly", "x"],
+         "gw diagonalize reads --field, not --min-poly"),
+    ],
+)
+def test_a_flag_the_action_does_not_read_is_a_parse_error(argv, message):
+    code, doc = _run_json(*argv, "--json")
+    assert code == 2
+    assert doc["error"] == {"code": "parse-error", "message": message}
+
+
+def test_residue_field_is_built_once(monkeypatch, tmp_path):
+    """gw transfer and each batch transfer point validate g once."""
+    calls = []
+    extension = gw.FieldCtx.extension.__func__
+
+    def counted(cls, g):
+        calls.append(g)
+        return extension(cls, g)
+
+    monkeypatch.setattr(gw.FieldCtx, "extension", classmethod(counted))
+    assert _run("gw", "transfer", "--min-poly", "x^3-2", "<1, x>")[0] == 0
+    assert len(calls) == 1
+    points = tmp_path / "points.json"
+    point = {"residue_field": "x^3-2", "milnor_form": "<1>", "degree": 2, "dimension": 1}
+    points.write_text(json.dumps([point, point]))
+    assert _run("batch", str(points))[0] == 0
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +522,40 @@ def test_degree_contradicting_f_is_invalid_input(argv):
     code, doc = _run_json(*argv, "--json")
     assert code == 1
     assert doc["error"]["code"] == "invalid-input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # once a traceback (ValueError: zero has no square class)
+        ["conductor", "--vars", "x,y", "--degree", "0", "x^2 + y^3"],
+        # once accepted, with <-3> as the conductor multiplier
+        ["conductor", "--vars", "x,y", "--degree", "-3", "x^2 + y^3"],
+        # once accepted
+        ["milnor", "--vars", "x,y", "--degree", "0", "x^2 + y^3"],
+    ],
+)
+def test_declared_degree_below_one_is_invalid_input(argv, capsys):
+    degree = argv[argv.index("--degree") + 1]
+    message = f"a declared degree must be at least 1, not {degree}"
+    code, doc = _run_json(*argv, "--json")
+    assert code == 1
+    assert doc == {"error": {"code": "invalid-input", "message": message}}
+    code, text = _run(*argv)
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error (invalid-input): {message}\n"
+
+
+def test_batch_degree_below_one_is_invalid_input(tmp_path):
+    f = tmp_path / "bad.json"
+    # once a parse-error, "malformed (zero has no square class)"
+    f.write_text(json.dumps([{"vars": ["x", "y"], "poly": "x^2 + y^3", "degree": 0}]))
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == 1
+    assert doc["error"] == {
+        "code": "invalid-input",
+        "message": "batch entry 0: a declared degree must be at least 1, not 0",
+    }
 
 
 @pytest.mark.parametrize("min_poly", ["x^2-1", "x^2-1/4", "x^2"])

@@ -6,7 +6,9 @@ its own JSON, and must not move.  The corpus holds the eleven cli-cold calls
 of perfbench/checks.py in text and in --json, and the renderers no other test
 runs to completion: Q(t) classes, per-point batch lines, the quadric cases of
 ``monodromy --abstract 2``, a successful ``gw diagonalize``, plus Unicode,
-spacing and ASCII variants of form input and output.
+spacing and ASCII variants of form input and output.  ``GW_ACTIONS`` was
+recorded later, before the gw actions moved into one table: every action over
+each field it reads, and the arity, field-label and matrix-shape errors.
 """
 
 from __future__ import annotations
@@ -137,6 +139,139 @@ RENDERERS = [
     (["milnor", "--vars", "x,y", "x^2", "--json"], 1,
      "33da632a0baef00b399d21e190fcb57110c89fc36c846e1b60a74958e4d8ff72"),
 ]
+# every gw action in text and in --json over each field it reads, and its
+# error envelopes; recorded before the actions moved into one table
+GW_ACTIONS = [
+    # add and mul over Q, F_p and Q(t)
+    (["gw", "add", "<1,2>", "<-2, 3>"], 0,
+     "58c79036c83797867fe6ddfce405c74c05c26d54b5f199875acc66478b598b71"),
+    (["gw", "add", "<1,2>", "<-2, 3>", "--json"], 0,
+     "3338147606ab92623081c77dae4ec90095f9980793dc9064ad04537a96e0b367"),
+    (["gw", "mul", "<2,-3>", "<3> - <5>"], 0,
+     "885040db7138615c17eab5a8f9aba7502aab29f7251bb4d839fc7f383405f2b7"),
+    (["gw", "mul", "<2,-3>", "<3> - <5>", "--json"], 0,
+     "dc48d4f2d96f163b00d7b3c49a6c21f59bae6e47859c4852088d8d6f51c31112"),
+    (["gw", "add", "--field", "Fp:7", "<1,3>", "<3>"], 0,
+     "0cf0cce49574b7daa33a1c74a5d826ec914a0abd3e87b11f7a587c62ac5149ea"),
+    (["gw", "add", "--field", "Fp:7", "<1,3>", "<3>", "--json"], 0,
+     "35a9d0bee83c583a8d41913da6babbc8f2e4557d770a0eda3f0210ec855b6648"),
+    (["gw", "mul", "--field", "Fp:5", "<2>", "<2,3>"], 0,
+     "4818252578b7053d36330fd32b5f63470bbee273a2a658c3908611b746e610a8"),
+    (["gw", "mul", "--field", "Fp:5", "<2>", "<2,3>", "--json"], 0,
+     "0b0a68f63b29d179e753469a732ccd953150e16e4d3e2e3eef5c468f7ac202cf"),
+    (["gw", "mul", "--field", "Qt", "<-t^2/3>", "< 1/2 - t , t^3 >"], 0,
+     "dd3435dd1fd165adf693ae80b173fdb5afa060393c18e43e655831144c0c8cea"),
+    (["gw", "mul", "--field", "Qt", "<-t^2/3>", "< 1/2 - t , t^3 >", "--json"], 1,
+     "74baf12d3006dfb5ed9ff2fd08cdfde860c432752fc3635aa98354932859f495"),
+    # transfer along g of degree 1, 2 and 3
+    (["gw", "transfer", "--min-poly", "x-3", "<x, 2>"], 0,
+     "48f7e4e2fc0f1bb98be3925c921b6eed3152472e6835108b72df85dcaae9ea63"),
+    (["gw", "transfer", "--min-poly", "x-3", "<x, 2>", "--json"], 0,
+     "4d8094673100ad108d14aa1c63835dba2d5e7ed59f2a588cb36989e6f77eda6b"),
+    (["gw", "transfer", "--min-poly", "x^2-2", "<1, x>"], 0,
+     "4d64d422fe75ac763c5d5c9197f0e645f0c7658e1d85dedfec5f26c2df18c833"),
+    (["gw", "transfer", "--min-poly", "x^2-2", "<1, x>", "--json"], 0,
+     "528bf573347ab8a8659ad67a2909b23c8a52a394bdc18c5a6781a652999f7ba3"),
+    (["gw", "transfer", "--min-poly", "x^3-x-1", "<1> - <x>"], 0,
+     "1b3a8aa67fef6f58be15106d8d5911bdb89434ba30bd38df3f2f7dd87a0bbd52"),
+    (["gw", "transfer", "--min-poly", "x^3-x-1", "<1> - <x>", "--json"], 0,
+     "2fac025e97cc65c59eb959d51baf26929f7654c16830f9244fac4332982d505e"),
+    # diagonalize over Q and F_p, zero diagonals and the empty matrix included
+    (["gw", "diagonalize", "[[0,1],[1,0]]"], 0,
+     "5f5e600d39cfcd7a00e1658b1033670ad3089cd7698a5e4b8fa3e5b1371419b5"),
+    (["gw", "diagonalize", "[[0,1],[1,0]]", "--json"], 0,
+     "5965f2dfaa007a030a0ae73489b3bae5542e730b9804194c6f65be1304da4007"),
+    (["gw", "diagonalize", "[[0,1],[1,0]]", "--field", "Fp:7"], 0,
+     "7c6a31fe9f74ecb30717d73e22635d7787d24dc90bd172aced5dd6d6fb10b276"),
+    (["gw", "diagonalize", "[[0,1],[1,0]]", "--field", "Fp:7", "--json"], 0,
+     "0696f88e9619d2d005cb668432d9ce0c17a2279bb44500eca40de083bb9c2605"),
+    (["gw", "diagonalize", "[[0,3,1],[3,0,2],[1,2,0]]", "--field", "Fp:5"], 0,
+     "75a91742171c74eae6ad03bb8550458d8abdec7e4d07bb7c47d59dc78e3410fb"),
+    (["gw", "diagonalize", "[[0,3,1],[3,0,2],[1,2,0]]", "--field", "Fp:5", "--json"], 0,
+     "07c91cd923c311b2be366c53901a9465a9943d6b5cf9ea3587b950bcb2dd1161"),
+    (["gw", "diagonalize", "[[\"-1/2\",\"3\"],[3,\" 2 \"]]"], 0,
+     "a726a055381db4901ec91ce23c2eee1648dd61cf48565ed70a7f709659604f4c"),
+    (["gw", "diagonalize", "[[\"-1/2\",\"3\"],[3,\" 2 \"]]", "--json"], 0,
+     "407133b70aac9a1e9c3606132b30ebc6a7e6feff737cb0d038765c27da6a0876"),
+    (["gw", "diagonalize", "[]"], 0,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (["gw", "diagonalize", "[]", "--json"], 0,
+     "d6b9276382e1c8247efed7bd8ef480d0daea4f7de0a2da21efef267bd37d8239"),
+    # invariants, equal and specialize over the fields they read
+    (["gw", "invariants", "--field", "Fp:5", "<2,3>"], 0,
+     "3c238a8254303e4f61b930f924b411c3a3455ea007ee77fb0512796cf5bc265a"),
+    (["gw", "invariants", "--field", "Fp:5", "<2,3>", "--json"], 0,
+     "df3bb3c0c0bda6340b1c20d64c8ada77f2ea894fc18833ede91b4b7e1f611057"),
+    (["gw", "invariants", "<-6, 10> - <15>"], 0,
+     "603cbb5365eb20fb1ca679f71866ca25d3af227cb273b27955f0445255aca6a3"),
+    (["gw", "invariants", "<-6, 10> - <15>", "--json"], 0,
+     "45450815b475765d59af35f89633b694a551ceb87a814fda4606a83e91d5a4b1"),
+    (["gw", "equal", "--field", "Fp:7", "<1,1>", "<3,5>"], 0,
+     "84dbbf3449afa8aef5aa604e2b55b4f8624986ac2b980e7b9289702a8b5e3d53"),
+    (["gw", "equal", "--field", "Fp:7", "<1,1>", "<3,5>", "--json"], 0,
+     "d9115dc79df0418b8037c3010e58ef04bc222dc5872c5d0a9de52824266ef747"),
+    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>", "--json"], 1,
+     "34276d103e86226676a7977e07b65c131eb208997a82a8775320f62f13f57eb7"),
+    (["gw", "invariants", "--field", "Qt", "<t>"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "invariants", "--field", "Qt", "<t>", "--json"], 1,
+     "adb5fd85621b04d169775f0907f09ba83f155e7a5faa8ccd3c4ae410f5a9328c"),
+    (["gw", "specialize", "<-2*(1+t)> - <t^2/5>"], 0,
+     "30ea96e548675552f7cd8aadc70132793f690676b9f43dc3487b81201d853ef0"),
+    (["gw", "specialize", "<-2*(1+t)> - <t^2/5>", "--json"], 0,
+     "5c42913071f4ab5cd8984e2ead0bc997e1dba71851c8eab54066046d5ae72a1a"),
+    # arity, field-label and matrix-shape errors
+    (["gw", "add", "<1>"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "add", "<1>", "--json"], 2,
+     "a94af9f1c9e0e98fd7ecc1f807c15c708f8ad1b3f6b44c80330c9f3d1984fb48"),
+    (["gw", "equal", "<1>", "<1>", "<2>"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "equal", "<1>", "<1>", "<2>", "--json"], 2,
+     "f45fe2544c41c2ddfba0362a67757ec334d47d3a2564429ef7a536b7deff88a6"),
+    (["gw", "diagonalize", "[[1]]", "[[2]]"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "[[1]]", "[[2]]", "--json"], 2,
+     "e26ae3f0b6beff77f4cf28f50b904809d8aca82dc048d3972082e7f847eac71d"),
+    (["gw", "transfer", "<1>"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "transfer", "<1>", "--json"], 2,
+     "c70f55cc568a859e04085be21d480481ee1950e2754c0485ec4efc14db4808ec"),
+    (["gw", "invariants", "<1>", "--field", "R"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "invariants", "<1>", "--field", "R", "--json"], 2,
+     "c8a4a03092b2ed4bcf27c02e3a12ec5f95db0d787dfa3be8b36582b4eba89ccf"),
+    (["gw", "invariants", "<1>", "--field", "Fp:x"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "invariants", "<1>", "--field", "Fp:x", "--json"], 2,
+     "979af192bd05f2089a3be021513d61b87142adf3defcefe1a195ea738fffda29"),
+    (["gw", "add", "<1>", "<2>", "--field", "Fp:9"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "add", "<1>", "<2>", "--field", "Fp:9", "--json"], 2,
+     "13735d58c78ce66953a11f2ce425875f5c7269fb39159a9813525e9744bd86c0"),
+    (["gw", "diagonalize", "[[1,2],[2]]"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "[[1,2],[2]]", "--json"], 2,
+     "6f2c16e84bfc4c9c0e2769f4523198773c035446662181473db25c447b0f17cf"),
+    (["gw", "diagonalize", "[[1,2],[3,4]]"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "[[1,2],[3,4]]", "--json"], 2,
+     "812b55f3b2fdc6538a5615d1f904f438cbdea35e12f08d00e573fd780c0a20b5"),
+    (["gw", "diagonalize", "not json"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "not json", "--json"], 2,
+     "9f11c1ce223a895e8bea17a0c628cd1a8d6a8a6c7497b37966cea2aa8e86b9d3"),
+    (["gw", "diagonalize", "[[1,2],[2,4]]"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "[[1,2],[2,4]]", "--json"], 1,
+     "2361ef8330110ece5348ce3b5e3ebd3732c820130695e3a8806c3238208b7d17"),
+    (["gw", "diagonalize", "[[0,0],[0,0]]", "--field", "Fp:3"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["gw", "diagonalize", "[[0,0],[0,0]]", "--field", "Fp:3", "--json"], 1,
+     "e8035fdece3383db9ea63237041258be4163ce0843ed9495a507e02d46726769"),
+]
 # run with QUADSING_ASCII=1
 ASCII = [
     (["gw", "add", "<1,2>", "<-2>"], 0,
@@ -145,7 +280,7 @@ ASCII = [
      "75082086d235d21f3a611e720709f52f20d0c6b6c1d550d7f013c9eae18fa5ac"),
 ]
 
-CORPUS = [(*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS]
+CORPUS = [(*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS]
 CORPUS += [(*call, True) for call in ASCII]
 
 

@@ -215,6 +215,21 @@ def test_transfer_point_gaussian():
     assert gw.is_equal(out, -_form(2) - _form(-2))
 
 
+def test_transfer_point_errors_keep_their_codes():
+    from quadsing._univar import poly as uv_poly
+    from quadsing.errors import InvalidExtensionError
+
+    g = uv_poly([1, 0, 1])  # x^2 + 1
+    mu = gw.diag_form([1], gw.FieldCtx.extension(g))
+    with pytest.raises(InputDomainError, match="degree must be positive"):
+        cond.transfer_conductor_point(g, mu, 0, 1)
+    with pytest.raises(InputDomainError, match="must live over"):
+        cond.transfer_conductor_point(uv_poly([2, 0, 1]), mu, 2, 1)
+    # a reducible g is reported before the mismatch and before the degree
+    with pytest.raises(InvalidExtensionError):
+        cond.transfer_conductor_point(uv_poly([-1, 0, 1]), mu, 0, 1)
+
+
 def test_multi_point_additivity():
     """Two rational double points contribute twice the single value."""
     one = cond.rhs_conductor(_sing("x^2 - y^2"))

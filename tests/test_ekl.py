@@ -324,6 +324,15 @@ def test_declared_degree_of_homogeneous_f_is_checked():
     assert ekl.singularity("x^2 - y^3", XY, degree=6).degree == 6
 
 
+@pytest.mark.parametrize("degree", [0, -3])
+@pytest.mark.parametrize(
+    "src, weights", [("x^2 - y^3", None), ("x^2 - y^3", (3, 2)), ("x^2 - y^2", None)]
+)
+def test_declared_degree_is_at_least_one(src, weights, degree):
+    with pytest.raises(InputDomainError, match="at least 1"):
+        ekl.singularity(src, XY, weights=weights, degree=degree)
+
+
 def test_degree_inference():
     assert ekl.singularity("x^2 - y^3", XY, weights=(3, 2)).degree == 6
     assert ekl.singularity("x^2 - y^2", XY).degree == 2

@@ -418,6 +418,17 @@ def test_transfer_rejects_reducible_polynomial():
         gw.transfer(uv_poly([-1, 0, 1]), _form(1))
 
 
+def test_transfer_checks_the_field_of_its_element():
+    g = uv_poly([1, 0, 1])  # x^2 + 1
+    e = gw.diag_form([1], gw.FieldCtx.extension(uv_poly([-2, 0, 1])))
+    with pytest.raises(ContextMismatchError):
+        gw.transfer(g, e)
+    with pytest.raises(ContextMismatchError):
+        gw.transfer(g, _form(1))
+    # the field of e is the one built from g, so g is not validated again
+    assert gw.transfer([1, 0, 1], gw.diag_form([1], gw.FieldCtx.extension(g))) == _form(2, -2)
+
+
 def _refuses(g) -> bool:
     try:
         gw.FieldCtx.extension(g)
