@@ -424,14 +424,33 @@ def _cmd_batch(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A usage error argparse found, raised in place of its exit."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _json_option() -> argparse.ArgumentParser:
+    """The parent parser of the --json option that every subcommand takes."""
+    common = _Parser(add_help=False)
+    common.add_argument("--json", action="store_true")
+    return common
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadsing",
         description="Quadratic invariants of isolated hypersurface singularities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true")
+    common = _json_option()
     singular = argparse.ArgumentParser(add_help=False, parents=[common])
     singular.add_argument("--vars", required=True, help="comma-separated variable names")
     singular.add_argument("poly", help="polynomial expression")
@@ -445,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gw = command("gw", _cmd_gw, "Grothendieck-Witt ring arithmetic")
     p_gw.add_argument("action", choices=list(_GW_ACTIONS))
-    p_gw.add_argument("args", nargs="+", help="form expressions (or a JSON matrix)")
+    p_gw.add_argument("args", nargs="*", help="form expressions (or a JSON matrix)")
     p_gw.add_argument("--field", default=None, help="Q (default), Fp:<p>, or Qt")
     p_gw.add_argument("--min-poly", default=None, help="monic irreducible g(x) for transfer")
 
@@ -471,17 +490,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """parse_args, except that every word after the gw action that is not an
+    option is one of its arguments: argparse gives an nargs="*" positional
+    only the words before the first option that interrupts it."""
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if args.command == "gw":
+        args.args += [w for w in extras if not _is_option(w)]
+        extras = [w for w in extras if _is_option(w)]
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _is_option(word: str) -> bool:
+    """How argparse reads a word that matches none of its options: as an
+    option when it starts with '-', unless it is '-' or holds a space (as
+    the form '-<1> + <2>' does)."""
+    return word.startswith("-") and len(word) > 1 and " " not in word
+
+
 def run(argv, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+        args = _parse_args(argv)
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2
+    except _UsageError as exc:
+        if _json_requested(argv):
+            _emit_error(out, ParseError(str(exc)), True)
+        else:
+            exc.parser.print_usage(sys.stderr)
+            print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args, out)
     except QuadsingError as exc:
         _emit_error(out, exc, args.json)
         return 2 if isinstance(exc, ParseError) else 1
+
+
+def _json_requested(argv) -> bool:
+    """Whether argv asks for --json, read by the option alone, so that a
+    usage error elsewhere in argv still gets its JSON envelope."""
+    try:
+        return _json_option().parse_known_args(argv)[0].json
+    except _UsageError:
+        return False
 
 
 def _emit_error(out, exc: QuadsingError, json_mode: bool) -> None:

@@ -1,10 +1,9 @@
 """The quadratic Milnor number via the Scheja-Storch bilinear form.
 
 Given a polynomial f over Q with f(0) = 0 and isolated critical points, the
-Bezoutian of the partial derivatives is reduced modulo the Jacobian ideal J
-in its X-block and Y-block separately.  Reading off the coefficients over
-the standard-monomial basis of Q[x]/J gives a symmetric Gram matrix, and
-its class in GW(Q) is what this module computes.
+Scheja-Storch form is a symmetric bilinear form on the Jacobian ring
+Q[x]/J, written as a Gram matrix over the standard-monomial basis, and its
+class in GW(Q) is what this module computes.
 
 The form is taken over all of Q[x]/J, so the class is the sum of the local
 classes over every critical point of f.  It is the quadratic Milnor number
@@ -15,15 +14,24 @@ for weighted-homogeneous f the Jacobian Hilbert series reproduces
 independently.
 
 For f quasi-homogeneous with declared weights, or homogeneous, Q[x]/J is
-graded and the form pairs the piece of weighted degree e only with the piece
-of degree s - e, s the socle degree.  So every pair of pieces off the middle
-is hyperbolic, and only the middle piece of degree s/2 is diagonalized; its
-diagonal representatives are the ones printed.  Any other input is a single
-piece, and its whole Gram matrix is diagonalized.
+graded with a one-dimensional top piece A_s, s the socle degree, which the
+Hessian det(d^2 f) spans.  The linear form phi that vanishes below degree s
+and has phi(Hess) = mu is then the Scheja-Storch functional, and the Gram
+matrix is the inverse of the matrix of phi(b_i * b_j) (Scheja and Storch,
+1975; Kass and Wickelgren, arXiv:1608.05669).  That matrix pairs the piece
+of weighted degree e only with the piece of degree s - e, so it is inverted
+pair of pieces by pair of pieces.  Every pair off the middle is
+hyperbolic, and only the middle piece of degree s/2 is diagonalized; its
+diagonal representatives are the ones printed.
+
+Any other input is a single piece with no unique functional.  Its Gram
+matrix is read off the Bezoutian of the partials, reduced modulo J in its
+X-block and Y-block separately, and diagonalized whole.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +42,7 @@ from .errors import (
     InputDomainError,
     NotIsolatedError,
 )
-from .gw import GWElement, RATIONALS, congruence_pivots, diagonalize
+from .gw import GWElement, RATIONALS, diagonalize
 
 
 class SingularityInput:
@@ -265,26 +273,32 @@ class BilinearForm:
 def ss_form(s: SingularityInput) -> BilinearForm:
     """The Scheja-Storch form on the whole Jacobian ring Q[x]/J.
 
-    Reduces the Bezoutian of the partials modulo the Jacobian ideal in the
-    X and Y blocks separately and reads off the Gram matrix over the
-    standard-monomial basis.  Its class is the sum over every critical point
-    of f, which is the local class at the origin only when the origin is the
-    only critical point (x^3 - x gives rank 2; its local class at the origin
-    is 0).  A non-isolated singularity (infinite Jacobian quotient) raises
-    NotIsolatedError; a degenerate Gram matrix cannot occur for an isolated
-    singularity and raises DegenerateFormError if it does.
+    The Gram matrix is over the standard-monomial basis of Q[x]/J.  Its
+    class is the sum over every critical point of f, which is the local
+    class at the origin only when the origin is the only critical point
+    (x^3 - x gives rank 2; its local class at the origin is 0).  A
+    non-isolated singularity (infinite Jacobian quotient) raises
+    NotIsolatedError.
 
-    The class is assembled piece by piece of the grading of
-    ``SingularityInput.grading``.  With weights w_i and degree r the ring
-    splits into pieces A_e of weighted degree e, and the form pairs A_e only
-    with A_(s-e), where s = sum_i (r - 2*w_i) is the socle degree.  Every
-    pair of pieces with e < s/2 is a hyperbolic space, dim A_e copies of
-    <1> + <-1>; its block is only checked to be nonsingular, by congruence
-    pivots without square classes.  Only the middle piece A_(s/2) is
-    diagonalized.  An ungraded input has a single piece of degree 0, which
-    is the whole ring.  A nonzero entry that pairs degrees not summing to s,
-    like an asymmetric entry, raises AssertionError, and so does a class
-    whose rank is not the dimension of the Jacobian ring.
+    With the grading of ``SingularityInput.grading``, weights w_i and degree
+    r, the ring splits into pieces A_e of weighted degree e, and the top
+    piece A_s, s = sum_i (r - 2*w_i), is spanned by one standard monomial
+    sigma.  The normal form of Hess = det(d^2 f) lies in A_s, and phi(sigma)
+    is set so that phi(Hess) = mu, the dimension of the ring.  For each pair
+    of pieces (A_e, A_(s-e)) with 2e <= s only the block G of phi(b_i * b_j)
+    is formed and inverted exactly; the Gram matrix holds G^-T in the
+    (A_e, A_(s-e)) block, G^-1 in its transpose, and zero everywhere else,
+    which is the Bezoutian's matrix entry for entry.  Every pair with
+    e < s/2 adds dim A_e copies of <1> + <-1>, and only the inverse of the
+    middle block of A_(s/2) is diagonalized.  A normal form of Hess that is
+    zero or leaves A_s, a singular block, or a class whose rank is not the
+    dimension of the ring raises AssertionError.
+
+    An ungraded input is a single piece: the Bezoutian of the partials is
+    reduced modulo J in the X and Y blocks separately, its symmetry is
+    asserted, and the whole Gram matrix is diagonalized; a degenerate one
+    cannot occur for an isolated singularity and raises DegenerateFormError
+    if it does.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -298,10 +312,110 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     if d == 0:
         return BilinearForm((), (), GWElement.zero(RATIONALS))
 
-    m = s.nvars
-    bez = bezoutian(gs)
+    weights, r = s.grading()
+    if any(weights):
+        gram, gw = _graded_form(gs, quotient, weights, r)
+    else:
+        gram, gw = _bezoutian_form(gs, quotient)
+    if gw.rank != d:
+        raise AssertionError("rank of the quadratic Milnor number must equal dim J")
+    rows = tuple(tuple(row) for row in gram)
+    return BilinearForm(quotient.standard_monomials, rows, gw)
+
+
+def _hessian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
+    """det(d g_i / d x_j) for the partials g_i of f: the Hessian of f."""
+    return _det([[g.diff(j) for j in range(len(gs))] for g in gs], len(gs))
+
+
+def _inverse(block: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The exact inverse of a square matrix over Q; a singular or non-square
+    block raises AssertionError.
+
+    The block is scaled to integers by the lcm L of its denominators and
+    reduced by fraction-free Gauss-Jordan elimination: each step replaces
+    every other row by (pivot * row - entry * pivot row) / previous pivot, a
+    division that is exact because every entry is then a minor of the
+    augmented matrix (Bareiss, Math. Comp. 1968).  That ends in det * I
+    beside det * M^-1, so the inverse is L * (right half) / det.
+    """
+    k = len(block)
+    if any(len(row) != k for row in block):
+        raise AssertionError("a pairing block of the Scheja-Storch form is not square; this is a bug")
+    scale = math.lcm(*(v.denominator for row in block for v in row))
+    rows = [
+        [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in range(k)]
+        for i, row in enumerate(block)
+    ]
+    previous = 1
+    for c in range(k):
+        p = next((i for i in range(c, k) if rows[i][c]), None)
+        if p is None:
+            raise AssertionError("a pairing block of the Scheja-Storch form is singular; this is a bug")
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        head = pivot[c]
+        for i, row in enumerate(rows):
+            if i != c:
+                f = row[c]
+                rows[i] = [(head * a - f * b) // previous for a, b in zip(row, pivot)]
+        previous = head
+    return [[Fraction(scale * v, previous) for v in row[k:]] for row in rows]
+
+
+def _graded_form(gs, quotient, weights, r):
+    """Gram matrix and class of a graded Jacobian ring, from the socle
+    functional (see ``ss_form``)."""
+    standard = quotient.standard_monomials
+    d = len(standard)
+    socle = sum(r - 2 * w for w in weights)
+    pieces: dict[int, list[int]] = {}
+    for i, b in enumerate(standard):
+        pieces.setdefault(P.weighted_degree(b, weights), []).append(i)
+
+    hess: dict[int, Fraction] = {}
+    for exps, c in _hessian(gs).terms.items():
+        for k, a in quotient.nf_vector(exps).items():
+            hess[k] = hess.get(k, 0) + c * a
+    support = [k for k, v in hess.items() if v]
+    if len(pieces.get(socle, ())) != 1 or support != pieces[socle]:
+        raise AssertionError(
+            "the Hessian's normal form must span the one-dimensional top piece; this is a bug"
+        )
+    sigma = support[0]
+    phi = Fraction(d) / hess[sigma]
+
     gram = [[Fraction(0)] * d for _ in range(d)]
-    for exps, c in bez.terms.items():
+    hyperbolic, middle = 0, None
+    for e, rows in pieces.items():
+        if 2 * e > socle:
+            continue
+        cols = pieces.get(socle - e, [])
+        inverse = _inverse([
+            [phi * quotient.nf_vector(P.mono_mul(standard[i], standard[j])).get(sigma, 0)
+             for j in cols]
+            for i in rows
+        ])
+        for a, i in enumerate(rows):
+            for b, j in enumerate(cols):
+                gram[i][j] = gram[j][i] = inverse[b][a]
+        if 2 * e < socle:
+            hyperbolic += len(rows)
+        else:  # rows == cols, and the inverse of a symmetric block is symmetric
+            middle = inverse
+    gw = GWElement(RATIONALS, pos=(1, -1) * hyperbolic)
+    if middle is not None:
+        gw = gw + diagonalize(middle)
+    return gram, gw
+
+
+def _bezoutian_form(gs, quotient):
+    """Gram matrix and class of an ungraded Jacobian ring, read off the
+    Bezoutian (see ``ss_form``)."""
+    d = quotient.dimension
+    m = len(gs)
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for exps, c in bezoutian(gs).terms.items():
         alpha, beta = exps[:m], exps[m:]
         vx = quotient.nf_vector(alpha)
         if not vx:
@@ -311,37 +425,11 @@ def ss_form(s: SingularityInput) -> BilinearForm:
             ca = c * a
             for l, b in vy.items():
                 gram[k][l] += ca * b
-
-    weights, r = s.grading()
-    socle = sum(r - 2 * w for w in weights)
-    degree = [P.weighted_degree(b, weights) for b in quotient.standard_monomials]
     for i in range(d):
-        partner = socle - degree[i]
-        for j in range(i, d):
-            v = gram[i][j]
-            if v != gram[j][i]:
+        for j in range(i + 1, d):
+            if gram[i][j] != gram[j][i]:
                 raise AssertionError("Scheja-Storch Gram matrix is not symmetric; this is a bug")
-            if degree[j] != partner and v:
-                raise AssertionError("Scheja-Storch Gram matrix is not graded; this is a bug")
-    pieces: dict[int, list[int]] = {}
-    for i, e in enumerate(degree):
-        pieces.setdefault(e, []).append(i)
-
-    def block(indices):
-        return [[gram[i][j] for j in indices] for i in indices]
-
-    hyperbolic = 0
-    for e, indices in pieces.items():
-        if 2 * e < socle:
-            congruence_pivots(block(indices + pieces.get(socle - e, [])))
-            hyperbolic += len(indices)
-    gw = GWElement(RATIONALS, pos=(1, -1) * hyperbolic)
-    if socle % 2 == 0 and socle // 2 in pieces:
-        gw = gw + diagonalize(block(pieces[socle // 2]))
-    if gw.rank != d:
-        raise AssertionError("rank of the quadratic Milnor number must equal dim J")
-    rows = tuple(tuple(row) for row in gram)
-    return BilinearForm(quotient.standard_monomials, rows, gw)
+    return gram, diagonalize(gram)
 
 
 def quadratic_milnor(s: SingularityInput) -> GWElement:

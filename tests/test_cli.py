@@ -449,6 +449,42 @@ def test_gw_actions_take_exactly_their_arguments(argv, message):
     assert doc["error"] == {"code": "parse-error", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["conductor", "--vars", "x,y", "--degree", "abc", "x^2", "--json"],
+         "argument --degree: invalid int value: 'abc'"),
+        (["gw", "frob", "<1>", "--json"], "argument action: invalid choice: 'frob'"),
+        (["gw", "specialize", "--json"], "gw specialize takes 1 argument, got 0"),
+        # an abbreviated --json still asks for the envelope
+        (["milnor", "--js", "--vars", "x,y"], "the following arguments are required: poly"),
+    ],
+)
+def test_usage_errors_under_json_get_the_error_envelope(argv, message, capsys):
+    """These once exited 2 with empty stdout and argparse's usage on stderr."""
+    code, doc = _run_json(*argv)
+    assert code == 2
+    assert doc["error"]["code"] == "parse-error"
+    assert doc["error"]["message"].startswith(message)
+    assert capsys.readouterr().err == ""
+
+
+def test_gw_arguments_may_sit_on_both_sides_of_an_option(capsys):
+    assert _run("gw", "equal", "<2>", "--field", "Fp:7", "<8>") == (0, "equal: true\n")
+    assert _run("gw", "add", "--field", "Q", "-<1> + <2>", "<1>")[0] == 0
+    code, text = _run("gw", "invariants", "--bogus", "<1>")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.endswith("quadsing: error: unrecognized arguments: --bogus\n")
+
+
+def test_usage_errors_in_text_mode_print_the_usage(capsys):
+    code, text = _run("conductor", "--vars", "x,y", "--degree", "abc", "x^2")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quadsing conductor ")
+    assert err.endswith("quadsing conductor: error: argument --degree: invalid int value: 'abc'\n")
+
+
 def test_index_error_inside_the_library_is_not_a_missing_argument(monkeypatch):
     def broken(a, b):
         raise IndexError("list index out of range")

@@ -8,6 +8,7 @@ groebner for the quotient, Berkowitz determinants) before being frozen.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -530,3 +531,178 @@ def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
     assert seen == sizes
     assert basis_known and not divisions
     assert bf.gw.rank == bf.dimension
+
+
+# ---------------------------------------------------------------------------
+# the socle functional against the Bezoutian
+# ---------------------------------------------------------------------------
+
+
+def _bezoutian_oracle(s):
+    """The graded form read off the Bezoutian: its coefficients reduced
+    modulo J in the X and Y blocks give the Gram matrix, every piece below
+    the middle adds a hyperbolic plane per basis element, and the middle
+    block is diagonalized."""
+    gs = P.partials(s.f)
+    quotient = P.groebner(gs)
+    m, d = s.nvars, quotient.dimension
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for exps, c in ekl.bezoutian(gs).terms.items():
+        for k, a in quotient.nf_vector(exps[:m]).items():
+            for l, b in quotient.nf_vector(exps[m:]).items():
+                gram[k][l] += c * a * b
+    weights, r = s.grading()
+    socle = sum(r - 2 * w for w in weights)
+    degree = [P.weighted_degree(b, weights) for b in quotient.standard_monomials]
+    for i, j in itertools.product(range(d), repeat=2):
+        assert gram[i][j] == gram[j][i]
+        assert degree[i] + degree[j] == socle or gram[i][j] == 0
+    middle = [i for i, e in enumerate(degree) if 2 * e == socle]
+    form = gw.GWElement(gw.RATIONALS, pos=(1, -1) * sum(2 * e < socle for e in degree))
+    if middle:
+        form = form + gw.diagonalize([[gram[i][j] for j in middle] for i in middle])
+    return gram, form
+
+
+def _assert_matches_bezoutian(s):
+    bf = ekl.ss_form(s)
+    gram, form = _bezoutian_oracle(s)
+    assert bf.gram == tuple(tuple(row) for row in gram)
+    as_json = lambda rows: json.dumps([[gw.json_rational(v) for v in row] for row in rows])
+    assert as_json(bf.gram) == as_json(gram)
+    assert (bf.gw.pos, bf.gw.neg) == (form.pos, form.neg)
+
+
+_Q4 = (
+    "-x^4 - 5*x^3*y - 4*x^2*y^2 + 5*x*y^3 + y^4 + 2*x^3*z - 2*x^2*y*z + 2*x*y^2*z - y^3*z"
+    " + x^2*z^2 + 2*x*y*z^2 - 4*y^2*z^2 + 2*x*z^3 + 4*y*z^3 - z^4"
+)
+_C4 = (
+    "2*x^3 + 2*x^2*y + x*y^2 + y^3 - 5*x^2*z + x*y*z + 5*y^2*z + 2*x*z^2 + 2*y*z^2 + 3*z^3"
+    " + 4*x^2*w - 5*x*y*w + 2*y^2*w - 4*x*z*w + 2*y*z*w - 4*z^2*w - 2*x*w^2 - 4*y*w^2"
+    " + 4*z*w^2 + w^3"
+)
+
+
+@pytest.mark.parametrize(
+    "src, names, weights",
+    [
+        (_Q4, XYZ, None),
+        (_C4, ("x", "y", "z", "w"), None),
+        ("x^2 - y^2 + z^2", XYZ, None),  # Morse: socle degree 0
+        ("x^3 + y^3 + z^3", XYZ, None),  # socle degree 3 is odd
+        (_CUBIC, XYZ, None),
+        ("5*x^4", ("x",), None),
+        ("x^25 + y^25", XY, None),
+        ("x^12 - 2*y^13", XY, (13, 12)),
+        ("3*x^4 + 5*y^5 - 2*z^6 + 7*w^7", ("x", "y", "z", "w"), (105, 84, 70, 60)),
+        ("x^3 + y^4", XY, (4, 3)),  # E6
+        ("x^2*y + y^4", XY, (3, 2)),  # D5
+        ("x^3 + x*y^3", XY, (3, 2)),  # E7
+        ("x^3*y + y^5", XY, (4, 3)),
+        # sparse forms whose pairing blocks are not symmetric matrices, so
+        # that G^-T and G^-1 differ
+        ("x^5 + y^5 + x^2*y^3", XY, None),
+        ("x^3 + y^3 + z^3 + x^2*y", XYZ, None),
+    ],
+)
+def test_graded_form_matches_the_bezoutian(src, names, weights):
+    _assert_matches_bezoutian(ekl.singularity(src, names, weights))
+
+
+def _seeded_dense_form(seed, names, degree):
+    """A dense form with coefficients in [-3, 3] and an isolated singularity."""
+    rng = random.Random(seed)
+    size = math.comb(degree + len(names) - 1, len(names) - 1)
+    while True:
+        f = _dense_form(names, degree, [rng.randint(-3, 3) for _ in range(size)])
+        if not f.is_zero() and _isolated(f):
+            return f
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("names, degree", [(XY, 8), (XY, 7), (XYZ, 3)])
+def test_dense_graded_form_matches_the_bezoutian(seed, names, degree):
+    f = _seeded_dense_form(seed, names, degree)
+    _assert_matches_bezoutian(ekl.SingularityInput(f, names))
+
+
+@st.composite
+def _binary_forms(draw):
+    degree = draw(st.integers(3, 6))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
+    f = _dense_form(XY, degree, coeffs)
+    assume(not f.is_zero() and _isolated(f))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(_binary_forms())
+def test_random_binary_form_matches_the_bezoutian(f):
+    _assert_matches_bezoutian(ekl.SingularityInput(f, XY))
+
+
+def test_only_ungraded_input_builds_the_bezoutian(monkeypatch):
+    calls = []
+    real = ekl.bezoutian
+
+    def bezoutian(gs):
+        calls.append(len(gs))
+        return real(gs)
+
+    monkeypatch.setattr(ekl, "bezoutian", bezoutian)
+    ekl.ss_form(ekl.singularity(_OCTIC, XY))
+    ekl.ss_form(ekl.singularity("x^2 - y^3", XY, weights=(3, 2)))
+    assert calls == []
+    ekl.ss_form(ekl.singularity("x^2 - y^3", XY))
+    assert calls == [2]
+
+
+@pytest.mark.parametrize(
+    "hessian",
+    [
+        lambda h: h * 0,  # zero
+        lambda h: P.Polynomial.constant(h.nvars, 1),  # in A_0, not A_s
+        lambda h: h + 1,  # in A_s plus a part in A_0
+    ],
+)
+def test_hessian_off_the_socle_is_a_bug(monkeypatch, hessian):
+    real = ekl._hessian
+    monkeypatch.setattr(ekl, "_hessian", lambda gs: hessian(real(gs)))
+    with pytest.raises(AssertionError, match="Hessian"):
+        ekl.ss_form(ekl.singularity("x^3 + y^3", XY))
+
+
+@pytest.mark.parametrize(
+    "src, socle, doctored",
+    [
+        # the middle block of A_1: x*x and y*y made equal to x*y
+        ("x^3 + y^3", (1, 1), [(2, 0), (0, 2)]),
+        # the block pairing A_1 with A_3: x*x^2*y and y*x*y^2 made equal to x^2*y^2
+        ("x^4 + y^4", (2, 2), [(3, 1), (1, 3)]),
+    ],
+)
+def test_singular_pairing_block_is_a_bug(monkeypatch, src, socle, doctored):
+    """Products whose normal form is zero are given the socle's normal form,
+    so that two rows of one block become equal; the Hessian's own normal
+    form is left as it is."""
+    f = P.parse(src, XY)
+    sigma = P.groebner(P.partials(f)).standard_monomials.index(socle)
+    real = P.QuotientBasis.nf_vector
+
+    def nf_vector(self, exps):
+        return {sigma: Fraction(1)} if tuple(exps) in doctored else real(self, exps)
+
+    monkeypatch.setattr(P.QuotientBasis, "nf_vector", nf_vector)
+    with pytest.raises(AssertionError, match="singular"):
+        ekl.ss_form(ekl.SingularityInput(f, XY))
+
+
+def test_exact_inverse():
+    block = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+    inverse = ekl._inverse(block)
+    assert inverse == [[Fraction(-1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(0)]]
+    with pytest.raises(AssertionError, match="singular"):
+        ekl._inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    with pytest.raises(AssertionError, match="not square"):
+        ekl._inverse([[Fraction(1), Fraction(2)]])
