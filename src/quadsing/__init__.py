@@ -50,14 +50,11 @@ from .errors import (
     UnsupportedInvariantError,
 )
 from .euler import (
-    HodgeTable,
     chi_split_quadric,
     euler_rank,
     primitive_hodge,
 )
 from .gw import (
-    QQ,
-    QT,
     RATIONAL_FUNCTIONS,
     RATIONALS,
     FieldCtx,
@@ -97,8 +94,6 @@ from .tate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ",
-    "QT",
     "RATIONALS",
     "RATIONAL_FUNCTIONS",
     "BilinearForm",
@@ -107,7 +102,6 @@ __all__ = [
     "DegenerateFormError",
     "FieldCtx",
     "GWElement",
-    "HodgeTable",
     "InadmissibleWeightsError",
     "InfiniteQuotientError",
     "InputDomainError",

@@ -259,25 +259,20 @@ def _cmd_euler(args, out) -> int:
         return 0
     if args.ambient is None:
         raise ParseError("euler needs --ambient together with --degree")
-    table = euler.primitive_hodge(args.degree, args.ambient)
-    chi = euler.euler_rank(args.degree, args.ambient)
+    d, N = args.degree, args.ambient
+    primitive = euler.primitive_hodge(d, N)
+    chi = euler.euler_rank(d, N)
     if args.json:
         _print_json(out, {
-            "degree": table.d,
-            "ambient": table.N,
-            "dimension": table.n,
-            "primitive_hodge": list(table.primitive),
+            "degree": d,
+            "ambient": N,
+            "dimension": N - 1,
+            "primitive_hodge": list(primitive),
             "euler_characteristic": chi,
         })
     else:
-        out.write(
-            f"smooth hypersurface of degree {table.d} in P^{table.N} (dimension {table.n})\n"
-        )
-        out.write(
-            "primitive hodge numbers: "
-            + ", ".join(str(h) for h in table.primitive)
-            + "\n"
-        )
+        out.write(f"smooth hypersurface of degree {d} in P^{N} (dimension {N - 1})\n")
+        out.write("primitive hodge numbers: " + ", ".join(str(h) for h in primitive) + "\n")
         out.write(f"euler characteristic: {chi}\n")
     return 0
 

@@ -98,20 +98,11 @@ def lhs_rank_general(r: int, n: int) -> int:
 
 
 def quadratic_form_gram(f: P.Polynomial) -> list[list[Fraction]]:
-    """Gram matrix of a quadratic form: f = x^T M x with M symmetric."""
-    m = f.nvars
-    gram = [[Fraction(0)] * m for _ in range(m)]
-    for exps, c in f.terms.items():
-        nz = [(i, e) for i, e in enumerate(exps) if e]
-        if sum(e for _, e in nz) != 2:
-            raise InputDomainError("the polynomial is not a quadratic form")
-        if len(nz) == 1:
-            i = nz[0][0]
-            gram[i][i] = c
-        else:
-            i, j = nz[0][0], nz[1][0]
-            gram[i][j] = gram[j][i] = c / 2
-    return gram
+    """Gram matrix of a quadratic form f = x^T M x: M is half the Hessian of
+    f, which is constant."""
+    if not P.is_quasi_homogeneous(f, (1,) * f.nvars, 2):
+        raise InputDomainError("the polynomial is not a quadratic form")
+    return [[g.diff(j).constant_term() / 2 for j in range(f.nvars)] for g in P.partials(f)]
 
 
 def is_split_form(q: GWElement) -> bool:

@@ -1,17 +1,14 @@
 """The quadratic Milnor number via the Scheja-Storch bilinear form.
 
 Given a polynomial f over Q with f(0) = 0 and isolated critical points, the
-Scheja-Storch form is a symmetric bilinear form on the Jacobian ring
-Q[x]/J, written as a Gram matrix over the standard-monomial basis, and its
-class in GW(Q) is what this module computes.
-
-The form is taken over all of Q[x]/J, so the class is the sum of the local
-classes over every critical point of f.  It is the quadratic Milnor number
-of the singularity at the origin only when the origin is the only critical
-point, as it is for weighted-homogeneous f; for x^3 - x the class has rank
-2 while the local class at the origin is 0.  The rank is dim Q[x]/J, which
-for weighted-homogeneous f the Jacobian Hilbert series reproduces
-independently.
+Scheja-Storch form is a symmetric bilinear form on the local Jacobian ring
+of f at the origin, written as a Gram matrix over a standard-monomial basis;
+its class in GW(Q) is what this module computes, and its rank is the Milnor
+number.  Q[x]/J is the product of its local factors, and its form is the sum
+of theirs (Kass and Wickelgren, arXiv:1608.05669).  The factor at the origin
+is all of Q[x]/J when every variable is nilpotent, as for weighted-homogeneous
+f, and Q[x]/(J + m^N) otherwise, m the ideal of the origin.  So x^3 - x gives
+0, and x^2 - y^2 + y^3 gives <-1> without its critical point (0, 2/3).
 
 For f quasi-homogeneous with declared weights, or homogeneous, Q[x]/J is
 graded with a one-dimensional top piece A_s, s the socle degree, which the
@@ -25,12 +22,13 @@ hyperbolic, and only the middle piece of degree s/2 is diagonalized; its
 diagonal representatives are the ones printed.
 
 Any other input is a single piece with no unique functional.  Its Gram
-matrix is read off the Bezoutian of the partials, reduced modulo J in its
-X-block and Y-block separately, and diagonalized whole.
+matrix is read off the Bezoutian of the partials, reduced in its X-block
+and Y-block separately, and diagonalized whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +51,7 @@ class SingularityInput:
     and ``degree`` (inferred if omitted) is the common weighted degree.
     For unweighted homogeneous f, ``degree`` is the total degree, and a
     declared degree must equal it; a declared degree is at least 1.  The
-    forms built from it cover every critical point of f, not only the
-    origin: they are the class at the origin only when f has no other
-    critical point (true for weighted-homogeneous f), and translating
-    another critical point to the origin does not remove the rest.
+    forms built from it are those of the singularity at the origin.
     """
 
     __slots__ = ("f", "var_names", "weights", "degree")
@@ -271,14 +266,12 @@ class BilinearForm:
 
 
 def ss_form(s: SingularityInput) -> BilinearForm:
-    """The Scheja-Storch form on the whole Jacobian ring Q[x]/J.
+    """The Scheja-Storch form on the local Jacobian ring of f at the origin.
 
-    The Gram matrix is over the standard-monomial basis of Q[x]/J.  Its
-    class is the sum over every critical point of f, which is the local
-    class at the origin only when the origin is the only critical point
-    (x^3 - x gives rank 2; its local class at the origin is 0).  A
-    non-isolated singularity (infinite Jacobian quotient) raises
-    NotIsolatedError.
+    That ring is Q[x]/J when every variable is nilpotent in it (always for
+    graded input, which skips the test), and ``_local_factor`` otherwise; a
+    smooth point gives the zero form.  A positive-dimensional critical locus
+    anywhere (infinite Q[x]/J) raises NotIsolatedError.
 
     With the grading of ``SingularityInput.grading``, weights w_i and degree
     r, the ring splits into pieces A_e of weighted degree e, and the top
@@ -295,10 +288,9 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     dimension of the ring raises AssertionError.
 
     An ungraded input is a single piece: the Bezoutian of the partials is
-    reduced modulo J in the X and Y blocks separately, its symmetry is
-    asserted, and the whole Gram matrix is diagonalized; a degenerate one
-    cannot occur for an isolated singularity and raises DegenerateFormError
-    if it does.
+    reduced in the X and Y blocks separately, its symmetry is asserted, and
+    the whole Gram matrix is diagonalized; a degenerate one cannot occur
+    for an isolated singularity and raises DegenerateFormError if it does.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -308,19 +300,51 @@ def ss_form(s: SingularityInput) -> BilinearForm:
         raise NotIsolatedError(
             "the Jacobian ideal is not zero-dimensional; the singular locus is positive-dimensional"
         )
+    weights, r = s.grading()
+    if quotient.dimension and not any(weights) and not _is_local(quotient):
+        quotient = _local_factor(quotient)
     d = quotient.dimension
     if d == 0:
         return BilinearForm((), (), GWElement.zero(RATIONALS))
 
-    weights, r = s.grading()
     if any(weights):
         gram, gw = _graded_form(gs, quotient, weights, r)
     else:
         gram, gw = _bezoutian_form(gs, quotient)
     if gw.rank != d:
-        raise AssertionError("rank of the quadratic Milnor number must equal dim J")
+        raise AssertionError("rank of the quadratic Milnor number must equal the local dimension")
     rows = tuple(tuple(row) for row in gram)
     return BilinearForm(quotient.standard_monomials, rows, gw)
+
+
+def _is_local(quotient: P.QuotientBasis) -> bool:
+    """Whether every x_i is nilpotent, x_i^k = 0 for some k <= dim, so that
+    the origin is the only point; each search stops at the first zero."""
+    n, d = quotient.nvars, quotient.dimension
+    return all(
+        any(not quotient.nf_vector((0,) * i + (k,) + (0,) * (n - i - 1)) for k in range(1, d + 1))
+        for i in range(n)
+    )
+
+
+def _local_factor(quotient: P.QuotientBasis) -> P.QuotientBasis:
+    """Q[x]/(J + m^N) for the first N whose dimension repeats that of N - 1.
+
+    Then m^N lies in J + m * m^N, so m^N vanishes in the local ring by
+    Nakayama's lemma, and the quotient is that ring.  J + m is m or, when
+    the origin is not critical, the unit ideal, so N starts at 2.
+    """
+    n = quotient.nvars
+    previous = 0 if any(g.constant_term() for g in quotient.groebner) else 1
+    for N in itertools.count(2):
+        power = [
+            P.Polynomial.monomial(n, tuple(c.count(i) for i in range(n)))
+            for c in itertools.combinations_with_replacement(range(n), N)
+        ]
+        local = P.groebner(list(quotient.groebner) + power)
+        if local.dimension == previous:
+            return local
+        previous = local.dimension
 
 
 def _hessian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
@@ -433,13 +457,7 @@ def _bezoutian_form(gs, quotient):
 
 
 def quadratic_milnor(s: SingularityInput) -> GWElement:
-    """The class of the Scheja-Storch form in GW(Q), summed over every
-    critical point of f (see ``ss_form``).
-
-    Its rank equals the dimension of the Jacobian ring, which is the
-    classical Milnor number when the origin is the only critical point;
-    ``ss_form`` asserts the first as a postcondition.
-    """
+    """The class of ``ss_form``; its rank is the Milnor number at the origin."""
     return ss_form(s).gw
 
 

@@ -10,35 +10,19 @@ decomposition, using chi^c of the i-th Tate twist = <-1>^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ekl import jacobian_hilbert_series
 from .errors import InputDomainError
 from .gw import GWElement, RATIONALS, diag_form
+from .tate import quadric_motive
 
 
-@dataclass(frozen=True)
-class HodgeTable:
-    """Primitive Hodge numbers of a smooth hypersurface of degree d in P^N."""
+def primitive_hodge(d: int, N: int) -> tuple[int, ...]:
+    """The primitive Hodge numbers of a smooth hypersurface of degree d in P^N.
 
-    d: int
-    N: int
-    primitive: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.N - 1
-
-    def total_primitive(self) -> int:
-        return sum(self.primitive)
-
-
-def primitive_hodge(d: int, N: int) -> HodgeTable:
-    """primitive[q] = dim of the degree-((q+1)d - N - 1) part of the Jacobian ring.
-
-    Valid for any smooth hypersurface of degree d >= 2 in P^N, N >= 1; the
-    table depends only on (d, N).  Hodge symmetry primitive[q] =
-    primitive[n-q] is asserted.
+    Entry q, for q = 0..N-1, is the dimension of the degree-((q+1)d - N - 1)
+    part of the Jacobian ring; valid for any d >= 2 and N >= 1, and the
+    numbers depend only on (d, N).  Hodge symmetry, entry q equal to entry
+    N-1-q, is asserted.
     """
     if d < 2:
         raise InputDomainError("degree must be at least 2")
@@ -48,24 +32,19 @@ def primitive_hodge(d: int, N: int) -> HodgeTable:
     degrees = range(d - N - 1, N * (d - 1), d)  # (q + 1)d - N - 1 for q = 0..N-1
     prim = tuple(series[k] if 0 <= k < len(series) else 0 for k in degrees)
     assert prim == prim[::-1], "Hodge symmetry failed"
-    return HodgeTable(d, N, prim)
+    return prim
 
 
 def euler_rank(d: int, N: int) -> int:
     """Topological Euler characteristic of a smooth degree-d hypersurface in P^N."""
-    t = primitive_hodge(d, N)
-    n = t.n
-    return (n + 1) + (-1) ** n * t.total_primitive()
+    n = N - 1
+    return (n + 1) + (-1) ** n * sum(primitive_hodge(d, N))
 
 
 def chi_split_quadric(n: int) -> GWElement:
     """chi^c of a split quadric of dimension n, via the Tate decomposition.
 
-    Sum over i = 0..n of <-1>^i, with one extra <-1>^(n/2) when n is even.
+    Each summand 1(t)[s] of ``tate.quadric_motive(n)`` has even s and
+    realizes to <-1>^(-t), so the class is the sum of <(-1)^(-t)>.
     """
-    if n < 0:
-        raise InputDomainError("quadric dimension must be non-negative")
-    entries = [(-1) ** i for i in range(n + 1)]
-    if n % 2 == 0:
-        entries.append((-1) ** (n // 2))
-    return diag_form(entries, RATIONALS)
+    return diag_form([(-1) ** -t for t, _ in quadric_motive(n).summands], RATIONALS)

@@ -359,10 +359,6 @@ def _as_residue(value, g: uv.Poly) -> uv.Poly:
 RATIONALS = FieldCtx(_RATIONALS)
 RATIONAL_FUNCTIONS = FieldCtx(_RATFUNC)
 
-#: short aliases, convenient in tests and notebooks
-QQ = RATIONALS
-QT = RATIONAL_FUNCTIONS
-
 
 @dataclass(frozen=True)
 class SquareClass:
@@ -726,40 +722,24 @@ def specialize(e: GWElement) -> GWElement:
 # ---------------------------------------------------------------------------
 
 
-def _mul_mod(a: uv.Poly, b: uv.Poly, g: uv.Poly) -> uv.Poly:
-    return uv.mod(uv.mul(a, b), g)
-
-
-def _trace(h: uv.Poly, g: uv.Poly) -> Fraction:
-    """Trace of multiplication by h on the power basis of Q[x]/(g)."""
-    d = uv.degree(g)
-    t = Fraction(0)
-    col = uv.mod(h, g)
-    for j in range(d):
-        if j:
-            col = _mul_mod(col, (Fraction(0), Fraction(1)), g)
-        if j < len(col):
-            t += col[j]
-    return t
-
-
 def trace_form_gram(g, c) -> list[list[Fraction]]:
-    """Gram matrix Tr(c * x^(i+j)) of the scaled trace form on Q[x]/(g)."""
-    g = uv.poly(g)
+    """Gram matrix Tr(c * x^(i+j)) of the scaled trace form on Q[x]/(g).
+
+    For monic g = x^d + sum_i a_i x^i, Newton's identities give the power
+    sums p_k = Tr(x^k) = -k a_(d-k) - sum_(0<i<min(k,d+1)) a_(d-i) p_(k-i),
+    with a_j = 0 for j < 0, and Tr(c * x^k) = sum_l c_l p_(k+l).
+    """
+    g = uv.monic(uv.poly(g))
     d = uv.degree(g)
-    c = _as_residue(c, g) if not isinstance(c, (int, Fraction)) else uv.const(c)
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    power = uv.mod(uv.poly(c), g)
-    # power runs over c * x^k for k = 0 .. 2d-2
-    for k in range(2 * d - 1):
-        if k:
-            power = _mul_mod(power, (Fraction(0), Fraction(1)), g)
-        tr = _trace(power, g)
-        for i in range(d):
-            j = k - i
-            if 0 <= j < d:
-                gram[i][j] = tr
-    return gram
+    c = _as_residue(c, g)
+    power_sums = [Fraction(d)]
+    for k in range(1, 3 * d - 2):
+        p = -k * g[d - k] if k <= d else Fraction(0)
+        for i in range(1, min(k, d + 1)):
+            p -= g[d - i] * power_sums[k - i]
+        power_sums.append(p)
+    traces = [sum(cl * power_sums[k + l] for l, cl in enumerate(c)) for k in range(2 * d - 1)]
+    return [[Fraction(traces[i + j]) for j in range(d)] for i in range(d)]
 
 
 def transfer(g, e: GWElement) -> GWElement:

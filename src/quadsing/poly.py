@@ -562,19 +562,6 @@ class QuotientBasis:
     def dimension(self) -> int:
         return len(self.standard_monomials)
 
-    def contains_one(self) -> bool:
-        return len(self.groebner) == 1 and self.groebner[0].total_degree() == 0
-
-    def normal_form(self, p: Polynomial) -> Polynomial:
-        """Normal form of p by polynomial division (``reduce_poly``)."""
-        if not self.is_finite:
-            raise InfiniteQuotientError(
-                "normal forms are only exposed for finite-dimensional quotients"
-            )
-        if p.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        return reduce_poly(p, self.groebner)
-
     def nf_vector(self, exps: Exps) -> dict[int, Fraction]:
         """Normal form of a single monomial as basis-index -> coefficient.
 

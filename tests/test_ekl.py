@@ -706,3 +706,123 @@ def test_exact_inverse():
         ekl._inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     with pytest.raises(AssertionError, match="not square"):
         ekl._inverse([[Fraction(1), Fraction(2)]])
+
+
+# ---------------------------------------------------------------------------
+# the class at the origin, not the sum over every critical point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_the_form_is_the_one_at_the_origin(c):
+    """The benchmark's non-local inputs: the origin is not critical for
+    x^3 - c*x, and a Morse point with Hessian determinant -4 otherwise; the
+    other critical points do not count."""
+    assert ekl.ss_form(ekl.singularity(f"x^3 - {c}*x", ("x",))).dimension == 0
+    for src in (f"x^2 - y^2 + {c}*y^3", f"x^2 - y^2 + {c}*y^4"):
+        bf = ekl.ss_form(ekl.singularity(src, XY))
+        assert (bf.basis, _gram(bf), bf.gw.pos, bf.gw.neg) == (((0, 0),), [[-4]], (-1,), ())
+
+
+@pytest.mark.parametrize(
+    "src, principal, weights, r",
+    [
+        ("x^2*y + y^4 - y^6", "x^2*y + y^4", (3, 2), 8),  # D5
+        ("x^3 + y^4 + x*y^5 + x^7", "x^3 + y^4", (4, 3), 12),  # E6, three hyperbolic planes
+    ],
+)
+def test_higher_order_terms_keep_the_local_class(src, principal, weights, r):
+    bf = ekl.ss_form(ekl.singularity(src, XY))
+    assert bf.dimension == ekl.milnor_rank_weighted(weights, r)
+    assert gw.is_equal(bf.gw, ekl.quadratic_milnor(ekl.singularity(principal, XY, weights)))
+    assert P.groebner(P.partials(P.parse(src, XY))).dimension > bf.dimension
+
+
+def _at(f, point):
+    """f translated so that the point moves to the origin, minus its value
+    there."""
+    n = f.nvars
+    g = P.substitute(
+        f, [P.Polynomial.variable(n, i) + P.Polynomial.constant(n, c) for i, c in enumerate(point)]
+    )
+    return g - P.Polynomial.constant(n, g.constant_term())
+
+
+@pytest.mark.parametrize(
+    "src, names, points",
+    [
+        ("x^3 - 3*x", ("x",), [(1,), (-1,)]),  # the origin is not critical
+        ("x^2 - y^2 + y^3", XY, [(0, 0), (0, Fraction(2, 3))]),
+        ("x^2 - y^2 + 2*y^4", XY, [(0, 0), (0, Fraction(1, 2)), (0, Fraction(-1, 2))]),
+        ("x^2 + y^3*(y - 1)^2", XY, [(0, 0), (0, 1), (0, Fraction(3, 5))]),  # A2 at the origin
+        ("x^2 + y^2*(y - 1)^3", XY, [(0, 0), (0, 1), (0, Fraction(2, 5))]),  # A2 at (0, 1)
+        ("2*x^2*y - 2*y^3 + 3*y^2 - 8*x^2", XY, [(0, 0), (0, 1), (6, 4), (-6, 4)]),
+    ],
+)
+def test_global_class_is_the_sum_of_the_local_classes(src, names, points):
+    """Q[x]/J is the product of its local factors at the critical points,
+    all rational here, and the Bezoutian form on the whole of it is the
+    orthogonal sum of the local forms (Kass and Wickelgren, arXiv:1608.05669)."""
+    f = P.parse(src, names)
+    gram, whole = _bezoutian_oracle(ekl.SingularityInput(f, names))
+    local = [ekl.ss_form(ekl.SingularityInput(_at(f, p), names)) for p in points]
+    assert len(gram) == sum(bf.dimension for bf in local)
+    total = gw.GWElement.zero()
+    for bf in local:
+        total = total + bf.gw
+    assert gw.is_equal(whole, total)
+    if all(points[0]):
+        assert ekl.ss_form(ekl.SingularityInput(f, names)).dimension == 0
+    else:
+        assert ekl.ss_form(ekl.SingularityInput(f, names)) == local[0]
+
+
+# principal part f0, its weights and weighted degree: binary only, since a
+# ternary principal part costs seconds of Buchberger on J + m^N
+_PRINCIPAL_PARTS = [
+    ("x^3", "y^4", (4, 3), 12),  # E6
+    ("x^2*y", "y^4", (3, 2), 8),  # D5
+    ("x^3", "x*y^3", (3, 2), 9),  # E7
+    ("x^2", "y^5", (5, 2), 10),  # A4
+    ("x^3", "y^5", (5, 3), 15),  # E8
+    ("x^4", "y^4", (1, 1), 4),  # a binary quartic, with x^2*y^2 and x*y^3 below
+]
+
+
+@st.composite
+def _semi_quasi_homogeneous(draw):
+    """f0 + h: f0 quasi-homogeneous of degree r with an isolated singularity,
+    every term of h of weighted degree above r."""
+    first, second, weights, r = draw(st.sampled_from(_PRINCIPAL_PARTS))
+    coeff = st.integers(-3, 3).filter(bool)
+    f0 = f"{draw(coeff)}*{first} + {draw(coeff)}*{second}"
+    if r == 4:
+        f0 += f" + {draw(st.integers(-3, 3))}*x^2*y^2 + {draw(st.integers(-3, 3))}*x*y^3"
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda e: sum(e) <= 7 and P.weighted_degree(e, weights) > r
+    )
+    h = " + ".join(
+        f"{draw(coeff)}*x^{a}*y^{b}" for a, b in draw(st.lists(exps, min_size=1, max_size=2))
+    )
+    return f0, h, weights, r
+
+
+@settings(max_examples=30, deadline=None)
+@given(_semi_quasi_homogeneous())
+@example(("1*x^2 + -1*y^5", "1*x^1*y^3", (5, 2), 10))
+@example(("1*x^4 + 1*y^4 + 0*x^2*y^2 + 1*x*y^3", "2*x^0*y^5", (1, 1), 4))
+def test_local_class_is_the_class_of_the_principal_part(case):
+    """For f = f0 + h, h of higher weighted degree, the class at the origin is
+    the graded class of f0.  That path forms no Bezoutian and localizes
+    nothing, so it is independent of the localization it checks."""
+    f0, h, weights, r = case
+    try:
+        principal = ekl.ss_form(ekl.singularity(f0, XY, weights, r))
+    except NotIsolatedError:
+        assume(False)  # a binary quartic with a repeated factor
+    try:
+        bf = ekl.ss_form(ekl.singularity(f"{f0} + {h}", XY))
+    except NotIsolatedError:
+        assume(False)  # h gave a curve of critical points away from the origin
+    assert bf.dimension == principal.dimension
+    assert gw.is_equal(bf.gw, principal.gw)

@@ -14,32 +14,32 @@ def _form(*entries):
 
 def test_primitive_hodge_plane_curves():
     # cubic: genus 1, quartic: genus 3
-    assert euler.primitive_hodge(3, 2).primitive == (1, 1)
-    assert euler.primitive_hodge(4, 2).primitive == (3, 3)
+    assert euler.primitive_hodge(3, 2) == (1, 1)
+    assert euler.primitive_hodge(4, 2) == (3, 3)
 
 
 def test_primitive_hodge_surfaces():
     # cubic surface: h^{1,1}_prim = 6
-    assert euler.primitive_hodge(3, 3).primitive == (0, 6, 0)
+    assert euler.primitive_hodge(3, 3) == (0, 6, 0)
     # quartic surface (K3): 1, 19, 1
-    assert euler.primitive_hodge(4, 3).primitive == (1, 19, 1)
+    assert euler.primitive_hodge(4, 3) == (1, 19, 1)
 
 
 def test_primitive_hodge_low_cases():
     # plane conic: rational curve, no primitive cohomology
-    assert euler.primitive_hodge(2, 2).primitive == (0, 0)
+    assert euler.primitive_hodge(2, 2) == (0, 0)
     # split quadric surface: one primitive (1,1) class
-    assert euler.primitive_hodge(2, 3).primitive == (0, 1, 0)
+    assert euler.primitive_hodge(2, 3) == (0, 1, 0)
     # three points on a line
-    assert euler.primitive_hodge(3, 1).primitive == (2,)
+    assert euler.primitive_hodge(3, 1) == (2,)
 
 
 def test_primitive_hodge_symmetry():
     for d in range(2, 6):
         for N in range(1, 5):
-            table = euler.primitive_hodge(d, N)
-            assert table.primitive == tuple(reversed(table.primitive))
-            assert table.n == N - 1
+            primitive = euler.primitive_hodge(d, N)
+            assert primitive == tuple(reversed(primitive))
+            assert len(primitive) == N
 
 
 def test_primitive_hodge_rejects_bad_input():

@@ -375,6 +375,44 @@ def test_trace_form_gram_gaussian_integers():
     assert gram == [[2, 0], [0, -2]]
 
 
+def _trace_by_multiplication(g, h):
+    """Trace of multiplication by h on the power basis of Q[x]/(g), g monic:
+    the sum of the coefficients of x^j in h * x^j mod g."""
+    x = uv_poly([0, 1])
+    column, trace = uv.mod(h, g), Fraction(0)
+    for j in range(uv.degree(g)):
+        trace += column[j] if j < len(column) else 0
+        column = uv.mod(uv.mul(column, x), g)
+    return trace
+
+
+_SMALL = st.integers(-4, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_SMALL, min_size=1, max_size=5),
+    st.one_of(_SMALL, st.lists(st.fractions(-3, 3, max_denominator=4), max_size=7)),
+)
+@example([1, 0], [1])  # x^2 + 1
+@example([0, 0, 0], [0, 1])  # x^3, not a field
+@example([-1, 0], 3)  # x^2 - 1 = (x - 1)(x + 1)
+def test_trace_form_gram_matches_multiplication_by_x(low, c):
+    """Newton's identities give the multiplication trace, entry for entry,
+    for every monic g, reducible or not, and every residue c."""
+    g = uv_poly(low + [1])
+    d = uv.degree(g)
+    residue = uv.const(c) if isinstance(c, int) else uv_poly(c)
+    x_power = uv_poly([1])
+    want = []
+    for _ in range(2 * d - 1):
+        want.append(_trace_by_multiplication(g, uv.mul(residue, x_power)))
+        x_power = uv.mul(x_power, uv_poly([0, 1]))
+    gram = gw.trace_form_gram(g, c)
+    assert gram == [[want[i + j] for j in range(d)] for i in range(d)]
+    assert all(type(v) is Fraction for row in gram for v in row)
+
+
 def test_transfer_known_extensions():
     gauss = uv_poly([1, 0, 1])  # x^2 + 1
     sqrt2 = uv_poly([-2, 0, 1])  # x^2 - 2

@@ -1,0 +1,41 @@
+"""The benchmark's own milnor-sparse inputs all pass the benchmark's checks.
+
+``perfbench/workloads.py`` builds every round of milnor-sparse, three
+inputs whose Jacobian algebra is not local among them, and checks each
+result without reusing quadsing's answers.  The module and its ``checks``
+are loaded from their files and only read.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports checks
+    imported = "checks" in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    if not imported:
+        sys.modules.pop("checks", None)
+
+
+def test_no_milnor_sparse_item_fails(workloads):
+    workload = workloads.MilnorSparse(41, PERFBENCH.parent)
+    batch = workload.round(0)
+    assert sum(item.known_fault for item in batch) == 3
+    failures = []
+    for item in batch:
+        problem = workload.check(item, workload.run(item))
+        if problem is not None:
+            failures.append(f"{item.label} {item.data['src']}: {problem}")
+    assert failures == []
