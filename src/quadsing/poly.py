@@ -1,20 +1,26 @@
 """Sparse multivariate polynomials over Q with a Buchberger engine.
 
-Polynomials are dictionaries from exponent tuples to nonzero Fractions.
-The module provides the one expression grammar of the package (``parse``
-for polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
+Polynomials are immutable dictionaries from exponent tuples to nonzero
+Fractions, each with its leading term cached on first use.  The module
+provides the one expression grammar of the package (``parse`` for
+polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
 ``<a, b> - <c>`` forms whose entries are such quotients), formal partial
 derivatives, weighted-homogeneity checks, and reduced Groebner bases with
-standard-monomial enumeration for zero-dimensional quotients.  Leading terms, bases, standard monomials and
-printed terms all follow one monomial order, grevlex (``grevlex_key``).
-Everything is exact; there is no floating point anywhere.
+standard-monomial enumeration for zero-dimensional quotients.  Division
+(``reduce_poly``) reduces one dict in place, driven by a heap of grevlex
+keys, and builds no polynomial per step.  Leading terms, bases, standard
+monomials and printed terms all follow one monomial order, grevlex
+(``grevlex_key``).  Everything is exact; there is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,30 +41,51 @@ def grevlex_key(exps: Exps):
 
 
 def mono_mul(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
 
 def mono_divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
 
 def mono_div(a: Exps, b: Exps) -> Exps:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Polynomial:
-    """An exact polynomial in a fixed number of variables."""
+    """An exact polynomial in a fixed number of variables.
 
-    __slots__ = ("nvars", "terms")
+    A Polynomial is immutable: nothing changes ``nvars`` or ``terms`` after
+    construction, and no two polynomials share a ``terms`` dict.  So the
+    leading term is computed once, on the first ``leading()``, and cached.
+    The constructor validates its input; the operations build their results
+    with ``_of``, which adopts a dict they made.
+    """
+
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars: int, terms: dict[Exps, Fraction] | None = None):
         self.nvars = nvars
         self.terms: dict[Exps, Fraction] = {}
+        self._lead = None
         if terms:
             for exps, c in terms.items():
                 if c:
                     self.terms[tuple(exps)] = Fraction(c)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exps, Fraction]) -> "Polynomial":
+        """Adopt terms as it is: exponent tuples to nonzero Fractions, in a
+        dict that nothing else holds or changes."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._lead = None
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -105,12 +132,16 @@ class Polynomial:
             raise ValueError("polynomials have different variable counts")
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            v = out.get(exps, Fraction(0)) + sign * c
-            if v:
-                out[exps] = v
+            v = out.get(exps)
+            if v is None:
+                out[exps] = c if sign > 0 else -c
             else:
-                out.pop(exps, None)
-        return Polynomial(self.nvars, out)
+                v = v + c if sign > 0 else v - c
+                if v:
+                    out[exps] = v
+                else:
+                    del out[exps]
+        return Polynomial._of(self.nvars, out)
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -124,39 +155,42 @@ class Polynomial:
         return (-self)._binop(other, 1)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return Polynomial(self.nvars)
-            return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._of(self.nvars, {e: c * v for e, v in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("polynomials have different variable counts")
         out: dict[Exps, Fraction] = {}
+        get = out.get
+        right = list(other.terms.items())
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = mono_mul(ea, eb)
-                v = out.get(e, Fraction(0)) + ca * cb
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.nvars, out)
+            for eb, cb in right:
+                e = tuple(map(add, ea, eb))
+                v = get(e)
+                out[e] = ca * cb if v is None else v + ca * cb
+        return Polynomial._of(self.nvars, {e: v for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take non-negative integers")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial._of(self.nvars, {tuple(x * k for x in e): c**k})
         out = Polynomial.constant(self.nvars, 1)
         base = self
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def diff(self, i: int) -> "Polynomial":
@@ -168,7 +202,7 @@ class Polynomial:
             new = list(exps)
             new[i] = e - 1
             out[tuple(new)] = c * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
@@ -183,10 +217,14 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def leading(self) -> tuple[Exps, Fraction]:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
-        return e, self.terms[e]
+        """The largest term in grevlex, as (exponents, coefficient)."""
+        lead = self._lead
+        if lead is None:
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading term")
+            e = max(self.terms, key=grevlex_key)
+            lead = self._lead = (e, self.terms[e])
+        return lead
 
 
 def partials(f: Polynomial) -> list[Polynomial]:
@@ -450,48 +488,94 @@ def format_poly(f: Polynomial, variables: Sequence[str]) -> str:
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """S-polynomial of f and g: both shifted to the lcm of their leading
+    monomials, made monic there, and subtracted, all into one dict."""
     ef, cf = f.leading()
     eg, cg = g.leading()
     l = mono_lcm(ef, eg)
-    mf = Polynomial.monomial(f.nvars, mono_div(l, ef), Fraction(1) / cf)
-    mg = Polynomial.monomial(g.nvars, mono_div(l, eg), Fraction(1) / cg)
-    return mf * f - mg * g
+    shift, scale = mono_div(l, ef), 1 / cf
+    out = {tuple(map(add, shift, e)): scale * c for e, c in f.terms.items()}
+    shift, scale = mono_div(l, eg), 1 / cg
+    for e, c in g.terms.items():
+        m = tuple(map(add, shift, e))
+        v = out.get(m)
+        if v is None:
+            out[m] = -scale * c
+        else:
+            v = v - scale * c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return Polynomial._of(f.nvars, out)
 
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full normal form of f modulo the basis (every term reduced)."""
-    lead = [(*g.leading(), g) for g in basis if not g.is_zero()]
+    """Full normal form of f modulo the basis (every term reduced).
+
+    The dividend is one dict, changed in place, and a heap of its
+    monomials' grevlex keys yields its largest term.  That term is reduced
+    by the first basis element whose leading monomial divides it, or else
+    moved to the remainder, so the remainder fills in descending grevlex
+    order.
+    """
+    divisors = []
+    for g in basis:
+        if g.terms:
+            eg, cg = g.leading()
+            divisors.append((eg, cg, [(e, c) for e, c in g.terms.items() if e != eg]))
+    p = dict(f.terms)
+    # (-degree, reversed exponents) orders monomials as descending grevlex
+    heap = [(-sum(e), e[::-1]) for e in p]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     remainder: dict[Exps, Fraction] = {}
-    p = f
-    while not p.is_zero():
-        e, c = p.leading()
-        for eg, cg, g in lead:
-            if mono_divides(eg, e):
-                factor = Polynomial.monomial(p.nvars, mono_div(e, eg), c / cg)
-                p = p - factor * g
+    while heap:
+        e = pop(heap)[1][::-1]
+        c = p.pop(e, None)
+        if c is None:  # cancelled, or taken at an equal entry of the heap
+            continue
+        for eg, cg, tail in divisors:
+            if all(map(le, eg, e)):
+                q = c / cg
+                shift = tuple(map(sub, e, eg))
+                for et, ct in tail:
+                    m = tuple(map(add, shift, et))
+                    v = p.get(m)
+                    if v is None:
+                        p[m] = -q * ct
+                        push(heap, (-sum(m), m[::-1]))
+                    else:
+                        v = v - q * ct
+                        if v:
+                            p[m] = v
+                        else:
+                            del p[m]
                 break
         else:
-            v = remainder.get(e, Fraction(0)) + c
-            if v:
-                remainder[e] = v
-            else:
-                remainder.pop(e, None)
-            p = p - Polynomial.monomial(p.nvars, e, c)
-    return Polynomial(f.nvars, remainder)
+            remainder[e] = c
+    return Polynomial._of(f.nvars, remainder)
 
 
 def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
     basis = [g * (Fraction(1) / g.leading()[1]) for g in gens]
     lead = [g.leading()[0] for g in basis]
+    # the pairs not yet taken, and a heap of them under the selection key,
+    # made once per pair: normal selection takes the smallest lcm in
+    # grevlex, with the pair itself as the tie-break
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple] = []
 
-    def lcm_key(i, j):
-        return grevlex_key(mono_lcm(lead[i], lead[j]))
+    def add_pairs(t: int) -> None:
+        for k in range(t):
+            pairs.add((k, t))
+            heapq.heappush(queue, (grevlex_key(mono_lcm(lead[k], lead[t])), (k, t)))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # normal selection: smallest lcm in grevlex, index tie-break
-        i, j = min(pairs, key=lambda p: (lcm_key(*p), p))
-        pairs.discard((i, j))
+    for t in range(len(basis)):
+        add_pairs(t)
+    while queue:
+        i, j = heapq.heappop(queue)[1]
+        pairs.remove((i, j))
         li, lj = lead[i], lead[j]
         l = mono_lcm(li, lj)
         # first Buchberger criterion: coprime leading monomials
@@ -513,10 +597,9 @@ def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
         if s.is_zero():
             continue
         s = s * (Fraction(1) / s.leading()[1])
-        t = len(basis)
         basis.append(s)
         lead.append(s.leading()[0])
-        pairs.update((k, t) for k in range(t))
+        add_pairs(len(basis) - 1)
     return basis
 
 

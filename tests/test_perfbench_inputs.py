@@ -1,9 +1,10 @@
-"""The benchmark's own milnor-sparse inputs all pass the benchmark's checks.
+"""The benchmark's own milnor-sparse and milnor-dense inputs all pass the
+benchmark's checks.
 
 ``perfbench/workloads.py`` builds every round of milnor-sparse, three
-inputs whose Jacobian algebra is not local among them, and checks each
-result without reusing quadsing's answers.  The module and its ``checks``
-are loaded from their files and only read.
+inputs whose Jacobian algebra is not local among them, and every round of
+milnor-dense, and checks each result without reusing quadsing's answers.
+The module and its ``checks`` are loaded from their files and only read.
 """
 
 from __future__ import annotations
@@ -29,13 +30,26 @@ def workloads(monkeypatch):
         sys.modules.pop("checks", None)
 
 
-def test_no_milnor_sparse_item_fails(workloads):
-    workload = workloads.MilnorSparse(41, PERFBENCH.parent)
-    batch = workload.round(0)
-    assert sum(item.known_fault for item in batch) == 3
+def _failures(workload, batch):
     failures = []
     for item in batch:
         problem = workload.check(item, workload.run(item))
         if problem is not None:
             failures.append(f"{item.label} {item.data['src']}: {problem}")
-    assert failures == []
+    return failures
+
+
+def test_no_milnor_sparse_item_fails(workloads):
+    workload = workloads.MilnorSparse(41, PERFBENCH.parent)
+    batch = workload.round(0)
+    assert sum(item.known_fault for item in batch) == 3
+    assert _failures(workload, batch) == []
+
+
+def test_no_milnor_dense_item_fails(workloads):
+    """An octic, a septic and a ternary cubic, dense, through the Groebner
+    kernel and the graded form."""
+    workload = workloads.MilnorDense(41, PERFBENCH.parent)
+    batch = workload.round(0)
+    assert [item.label for item in batch] == ["octic", "septic", "cubic"]
+    assert _failures(workload, batch) == []

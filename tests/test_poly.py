@@ -349,16 +349,9 @@ def _to_sympy(f, syms):
     ))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_ideals())
-@example([_p("2*x", XY), _p("-3*y^2", XY)])
-@example([_p("2*x*y", XY), _p("x^2 + 4*y^3", XY)])
-@example([_p("3*x^2", XY), _p("-5*y^4", XY)])
-@example([_p("3*x^2", XYZ), _p("3*y^2", XYZ), _p("3*z^2", XYZ)])
-@example([_p("2*x", XYZ), _p("-2*y", XYZ), _p("2*z", XYZ)])
-@example([_p("x*y - 1", XY), _p("x^2 - y", XY)])
-def test_groebner_matches_sympy_grevlex(gens):
-    """The reduced grevlex basis is unique, so it must equal sympy's, made monic."""
+def _sympy_groebner(gens):
+    """sympy's reduced grevlex basis of the ideal, made monic, as sets of
+    terms, and whether sympy calls the ideal zero-dimensional."""
     syms = sympy.symbols(f"x0:{gens[0].nvars}")
     theirs = sympy.groebner(
         [_to_sympy(f, syms) for f in gens], *syms, order="grevlex", domain="QQ"
@@ -370,11 +363,45 @@ def test_groebner_matches_sympy_grevlex(gens):
         expected.add(frozenset(
             (m, Fraction(int((c / lc).p), int((c / lc).q))) for m, c in terms
         ))
+    return expected, theirs.is_zero_dimensional
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals())
+@example([_p("2*x", XY), _p("-3*y^2", XY)])
+@example([_p("2*x*y", XY), _p("x^2 + 4*y^3", XY)])
+@example([_p("3*x^2", XY), _p("-5*y^4", XY)])
+@example([_p("3*x^2", XYZ), _p("3*y^2", XYZ), _p("3*z^2", XYZ)])
+@example([_p("2*x", XYZ), _p("-2*y", XYZ), _p("2*z", XYZ)])
+@example([_p("x*y - 1", XY), _p("x^2 - y", XY)])
+def test_groebner_matches_sympy_grevlex(gens):
+    """The reduced grevlex basis is unique, so it must equal sympy's, made monic."""
+    expected, zero_dimensional = _sympy_groebner(gens)
     q = P.groebner(gens)
     assert {frozenset(g.terms.items()) for g in q.groebner} == expected
     # sympy does not call the unit ideal zero-dimensional; here its quotient is finite
     unit = q.groebner == (P.Polynomial.constant(gens[0].nvars, 1),)
-    assert q.is_finite == (theirs.is_zero_dimensional or unit)
+    assert q.is_finite == (zero_dimensional or unit)
+
+
+@st.composite
+def _dense_jacobians(draw):
+    """Partials of a dense form: a binary form of degree 5 to 8 or a ternary
+    cubic, every coefficient a nonzero integer in [-3, 3].  Their Groebner
+    bases grow coefficients that the sparse ideals above never reach."""
+    d, nvars = draw(st.sampled_from([(5, 2), (6, 2), (7, 2), (8, 2), (3, 3)]))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    monomials = [e for e in itertools.product(range(d + 1), repeat=nvars) if sum(e) == d]
+    return P.partials(P.Polynomial(nvars, {e: draw(coeff) for e in monomials}))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_dense_jacobians())
+def test_groebner_matches_sympy_on_dense_jacobians(gens):
+    expected, zero_dimensional = _sympy_groebner(gens)
+    q = P.groebner(gens)
+    assert {frozenset(g.terms.items()) for g in q.groebner} == expected
+    assert q.is_finite == zero_dimensional
 
 
 @st.composite
@@ -441,3 +468,159 @@ def test_spoly_and_reduce():
     s = P.spoly(f, g)
     assert s == _p("-x")
     assert P.reduce_poly(_p("x^2*y"), [g]) == _p("-x")
+
+
+# ---------------------------------------------------------------------------
+# the division kernel against the slow path it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_spoly(f, g):
+    """S-polynomial as two monomial products and a difference."""
+    ef, cf = f.leading()
+    eg, cg = g.leading()
+    l = P.mono_lcm(ef, eg)
+    mf = P.Polynomial.monomial(f.nvars, P.mono_div(l, ef), Fraction(1) / cf)
+    mg = P.Polynomial.monomial(g.nvars, P.mono_div(l, eg), Fraction(1) / cg)
+    return mf * f - mg * g
+
+
+def _oracle_reduce_poly(f, basis):
+    """Division that builds two polynomials per step."""
+    lead = [(*g.leading(), g) for g in basis if not g.is_zero()]
+    remainder = {}
+    p = f
+    while not p.is_zero():
+        e, c = max(p.terms.items(), key=lambda t: P.grevlex_key(t[0]))
+        for eg, cg, g in lead:
+            if P.mono_divides(eg, e):
+                factor = P.Polynomial.monomial(p.nvars, P.mono_div(e, eg), c / cg)
+                p = p - factor * g
+                break
+        else:
+            v = remainder.get(e, Fraction(0)) + c
+            if v:
+                remainder[e] = v
+            else:
+                remainder.pop(e, None)
+            p = p - P.Polynomial.monomial(p.nvars, e, c)
+    return P.Polynomial(f.nvars, remainder)
+
+
+def _oracle_buchberger(gens):
+    """Buchberger with every pair's selection key made again on every step."""
+    basis = [g * (Fraction(1) / g.leading()[1]) for g in gens]
+    lead = [g.leading()[0] for g in basis]
+
+    def lcm_key(i, j):
+        return P.grevlex_key(P.mono_lcm(lead[i], lead[j]))
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    while pairs:
+        # normal selection: smallest lcm in grevlex, index tie-break
+        i, j = min(pairs, key=lambda p: (lcm_key(*p), p))
+        pairs.discard((i, j))
+        li, lj = lead[i], lead[j]
+        l = P.mono_lcm(li, lj)
+        if l == P.mono_mul(li, lj):
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not P.mono_divides(lead[k], l):
+                continue
+            p1 = (min(i, k), max(i, k))
+            p2 = (min(j, k), max(j, k))
+            if p1 not in pairs and p2 not in pairs:
+                skip = True
+                break
+        if skip:
+            continue
+        s = _oracle_reduce_poly(_oracle_spoly(basis[i], basis[j]), basis)
+        if s.is_zero():
+            continue
+        s = s * (Fraction(1) / s.leading()[1])
+        t = len(basis)
+        basis.append(s)
+        lead.append(s.leading()[0])
+        pairs.update((k, t) for k in range(t))
+    return basis
+
+
+def _exact(f):
+    """The terms in dict order, each coefficient with its type: equal only
+    when the two dicts are the same, byte for byte."""
+    return repr(list(f.terms.items()))
+
+
+def _rational_polys(nvars, top, size):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * nvars)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    return st.dictionaries(exps, coeff, max_size=size).map(lambda t: P.Polynomial(nvars, t))
+
+
+@st.composite
+def _divisions(draw):
+    """A dividend and a list of divisors, the latter a Groebner basis or not."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    f = draw(_rational_polys(nvars, 5, 8))
+    basis = draw(st.lists(_rational_polys(nvars, 3, 4), min_size=1, max_size=3))
+    nonzero = [g for g in basis if not g.is_zero()]
+    if nonzero and draw(st.booleans()):
+        basis = list(P.groebner(nonzero).groebner)
+    return f, basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(_divisions())
+@example((_p("x^2*y + x*y^2 + y^2"), [_p("x*y - 1"), _p("y^2 - 1")]))
+def test_division_matches_the_oracle_byte_for_byte(case):
+    f, basis = case
+    assert _exact(P.reduce_poly(f, basis)) == _exact(_oracle_reduce_poly(f, basis))
+    nonzero = [g for g in [f, *basis] if not g.is_zero()]
+    for g, h in zip(nonzero, nonzero[1:]):
+        assert _exact(P.spoly(g, h)) == _exact(_oracle_spoly(g, h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ideals() | _zero_dimensional())
+@example([_p("-x^2*y^2 + x^2*y"), _p("2*x^2*y^2 - 2*x*y"), _p("-x^2*y^2 + 2*x*y - 1")])
+def test_buchberger_matches_the_oracle(gens):
+    """The same pairs in the same order: the unreduced bases agree element by
+    element, and the generators are left as they were.  In the example all
+    three leading monomials are equal, so the pairs' lcms tie and only the
+    tie-break orders them."""
+    before = [dict(g.terms) for g in gens]
+    assert [_exact(g) for g in P._buchberger(list(gens))] == [
+        _exact(g) for g in _oracle_buchberger(list(gens))
+    ]
+    assert [g.terms for g in gens] == before
+
+
+def _leading_is_the_grevlex_maximum(f):
+    if f.terms:
+        top = max(f.terms, key=P.grevlex_key)
+        assert f.leading() == (top, f.terms[top])
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys, st.integers(min_value=0, max_value=3), st.fractions(max_denominator=5))
+def test_operations_return_fresh_exact_polynomials(f, g, h, k, c):
+    """Every result holds nonzero Fractions in a dict of its own, and its
+    cached leading term is the grevlex maximum; no operand changes."""
+    operands = (f, g, h)
+    before = [dict(p.terms) for p in operands]
+    for p in operands:
+        _leading_is_the_grevlex_maximum(p)  # fills the caches first
+    results = [
+        f + g, f - g, f * g, f ** k, -f, f.diff(0), f.diff(1), f * c, f + c, c - f,
+        P.reduce_poly(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
+    ]
+    nonzero = [p for p in operands if not p.is_zero()]
+    results += [P.spoly(p, q) for p, q in zip(nonzero, nonzero[1:])]
+    for r in results:
+        assert all(type(v) is Fraction and v for v in r.terms.values())
+        _leading_is_the_grevlex_maximum(r)
+        assert all(r.terms is not p.terms for p in operands)
+    assert [p.terms for p in operands] == before
+    for p in operands:
+        _leading_is_the_grevlex_maximum(p)
