@@ -6,7 +6,8 @@ Euler data), monodromy (Tate variation and Kummer matrix), batch
 (multi-point conductor aggregation with transfers).
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage or input-syntax
-error.  JSON output is deterministic (sorted keys, fixed indentation);
+error, all set in ``run``: a subcommand handler returns nothing and
+raises on failure.  JSON output is deterministic (sorted keys, fixed indentation);
 text output honors QUADSING_ASCII=1 by writing <a> instead of the angle
 brackets.
 """
@@ -162,7 +163,7 @@ _GW_ACTIONS = {
 }
 
 
-def _cmd_gw(args, out) -> int:
+def _cmd_gw(args, out) -> None:
     arity, reads, op = _GW_ACTIONS[args.action]
     if len(args.args) != arity:
         raise ParseError(
@@ -191,10 +192,9 @@ def _cmd_gw(args, out) -> int:
         _print_json(out, payload)
     else:
         out.write(text + "\n")
-    return 0
 
 
-def _cmd_milnor(args, out) -> int:
+def _cmd_milnor(args, out) -> None:
     s = _singularity_from_args(args)
     form = ekl.ss_form(s)
     mu = form.gw
@@ -206,7 +206,7 @@ def _cmd_milnor(args, out) -> int:
             "gram": [[gw.json_rational(v) for v in row] for row in form.gram],
             "form": gw.to_json_dict(mu),
         })
-        return 0
+        return
     out.write(f"f = {P.format_poly(s.f, s.var_names)}\n")
     out.write(f"variables: {', '.join(s.var_names)}\n")
     if s.weights is not None:
@@ -214,15 +214,14 @@ def _cmd_milnor(args, out) -> int:
     out.write(f"Jacobian ring dimension: {form.dimension}\n")
     out.write(f"diagonal form: {gw.format_terms(mu, unicode_brackets=_unicode_ok())}\n")
     out.write(f"mu^q = {display_form(mu)}\n")
-    return 0
 
 
-def _cmd_conductor(args, out) -> int:
+def _cmd_conductor(args, out) -> None:
     s = _singularity_from_args(args)
     report = cond.verify(s)
     if args.json:
         _print_json(out, report.to_json_dict())
-        return 0
+        return
     out.write(f"f = {P.format_poly(s.f, s.var_names)}\n")
     if s.weights is not None:
         out.write(f"weights: {', '.join(str(w) for w in s.weights)} (degree {s.degree})\n")
@@ -241,10 +240,9 @@ def _cmd_conductor(args, out) -> int:
     out.write("notes:\n")
     for note in report.notes:
         out.write(f"  - {note}\n")
-    return 0
 
 
-def _cmd_euler(args, out) -> int:
+def _cmd_euler(args, out) -> None:
     if args.quadric is not None:
         e = euler.chi_split_quadric(args.quadric)
         if args.json:
@@ -256,7 +254,7 @@ def _cmd_euler(args, out) -> int:
         else:
             out.write(f"chi^c(split quadric, dim {args.quadric}) = {display_form(e)}\n")
             out.write(f"rank: {e.rank}\n")
-        return 0
+        return
     if args.ambient is None:
         raise ParseError("euler needs --ambient together with --degree")
     d, N = args.degree, args.ambient
@@ -274,10 +272,9 @@ def _cmd_euler(args, out) -> int:
         out.write(f"smooth hypersurface of degree {d} in P^{N} (dimension {N - 1})\n")
         out.write("primitive hodge numbers: " + ", ".join(str(h) for h in primitive) + "\n")
         out.write(f"euler characteristic: {chi}\n")
-    return 0
 
 
-def _cmd_monodromy(args, out) -> int:
+def _cmd_monodromy(args, out) -> None:
     if args.kummer:
         N = tate.kummer_monodromy()
         NN = tate.compose(N.twist(-1), N)
@@ -293,7 +290,7 @@ def _cmd_monodromy(args, out) -> int:
             for row in N.entries:
                 out.write("  [" + ", ".join(str(v) for v in row) + "]\n")
             out.write(f"N(-1) o N = 0: {'true' if NN.is_zero() else 'false'}\n")
-        return 0
+        return
 
     if args.abstract is not None:
         if args.dimension is None:
@@ -311,14 +308,14 @@ def _cmd_monodromy(args, out) -> int:
                     out.write("quadric case: variation: zero map\n")
                 else:
                     out.write(f"quadric case: variation factored with scalar {qc['scalar']}\n")
-        return 0
+        return
 
     if args.dimension is None:
         raise ParseError("--quadratic needs --dimension")
     v = tate.variation_quadric(args.dimension)
     if args.json:
         _print_json(out, v.to_json())
-        return 0
+        return
     out.write(f"quadratic singularity, fiber dimension {args.dimension}\n")
     if v.kind == "zero":
         out.write("variation: zero map\n")
@@ -327,7 +324,6 @@ def _cmd_monodromy(args, out) -> int:
             out.write(f"  1({s[0]})[{s[1]}] -> 1({t[0]})[{t[1]}]: Hom = 0\n")
     else:
         out.write(f"variation: factored through 1({v.m1.target.summands[0][0]})[{v.m1.target.summands[0][1]}] with scalar {v.scalar}\n")
-    return 0
 
 
 _JSON_KINDS = {
@@ -349,7 +345,7 @@ def _entry_field(entry: dict, key: str, kind: str, required: bool = True):
     return value
 
 
-def _cmd_batch(args, out) -> int:
+def _cmd_batch(args, out) -> None:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
@@ -407,11 +403,10 @@ def _cmd_batch(args, out) -> int:
 
     if args.json:
         _print_json(out, {"points": points, "total": gw.to_json_dict(total)})
-        return 0
+        return
     for idx, (point, contrib) in enumerate(zip(points, contributions)):
         out.write(f"point {idx} ({point['kind']}): {display_form(contrib)}\n")
     out.write(f"sum = {display_form(total)}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +515,11 @@ def run(argv, stdout=None) -> int:
             print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.handler(args, out)
+        args.handler(args, out)
     except QuadsingError as exc:
         _emit_error(out, exc, args.json)
         return 2 if isinstance(exc, ParseError) else 1
+    return 0
 
 
 def _json_requested(argv) -> bool:

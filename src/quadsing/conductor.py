@@ -28,7 +28,7 @@ from typing import Sequence
 from . import _univar as uv
 from . import poly as P
 from .ekl import SingularityInput, milnor_rank_weighted, quadratic_milnor
-from .errors import DegenerateFormError, InputDomainError
+from .errors import InputDomainError
 from .euler import chi_split_quadric, euler_rank
 from .gw import (
     RATIONALS,
@@ -206,29 +206,24 @@ def verify(s: SingularityInput) -> ConductorReport:
         )
         return ConductorReport(s, rhs, None, None, verdicts, notes)
 
-    if r >= 2 and n >= 1:
+    # r >= 2 and, for r = 2, a nondegenerate form: ss_form raised otherwise
+    if n >= 1:
         lhs_rank = lhs_rank_general(r, n)
         verdicts["rank"] = rhs.rank == lhs_rank
     else:
         notes.append("rank-level lhs needs degree >= 2 and at least two variables")
 
     if r == 2:
-        try:
-            c_form = diagonalize(quadratic_form_gram(s.f))
-        except DegenerateFormError:
-            c_form = None
-        if c_form is None:
-            notes.append("the quadratic form of f is degenerate; gw-level lhs skipped")
+        c_form = diagonalize(quadratic_form_gram(s.f))
+        d_form = c_form + diag_form([-1])
+        if is_split_form(c_form) and is_split_form(d_form) and n >= 1:
+            lhs_full = lhs_conductor_quadric(n)
+            verdicts["gw"] = is_equal(rhs, lhs_full)
         else:
-            d_form = c_form + diag_form([-1])
-            if is_split_form(c_form) and is_split_form(d_form) and n >= 1:
-                lhs_full = lhs_conductor_quadric(n)
-                verdicts["gw"] = is_equal(rhs, lhs_full)
-            else:
-                notes.append(
-                    "the quadric pair of f is not split over Q; the split-quadric "
-                    "gw-level lhs does not apply"
-                )
+            notes.append(
+                "the quadric pair of f is not split over Q; the split-quadric "
+                "gw-level lhs does not apply"
+            )
     else:
         notes.append(
             "gw-level chi^c is implemented for split quadrics only (degree 2); "

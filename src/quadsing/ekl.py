@@ -153,23 +153,13 @@ def singularity(
 # ---------------------------------------------------------------------------
 
 
-def _embed(g: P.Polynomial, m: int, offset: int) -> P.Polynomial:
-    """View an m-variable polynomial inside the 2m-variable X,Y ring."""
-    terms = {}
-    for exps, c in g.terms.items():
-        e = [0] * (2 * m)
-        for k, v in enumerate(exps):
-            e[offset + k] = v
-        terms[tuple(e)] = c
-    return P.Polynomial(2 * m, terms)
-
-
 def _delta(g: P.Polynomial, j: int, m: int) -> P.Polynomial:
     """Exact divided difference of g in slot j, with Y substituted in slots < j.
 
     Each term c*prod(v_k^(e_k)) contributes
     c * Y^(e_<j) * X^(e_>j) * sum_{u<e_j} X_j^u Y_j^(e_j-1-u),
-    which clears the division by X_j - Y_j termwise.
+    which clears the division by X_j - Y_j termwise.  A monomial
+    determines its term of g and its u, so no two contributions meet.
     """
     terms: dict[tuple[int, ...], Fraction] = {}
     for exps, c in g.terms.items():
@@ -186,20 +176,13 @@ def _delta(g: P.Polynomial, j: int, m: int) -> P.Polynomial:
             t = list(base)
             t[j] = u
             t[m + j] = e - 1 - u
-            key = tuple(t)
-            acc = terms.get(key, Fraction(0)) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            terms[tuple(t)] = c
     return P.Polynomial(2 * m, terms)
 
 
 def _det(mat: list[list[P.Polynomial]], nvars: int) -> P.Polynomial:
     """Determinant by Laplace expansion with column-subset memoization."""
     n = len(mat)
-    if n == 0:
-        return P.Polynomial.constant(nvars, 1)
     memo: dict[int, P.Polynomial] = {}
 
     def minor(mask: int, row: int) -> P.Polynomial:
@@ -230,19 +213,18 @@ def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
 
     The entry matrix satisfies g_i(X) - g_i(Y) = sum_j Delta_ij * (X_j - Y_j),
     with the Y-substitution running left to right; the identity is checked
-    by expansion before the determinant is taken.
+    by expansion, against ``poly.substitute`` of the X and the Y variables,
+    before the determinant is taken.
     """
     m = len(gs)
     if any(g.nvars != m for g in gs):
         raise ValueError("need m polynomials in m variables")
     mat = [[_delta(g, j, m) for j in range(m)] for g in gs]
-    for i, g in enumerate(gs):
-        acc = P.Polynomial.zero(2 * m)
-        for j in range(m):
-            xj = P.Polynomial.variable(2 * m, j)
-            yj = P.Polynomial.variable(2 * m, m + j)
-            acc = acc + mat[i][j] * (xj - yj)
-        if acc != _embed(g, m, 0) - _embed(g, m, m):
+    xs = [P.Polynomial.variable(2 * m, j) for j in range(m)]
+    ys = [P.Polynomial.variable(2 * m, m + j) for j in range(m)]
+    for row, g in zip(mat, gs):
+        acc = sum((d * (x - y) for d, x, y in zip(row, xs, ys)), P.Polynomial.zero(2 * m))
+        if acc != P.substitute(g, xs) - P.substitute(g, ys):
             raise AssertionError("divided-difference identity failed; this is a bug")
     return _det(mat, 2 * m)
 

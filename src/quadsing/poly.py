@@ -17,6 +17,7 @@ anywhere.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -604,6 +605,7 @@ def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
 
 
 def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
+    """The reduced basis of a Groebner basis of monic elements, as ``_buchberger`` makes."""
     # minimize: drop elements whose leading monomial another element divides
     basis = sorted(basis, key=lambda g: grevlex_key(g.leading()[0]))
     minimal: list[Polynomial] = []
@@ -612,26 +614,29 @@ def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
         if any(mono_divides(h.leading()[0], lg) for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each element against the others, keep monic
+    # tail-reduce each element against the others, which keeps it monic
     out = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        r = reduce_poly(g, others) if others else g
-        out.append(r * (Fraction(1) / r.leading()[1]))
+        out.append(reduce_poly(g, others) if others else g)
     out.sort(key=lambda g: grevlex_key(g.leading()[0]))
     return out
 
 
 @dataclass
 class QuotientBasis:
-    """A reduced Groebner basis with its standard-monomial data."""
+    """A reduced Groebner basis with its standard monomials, ``_standard``;
+    these are None, and so ``is_finite`` is False, for an infinite quotient."""
 
     groebner: tuple[Polynomial, ...]
     nvars: int
-    is_finite: bool
     _standard: tuple[Exps, ...] | None
     _nf_cache: dict[Exps, dict[int, Fraction]] = field(default_factory=dict, repr=False)
     _leads: tuple[Exps, ...] = field(default=(), repr=False)
+
+    @property
+    def is_finite(self) -> bool:
+        return self._standard is not None
 
     @property
     def standard_monomials(self) -> tuple[Exps, ...]:
@@ -722,30 +727,18 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     leads = [g.leading()[0] for g in basis]
 
     if len(basis) == 1 and basis[0].total_degree() == 0:
-        return QuotientBasis(tuple(basis), nvars, True, ())
+        return QuotientBasis(tuple(basis), nvars, ())
 
-    # zero-dimensionality: each variable has a pure-power leading monomial
+    # zero-dimensionality: each variable has a pure-power leading monomial, one at most
     bounds: list[int | None] = [None] * nvars
     for e in leads:
         nz = [i for i, x in enumerate(e) if x]
         if len(nz) == 1:
-            i = nz[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        return QuotientBasis(tuple(basis), nvars, False, None)
+            bounds[nz[0]] = e[nz[0]]
+    if None in bounds:
+        return QuotientBasis(tuple(basis), nvars, None)
 
-    standard: list[Exps] = []
-    def enumerate_from(prefix: list[int], i: int):
-        if i == nvars:
-            e = tuple(prefix)
-            if not any(mono_divides(l, e) for l in leads):
-                standard.append(e)
-            return
-        for v in range(bounds[i]):
-            prefix.append(v)
-            enumerate_from(prefix, i + 1)
-            prefix.pop()
-    enumerate_from([], 0)
+    box = itertools.product(*map(range, bounds))
+    standard = [e for e in box if not any(mono_divides(l, e) for l in leads)]
     standard.sort(key=grevlex_key)
-    return QuotientBasis(tuple(basis), nvars, True, tuple(standard))
+    return QuotientBasis(tuple(basis), nvars, tuple(standard))

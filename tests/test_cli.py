@@ -547,6 +547,48 @@ def test_malformed_input_is_a_parse_error(argv, named):
 
 
 @pytest.mark.parametrize(
+    "argv, exit_code, error, message",
+    [
+        (["milnor", "--vars", ",", "x"], 2, "parse-error",
+         "--vars must list at least one variable"),
+        (["milnor", "--vars", "x,y", "--weights", "1,a", "x^2 - y^3"], 2, "parse-error",
+         "--weights must be a comma-separated integer list"),
+        (["monodromy", "--abstract", "3"], 2, "parse-error", "--abstract needs --dimension"),
+        (["monodromy", "--quadratic"], 2, "parse-error", "--quadratic needs --dimension"),
+        (["milnor", "--vars", "x", "0"], 1, "not-isolated",
+         "all partial derivatives vanish identically"),
+        (["milnor", "--vars", "x,y", "--weights", "1,1", "x^2 - y^3"], 1, "invalid-input",
+         "f is not quasi-homogeneous for the given weights"),
+    ],
+)
+def test_rejected_arguments_exit_with_their_codes(argv, exit_code, error, message):
+    code, doc = _run_json(*argv, "--json")
+    assert code == exit_code
+    assert doc["error"] == {"code": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "content, exit_code, error, message",
+    [
+        (None, 1, "invalid-input", "cannot read batch file: "),
+        ("[1,", 2, "parse-error", "batch file is not valid JSON: "),
+        ('{"vars": ["x"], "poly": "x^2"}', 2, "parse-error",
+         "batch file must contain a JSON array"),
+        ("[1]", 2, "parse-error", "batch entry 0: entry must be a JSON object"),
+        ('[{"vars": ["x"]}]', 2, "parse-error", "batch entry 0: malformed ('poly')"),
+    ],
+)
+def test_unusable_batch_files_exit_with_their_codes(tmp_path, content, exit_code, error, message):
+    f = tmp_path / "points.json"
+    if content is not None:
+        f.write_text(content)
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == exit_code
+    assert doc["error"]["code"] == error
+    assert doc["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["conductor", "--vars", "x,y", "--degree", "3", "x^2 - y^2"],

@@ -3,14 +3,16 @@ sides, rank oracles, and the verification reports."""
 
 from __future__ import annotations
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from quadsing import conductor as cond
-from quadsing import ekl, euler, gw
+from quadsing import cli, ekl, euler, gw
 from quadsing import poly as P
-from quadsing.errors import InputDomainError
+from quadsing.errors import InputDomainError, NotIsolatedError
 
 XY = ("x", "y")
 
@@ -171,6 +173,40 @@ def test_verify_fermat_cubic_rank():
 def test_verify_smooth_input_skips_everything():
     report = cond.verify(_sing("x + y"))
     assert report.verdicts == {"gw": "skipped", "rank": "skipped"}
+
+
+def _conductor_json(*argv):
+    out = io.StringIO()
+    code = cli.run(["conductor", "--json", *argv], stdout=out)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("names, src", [("x,y,z", "x^2 + y^2"), ("x,y", "x^2")])
+def test_a_degenerate_quadric_is_not_isolated(names, src):
+    """Its singular locus is positive-dimensional, so verify stops in the
+    quadratic Milnor number before it reads the quadratic form of f."""
+    with pytest.raises(NotIsolatedError):
+        cond.verify(_sing(src, tuple(names.split(",")), degree=2))
+    code, doc = _conductor_json("--vars", names, "--degree", "2", src)
+    assert code == 1
+    assert doc["error"]["code"] == "not-isolated"
+
+
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        (["--vars", "x,y,z", "--weights", "3,2,1", "x^2 + y^3 + z^6"],
+         "weighted multiplier w = r * product(weights) is extrapolated beyond two variables"),
+        (["--vars", "x,y", "--degree", "3", "x^2 - y^2 + y^3"],
+         "f is not homogeneous and no weights were given; no lhs realization applies"),
+        (["--vars", "x", "x^2"],
+         "rank-level lhs needs degree >= 2 and at least two variables"),
+    ],
+)
+def test_reports_say_why_a_check_was_skipped(argv, note):
+    code, doc = _conductor_json(*argv)
+    assert code == 0
+    assert note in doc["notes"]
 
 
 def test_report_json_shape():

@@ -79,6 +79,37 @@ def test_bezoutian_divided_difference_identity():
     assert b.total_degree() == 3
 
 
+_polynomials = st.integers(1, 3).flatmap(
+    lambda m: st.builds(
+        P.Polynomial,
+        st.just(m),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * m),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polynomials)
+@example(P.parse("x*y + x", XY))
+def test_divided_differences_write_each_contribution_once(g):
+    """Term c*x^e of g gives e_j terms to Delta_j, at monomials that give
+    back the term, so no two meet and none cancels; the Deltas satisfy
+    g(X) - g(Y) = sum_j Delta_j * (X_j - Y_j)."""
+    m = g.nvars
+    xs = [P.Polynomial.variable(2 * m, j) for j in range(m)]
+    ys = [P.Polynomial.variable(2 * m, m + j) for j in range(m)]
+    deltas = [ekl._delta(g, j, m) for j in range(m)]
+    for j, delta in enumerate(deltas):
+        assert len(delta.terms) == sum(e[j] for e in g.terms)
+    expansion = sum((d * (x - y) for d, x, y in zip(deltas, xs, ys)), P.Polynomial.zero(2 * m))
+    assert expansion == P.substitute(g, xs) - P.substitute(g, ys)
+
+
 # ---------------------------------------------------------------------------
 # the frozen gram battery
 # ---------------------------------------------------------------------------
@@ -301,6 +332,16 @@ def test_thom_sebastiani_product(terms):
 # ---------------------------------------------------------------------------
 # input validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("src, f_names, names", [
+    ("x^2 - y^2", XY, ("x",)),
+    ("x^2 - y^2", XY, XYZ),
+    ("0", (), ()),
+])
+def test_variable_names_must_match_the_polynomial(src, f_names, names):
+    with pytest.raises(InputDomainError, match="variable names must match the polynomial"):
+        ekl.SingularityInput(P.parse(src, f_names), names)
 
 
 def test_singularity_must_vanish_at_origin():
