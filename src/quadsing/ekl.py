@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from . import poly as P
@@ -180,29 +181,35 @@ def _delta(g: P.Polynomial, j: int, m: int) -> P.Polynomial:
     return P.Polynomial(2 * m, terms)
 
 
-def _det(mat: list[list[P.Polynomial]], nvars: int) -> P.Polynomial:
-    """Determinant by Laplace expansion with column-subset memoization."""
+def _det(mat: list[list[P.Ints]], nvars: int) -> P.Ints:
+    """Determinant of a matrix of integer term dicts in nvars variables, by
+    Laplace expansion along the rows with column-subset memoization."""
     n = len(mat)
-    memo: dict[int, P.Polynomial] = {}
+    memo: dict[int, P.Ints] = {}
 
-    def minor(mask: int, row: int) -> P.Polynomial:
+    def minor(mask: int, row: int) -> P.Ints:
         if row == n:
-            return P.Polynomial.constant(nvars, 1)
+            return {(0,) * nvars: 1}
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        out = P.Polynomial.zero(nvars)
+        out: P.Ints = {}
+        get = out.get
         sign = 1
         for col in range(n):
             bit = 1 << col
             if not mask & bit:
                 continue
             entry = mat[row][col]
-            if not entry.is_zero():
-                sub = minor(mask & ~bit, row + 1)
-                out = out + entry * sub * sign
+            if entry:
+                sub = list(minor(mask & ~bit, row + 1).items())
+                for ea, ca in entry.items():
+                    ca *= sign
+                    for eb, cb in sub:
+                        e = tuple(map(add, ea, eb))
+                        out[e] = get(e, 0) + ca * cb
             sign = -sign
-        memo[mask] = out
+        out = memo[mask] = {e: c for e, c in out.items() if c}
         return out
 
     return minor((1 << n) - 1, 0)
@@ -214,7 +221,9 @@ def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
     The entry matrix satisfies g_i(X) - g_i(Y) = sum_j Delta_ij * (X_j - Y_j),
     with the Y-substitution running left to right; the identity is checked
     by expansion, against ``poly.substitute`` of the X and the Y variables,
-    before the determinant is taken.
+    before the determinant is taken.  Row i is scaled to integers by the lcm
+    L_i of its denominators, and the integer determinant is divided by the
+    product of the L_i.
     """
     m = len(gs)
     if any(g.nvars != m for g in gs):
@@ -226,7 +235,13 @@ def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
         acc = sum((d * (x - y) for d, x, y in zip(row, xs, ys)), P.Polynomial.zero(2 * m))
         if acc != P.substitute(g, xs) - P.substitute(g, ys):
             raise AssertionError("divided-difference identity failed; this is a bug")
-    return _det(mat, 2 * m)
+    rows, scale = [], 1
+    for row in mat:
+        ints, lcm = P.clear_denominators(row)
+        rows.append(ints)
+        scale *= lcm
+    det = _det(rows, 2 * m)
+    return P.Polynomial._of(2 * m, {e: Fraction(c, scale) for e, c in det.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +319,7 @@ def _is_local(quotient: P.QuotientBasis) -> bool:
     the origin is the only point; each search stops at the first zero."""
     n, d = quotient.nvars, quotient.dimension
     return all(
-        any(not quotient.nf_vector((0,) * i + (k,) + (0,) * (n - i - 1)) for k in range(1, d + 1))
+        any(not quotient.nf_vector((0,) * i + (k,) + (0,) * (n - i - 1))[0] for k in range(1, d + 1))
         for i in range(n)
     )
 
@@ -329,30 +344,32 @@ def _local_factor(quotient: P.QuotientBasis) -> P.QuotientBasis:
         previous = local.dimension
 
 
-def _hessian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
-    """det(d g_i / d x_j) for the partials g_i of f: the Hessian of f."""
-    return _det([[g.diff(j) for j in range(len(gs))] for g in gs], len(gs))
+def _hessian(gs: Sequence[P.Ints]) -> P.Ints:
+    """det(d g_i / d x_j) for the partials g_i of L*f in n variables, as
+    integer term dicts: the Hessian of L*f, which is L^n times that of f."""
+    m = len(gs)
+
+    def diff(g: P.Ints, j: int) -> P.Ints:
+        return {e[:j] + (e[j] - 1,) + e[j + 1 :]: c * e[j] for e, c in g.items() if e[j]}
+
+    return _det([[diff(g, j) for j in range(m)] for g in gs], m)
 
 
-def _inverse(block: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The exact inverse of a square matrix over Q; a singular or non-square
-    block raises AssertionError.
+def _inverse(block: list[list[int]], scale: int | Fraction) -> list[list[Fraction]]:
+    """scale times the exact inverse of a square integer matrix; a singular
+    or non-square block raises AssertionError.
 
-    The block is scaled to integers by the lcm L of its denominators and
-    reduced by fraction-free Gauss-Jordan elimination: each step replaces
-    every other row by (pivot * row - entry * pivot row) / previous pivot, a
-    division that is exact because every entry is then a minor of the
-    augmented matrix (Bareiss, Math. Comp. 1968).  That ends in det * I
-    beside det * M^-1, so the inverse is L * (right half) / det.
+    The block is reduced by fraction-free Gauss-Jordan elimination: each
+    step replaces every other row by (pivot * row - entry * pivot row) /
+    previous pivot, a division that is exact because every entry is then a
+    minor of the augmented matrix (Bareiss, Math. Comp. 1968).  That ends in
+    det * I beside det * M^-1, so the result is scale * (right half) / det,
+    one Fraction per entry.
     """
     k = len(block)
     if any(len(row) != k for row in block):
         raise AssertionError("a pairing block of the Scheja-Storch form is not square; this is a bug")
-    scale = math.lcm(*(v.denominator for row in block for v in row))
-    rows = [
-        [v.numerator * (scale // v.denominator) for v in row] + [int(i == j) for j in range(k)]
-        for i, row in enumerate(block)
-    ]
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(block)]
     previous = 1
     for c in range(k):
         p = next((i for i in range(c, k) if rows[i][c]), None)
@@ -366,12 +383,21 @@ def _inverse(block: list[list[Fraction]]) -> list[list[Fraction]]:
                 f = row[c]
                 rows[i] = [(head * a - f * b) // previous for a, b in zip(row, pivot)]
         previous = head
-    return [[Fraction(scale * v, previous) for v in row[k:]] for row in rows]
+    num, den = scale.numerator, scale.denominator * previous
+    return [[Fraction(num * v, den) for v in row[k:]] for row in rows]
 
 
 def _graded_form(gs, quotient, weights, r):
     """Gram matrix and class of a graded Jacobian ring, from the socle
-    functional (see ``ss_form``)."""
+    functional (see ``ss_form``).
+
+    Everything up to the inverse blocks is integer: the partials are scaled
+    by the lcm L of their denominators, and the Hessian of L*f is L^n times
+    that of f; normal forms are integer vectors over a denominator, and each
+    pairing block phi(b_i * b_j) is phi/D times the integer block of the
+    products' socle coefficients over their common denominator D.  L^n goes
+    into phi, and D/phi is the one scale that ``_inverse`` applies.
+    """
     standard = quotient.standard_monomials
     d = len(standard)
     socle = sum(r - 2 * w for w in weights)
@@ -379,9 +405,13 @@ def _graded_form(gs, quotient, weights, r):
     for i, b in enumerate(standard):
         pieces.setdefault(P.weighted_degree(b, weights), []).append(i)
 
-    hess: dict[int, Fraction] = {}
-    for exps, c in _hessian(gs).terms.items():
-        for k, a in quotient.nf_vector(exps).items():
+    ints, scale = P.clear_denominators(gs)
+    terms = [(c, quotient.nf_vector(e)) for e, c in _hessian(ints).items()]
+    hess_den = math.lcm(*(den for _, (_, den) in terms))
+    hess: dict[int, int] = {}
+    for c, (vec, den) in terms:
+        c *= hess_den // den
+        for k, a in vec.items():
             hess[k] = hess.get(k, 0) + c * a
     support = [k for k, v in hess.items() if v]
     if len(pieces.get(socle, ())) != 1 or support != pieces[socle]:
@@ -389,7 +419,8 @@ def _graded_form(gs, quotient, weights, r):
             "the Hessian's normal form must span the one-dimensional top piece; this is a bug"
         )
     sigma = support[0]
-    phi = Fraction(d) / hess[sigma]
+    # NF(Hess f) = hess[sigma] / (hess_den * L^n) * sigma, and phi(Hess f) = d
+    phi = Fraction(d * hess_den * scale ** len(gs), hess[sigma])
 
     gram = [[Fraction(0)] * d for _ in range(d)]
     hyperbolic, middle = 0, None
@@ -397,11 +428,15 @@ def _graded_form(gs, quotient, weights, r):
         if 2 * e > socle:
             continue
         cols = pieces.get(socle - e, [])
-        inverse = _inverse([
-            [phi * quotient.nf_vector(P.mono_mul(standard[i], standard[j])).get(sigma, 0)
-             for j in cols]
+        products = [
+            [quotient.nf_vector(P.mono_mul(standard[i], standard[j])) for j in cols]
             for i in rows
-        ])
+        ]
+        den = math.lcm(*(v_den for row in products for vec, v_den in row if sigma in vec))
+        inverse = _inverse(
+            [[vec.get(sigma, 0) * (den // v_den) for vec, v_den in row] for row in products],
+            den / phi,
+        )
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
                 gram[i][j] = gram[j][i] = inverse[b][a]
@@ -422,11 +457,11 @@ def _bezoutian_form(gs, quotient):
     m = len(gs)
     gram = [[Fraction(0)] * d for _ in range(d)]
     for exps, c in bezoutian(gs).terms.items():
-        alpha, beta = exps[:m], exps[m:]
-        vx = quotient.nf_vector(alpha)
+        vx, dx = quotient.nf_vector(exps[:m])
         if not vx:
             continue
-        vy = quotient.nf_vector(beta)
+        vy, dy = quotient.nf_vector(exps[m:])
+        c = c / (dx * dy)
         for k, a in vx.items():
             ca = c * a
             for l, b in vy.items():

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q with a Buchberger engine.
+"""Sparse multivariate polynomials over Q with a Buchberger engine over Z.
 
 Polynomials are immutable dictionaries from exponent tuples to nonzero
 Fractions, each with its leading term cached on first use.  The module
@@ -6,18 +6,27 @@ provides the one expression grammar of the package (``parse`` for
 polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
 ``<a, b> - <c>`` forms whose entries are such quotients), formal partial
 derivatives, weighted-homogeneity checks, and reduced Groebner bases with
-standard-monomial enumeration for zero-dimensional quotients.  Division
-(``reduce_poly``) reduces one dict in place, driven by a heap of grevlex
-keys, and builds no polynomial per step.  Leading terms, bases, standard
-monomials and printed terms all follow one monomial order, grevlex
-(``grevlex_key``).  Everything is exact; there is no floating point
-anywhere.
+standard-monomial enumeration for zero-dimensional quotients.
+
+The Groebner kernel runs over the integers (Buchberger over a domain, as in
+Becker and Weispfenning, *Groebner Bases*, 1993).  It works on term dicts
+with int coefficients, each made primitive with a positive leading
+coefficient; ``clear_denominators`` brings Fractions in.  Division
+(``_reduce``) is fraction-free: it scales the dividend instead of dividing
+a coefficient, reduces one dict in place, driven by a heap of grevlex keys,
+and builds no polynomial per step.  Fractions come back only at the
+boundary: the monic reduced basis of ``groebner``.  Normal forms of
+monomials (``QuotientBasis.nf_vector``) are integer vectors over one common
+denominator.  Leading terms, bases, standard monomials and printed terms all
+follow one monomial order, grevlex (``grevlex_key``).  Everything is exact;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -234,20 +243,24 @@ def partials(f: Polynomial) -> list[Polynomial]:
 
 
 def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Evaluate f at the given polynomials, one per variable."""
+    """Evaluate f at the given polynomials, one per variable.  Each term's
+    expansion is added into one dict, so the cost is linear in the number
+    of expanded terms."""
     if len(images) != f.nvars:
         raise ValueError("need one image polynomial per variable")
     if not images:
         return f
     nvars = images[0].nvars
-    out = Polynomial.zero(nvars)
+    out: dict[Exps, Fraction] = {}
+    get = out.get
     for exps, c in f.terms.items():
         term = Polynomial.constant(nvars, c)
         for img, e in zip(images, exps):
             if e:
                 term = term * img ** e
-        out = out + term
-    return out
+        for m, v in term.terms.items():
+            out[m] = get(m, 0) + v
+    return Polynomial._of(nvars, {m: v for m, v in out.items() if v})
 
 
 def weighted_degree(exps: Exps, weights: Sequence[int]) -> int:
@@ -484,61 +497,93 @@ def format_poly(f: Polynomial, variables: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Groebner machinery
+# Groebner machinery, over the integers
 # ---------------------------------------------------------------------------
 
+Ints = dict[Exps, int]
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g: both shifted to the lcm of their leading
-    monomials, made monic there, and subtracted, all into one dict."""
-    ef, cf = f.leading()
-    eg, cg = g.leading()
+
+def clear_denominators(polys: Iterable[Polynomial]) -> tuple[list[Ints], int]:
+    """The polynomials times the lcm L of all their denominators, as term
+    dicts with int coefficients, and L."""
+    polys = list(polys)
+    scale = math.lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    return [
+        {e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()} for f in polys
+    ], scale
+
+
+def _primitive(terms: Ints, lead: Exps) -> Ints:
+    """terms divided by their content, signed so that the coefficient of
+    lead is positive."""
+    content = math.gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return {e: c // content for e, c in terms.items()}
+
+
+def _divisor(lead: Exps, terms: Ints) -> tuple[Exps, int, list[tuple[Exps, int]]]:
+    """A primitive element as ``_reduce`` reads it: leading monomial, leading
+    coefficient and the other terms."""
+    return lead, terms[lead], [(e, c) for e, c in terms.items() if e != lead]
+
+
+def _spoly(ef: Exps, f: Ints, eg: Exps, g: Ints) -> Ints:
+    """S-polynomial of f and g with leading monomials ef and eg: both shifted
+    to the lcm of those, f scaled by lc(g)/k and g by lc(f)/k, k the gcd of
+    the leading coefficients, and subtracted, all into one dict."""
+    a, b = f[ef], g[eg]
+    k = math.gcd(a, b)
     l = mono_lcm(ef, eg)
-    shift, scale = mono_div(l, ef), 1 / cf
-    out = {tuple(map(add, shift, e)): scale * c for e, c in f.terms.items()}
-    shift, scale = mono_div(l, eg), 1 / cg
-    for e, c in g.terms.items():
+    shift, scale = mono_div(l, ef), b // k
+    out = {tuple(map(add, shift, e)): scale * c for e, c in f.items()}
+    shift, scale = mono_div(l, eg), a // k
+    for e, c in g.items():
         m = tuple(map(add, shift, e))
-        v = out.get(m)
-        if v is None:
-            out[m] = -scale * c
+        v = out.get(m, 0) - scale * c
+        if v:
+            out[m] = v
         else:
-            v = v - scale * c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return Polynomial._of(f.nvars, out)
+            del out[m]
+    return out
 
 
-def reduce_poly(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full normal form of f modulo the basis (every term reduced).
+def _reduce(f: Ints, divisors: Sequence[tuple[Exps, int, list]]) -> Ints:
+    """A positive multiple of the full normal form of f modulo the divisors
+    (every term reduced), each a ``_divisor`` with a positive leading
+    coefficient.
 
     The dividend is one dict, changed in place, and a heap of its
-    monomials' grevlex keys yields its largest term.  That term is reduced
-    by the first basis element whose leading monomial divides it, or else
-    moved to the remainder, so the remainder fills in descending grevlex
-    order.
+    monomials' grevlex keys yields its largest term c*m.  The first divisor
+    whose leading term a*lm divides it cancels it fraction-free: the
+    dividend and the remainder so far are scaled by a/gcd(a, c), and
+    c/gcd(a, c) times the divisor shifted by m/lm is subtracted.  A term no
+    leading monomial divides moves to the remainder, which so fills in
+    descending grevlex order: its first key is its leading monomial.
     """
-    divisors = []
-    for g in basis:
-        if g.terms:
-            eg, cg = g.leading()
-            divisors.append((eg, cg, [(e, c) for e, c in g.terms.items() if e != eg]))
-    p = dict(f.terms)
+    p = dict(f)
     # (-degree, reversed exponents) orders monomials as descending grevlex
     heap = [(-sum(e), e[::-1]) for e in p]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    remainder: dict[Exps, Fraction] = {}
+    remainder: Ints = {}
     while heap:
         e = pop(heap)[1][::-1]
         c = p.pop(e, None)
         if c is None:  # cancelled, or taken at an equal entry of the heap
             continue
-        for eg, cg, tail in divisors:
+        for eg, a, tail in divisors:
             if all(map(le, eg, e)):
-                q = c / cg
+                k = math.gcd(a, c)
+                if k != a:
+                    s = a // k
+                    for m in p:
+                        p[m] *= s
+                    for m in remainder:
+                        remainder[m] *= s
+                q = c // k
                 shift = tuple(map(sub, e, eg))
                 for et, ct in tail:
                     m = tuple(map(add, shift, et))
@@ -547,7 +592,7 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
                         p[m] = -q * ct
                         push(heap, (-sum(m), m[::-1]))
                     else:
-                        v = v - q * ct
+                        v -= q * ct
                         if v:
                             p[m] = v
                         else:
@@ -555,12 +600,16 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
                 break
         else:
             remainder[e] = c
-    return Polynomial._of(f.nvars, remainder)
+    return remainder
 
 
-def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
-    basis = [g * (Fraction(1) / g.leading()[1]) for g in gens]
-    lead = [g.leading()[0] for g in basis]
+def _buchberger(gens: list[Ints]) -> tuple[list[Ints], list[Exps]]:
+    """A Groebner basis of the nonzero integer generators: its elements,
+    primitive with positive leading coefficients, and their leading
+    monomials."""
+    lead = [max(g, key=grevlex_key) for g in gens]
+    basis = [_primitive(g, e) for g, e in zip(gens, lead)]
+    divisors = [_divisor(e, g) for e, g in zip(lead, basis)]
     # the pairs not yet taken, and a heap of them under the selection key,
     # made once per pair: normal selection takes the smallest lcm in
     # grevlex, with the pair itself as the tie-break
@@ -594,32 +643,34 @@ def _buchberger(gens: list[Polynomial]) -> list[Polynomial]:
                 break
         if skip:
             continue
-        s = reduce_poly(spoly(basis[i], basis[j]), basis)
-        if s.is_zero():
+        s = _reduce(_spoly(li, basis[i], lj, basis[j]), divisors)
+        if not s:
             continue
-        s = s * (Fraction(1) / s.leading()[1])
+        e = next(iter(s))
+        s = _primitive(s, e)
         basis.append(s)
-        lead.append(s.leading()[0])
+        lead.append(e)
+        divisors.append(_divisor(e, s))
         add_pairs(len(basis) - 1)
-    return basis
+    return basis, lead
 
 
-def _reduce_basis(basis: list[Polynomial]) -> list[Polynomial]:
-    """The reduced basis of a Groebner basis of monic elements, as ``_buchberger`` makes."""
+def _reduce_basis(basis: list[Ints], lead: list[Exps]) -> list[tuple[Exps, Ints]]:
+    """The reduced basis of a Groebner basis of primitive elements, as
+    ``_buchberger`` makes, as (leading monomial, primitive element) pairs in
+    ascending grevlex order of the leading monomials."""
     # minimize: drop elements whose leading monomial another element divides
-    basis = sorted(basis, key=lambda g: grevlex_key(g.leading()[0]))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        lg = g.leading()[0]
-        if any(mono_divides(h.leading()[0], lg) for h in minimal):
-            continue
-        minimal.append(g)
-    # tail-reduce each element against the others, which keeps it monic
+    minimal: list[int] = []
+    for i in sorted(range(len(basis)), key=lambda i: grevlex_key(lead[i])):
+        if not any(mono_divides(lead[k], lead[i]) for k in minimal):
+            minimal.append(i)
+    # tail-reduce each element against the others; the leading term stays
+    divisors = {k: _divisor(lead[k], basis[k]) for k in minimal}
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        out.append(reduce_poly(g, others) if others else g)
-    out.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    for i in minimal:
+        others = [divisors[k] for k in minimal if k != i]
+        g = _reduce(basis[i], others) if others else basis[i]
+        out.append((lead[i], _primitive(g, lead[i])))
     return out
 
 
@@ -631,7 +682,7 @@ class QuotientBasis:
     groebner: tuple[Polynomial, ...]
     nvars: int
     _standard: tuple[Exps, ...] | None
-    _nf_cache: dict[Exps, dict[int, Fraction]] = field(default_factory=dict, repr=False)
+    _nf_cache: dict[Exps, tuple[dict[int, int], int]] = field(default_factory=dict, repr=False)
     _leads: tuple[Exps, ...] = field(default=(), repr=False)
 
     @property
@@ -650,17 +701,21 @@ class QuotientBasis:
     def dimension(self) -> int:
         return len(self.standard_monomials)
 
-    def nf_vector(self, exps: Exps) -> dict[int, Fraction]:
-        """Normal form of a single monomial as basis-index -> coefficient.
+    def nf_vector(self, exps: Exps) -> tuple[dict[int, int], int]:
+        """Normal form of a single monomial as (vector, denominator): the
+        coefficient of standard monomial k is vector[k] / denominator.  The
+        vector holds nonzero ints only, the denominator is positive, and the
+        two share no factor, so the zero vector comes with denominator 1.
 
         No polynomial is divided; this is the multiplication-matrix step of
         FGLM (Faugere, Gianni, Lazard and Mora, 1993).  A standard monomial
         is its own unit vector and a leading monomial of the reduced basis is
         minus its tail.  Any other monomial m lies in the leading-term ideal
         and is x_i*m' with m' still in it, so NF(m) = sum_b NF(m')_b *
-        NF(x_i*b) over standard b.  Every monomial on the right is smaller
-        than m in grevlex, so the recursion ends; it runs on an explicit
-        stack, and every vector is kept for the later calls.
+        NF(x_i*b) over standard b, summed over the lcm of the denominators.
+        Every monomial on the right is smaller than m in grevlex, so the
+        recursion ends; it runs on an explicit stack, and every vector is
+        kept for the later calls.
         """
         exps = tuple(exps)
         cache = self._nf_cache
@@ -679,43 +734,58 @@ class QuotientBasis:
             lead = next(l for l in self._leads if mono_divides(l, m))
             i = next(k for k, (a, b) in enumerate(zip(m, lead)) if a > b)
             shorter = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            head = cache.get(shorter)
-            if head is None:
+            hit = cache.get(shorter)
+            if hit is None:
                 stack.append(shorter)
                 continue
+            head, head_den = hit
             shifted = [standard[b][:i] + (standard[b][i] + 1,) + standard[b][i + 1 :] for b in head]
             missing = [t for t in shifted if t not in cache]
             if missing:
                 stack.extend(missing)
                 continue
-            acc: dict[int, Fraction] = {}
-            for c, t in zip(head.values(), shifted):
-                for k, a in cache[t].items():
-                    acc[k] = acc.get(k, 0) + c * a
-            cache[m] = {k: v for k, v in acc.items() if v}
+            parts = [cache[t] for t in shifted]
+            den = math.lcm(*(d for _, d in parts))
+            acc: dict[int, int] = {}
+            get = acc.get
+            for c, (vec, d) in zip(head.values(), parts):
+                c *= den // d
+                for k, a in vec.items():
+                    acc[k] = get(k, 0) + c * a
+            acc = {k: v for k, v in acc.items() if v}
+            den *= head_den
+            common = math.gcd(den, *acc.values())
+            if common > 1:
+                acc = {k: v // common for k, v in acc.items()}
+                den //= common
+            cache[m] = (acc, den)
             stack.pop()
         return cache[exps]
 
     def _seed_nf_cache(self) -> None:
-        """Unit vectors of the standard monomials and the leading monomials'
-        normal forms, minus their tails."""
+        """Unit vectors of the standard monomials, and the leading monomials'
+        normal forms: minus the tail of the primitive integer multiple of
+        their element, over its leading coefficient."""
         pos = {e: k for k, e in enumerate(self.standard_monomials)}
         cache = self._nf_cache
         for e, k in pos.items():
-            cache[e] = {k: Fraction(1)}
+            cache[e] = ({k: 1}, 1)
         for g in self.groebner:
-            lead, c = g.leading()
-            cache[lead] = {pos[e]: -v / c for e, v in g.terms.items() if e != lead}
+            lead = g.leading()[0]
+            (terms,), scale = clear_denominators([g])
+            cache[lead] = ({pos[e]: -v for e, v in terms.items() if e != lead}, scale)
         self._leads = tuple(g.leading()[0] for g in self.groebner)
 
 
 def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     """Reduced grevlex Groebner basis of the ideal, plus the quotient's monomial basis.
 
-    The reduced basis is unique, so identical inputs produce identical
-    bases.  Standard monomials come back sorted ascending in grevlex when
-    the quotient is finite-dimensional; otherwise the result is flagged
-    infinite and the ideal's basis is still available.
+    The generators' denominators are cleared, and the basis is computed over
+    the integers and made monic once, at the end.  The reduced basis is
+    unique, so identical inputs produce identical bases.  Standard monomials
+    come back sorted ascending in grevlex when the quotient is
+    finite-dimensional; otherwise the result is flagged infinite and the
+    ideal's basis is still available.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -723,11 +793,15 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     nvars = gens[0].nvars
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators have mixed variable counts")
-    basis = _reduce_basis(_buchberger(gens))
-    leads = [g.leading()[0] for g in basis]
+    reduced = _reduce_basis(*_buchberger(clear_denominators(gens)[0]))
+    basis = tuple(
+        Polynomial._of(nvars, {e: Fraction(c, g[lead]) for e, c in g.items()})
+        for lead, g in reduced
+    )
+    leads = [lead for lead, _ in reduced]
 
-    if len(basis) == 1 and basis[0].total_degree() == 0:
-        return QuotientBasis(tuple(basis), nvars, ())
+    if leads == [(0,) * nvars]:
+        return QuotientBasis(basis, nvars, ())
 
     # zero-dimensionality: each variable has a pure-power leading monomial, one at most
     bounds: list[int | None] = [None] * nvars
@@ -736,9 +810,9 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
         if len(nz) == 1:
             bounds[nz[0]] = e[nz[0]]
     if None in bounds:
-        return QuotientBasis(tuple(basis), nvars, None)
+        return QuotientBasis(basis, nvars, None)
 
     box = itertools.product(*map(range, bounds))
-    standard = [e for e in box if not any(mono_divides(l, e) for l in leads)]
+    standard = [e for e in box if not any(all(map(le, l, e)) for l in leads)]
     standard.sort(key=grevlex_key)
-    return QuotientBasis(tuple(basis), nvars, tuple(standard))
+    return QuotientBasis(basis, nvars, tuple(standard))

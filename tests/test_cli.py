@@ -485,6 +485,25 @@ def test_usage_errors_in_text_mode_print_the_usage(capsys):
     assert err.endswith("quadsing conductor: error: argument --degree: invalid int value: 'abc'\n")
 
 
+def test_help_exits_zero(capsys):
+    """argparse ends --help with SystemExit(0); run turns that into 0."""
+    code, text = _run("--help")
+    assert (code, text) == (0, "")
+    assert capsys.readouterr().out.startswith("usage: quadsing ")
+
+
+def test_a_malformed_json_option_is_read_as_text_mode(capsys):
+    """--json=1 is a usage error in the --json option itself, so the
+    envelope cannot be asked for: the error goes to stderr, stdout stays
+    empty."""
+    assert cli._json_requested(["milnor", "--json=1"]) is False
+    code, text = _run("milnor", "--vars", "x,y", "x^2 - y^3", "--json=1")
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: quadsing milnor ")
+    assert err.endswith("quadsing milnor: error: argument --json: ignored explicit argument '1'\n")
+
+
 def test_index_error_inside_the_library_is_not_a_missing_argument(monkeypatch):
     def broken(a, b):
         raise IndexError("list index out of range")

@@ -9,6 +9,9 @@ runs to completion: Q(t) classes, per-point batch lines, the quadric cases of
 spacing and ASCII variants of form input and output.  ``GW_ACTIONS`` was
 recorded later, before the gw actions moved into one table: every action over
 each field it reads, and the arity, field-label and matrix-shape errors.
+``KERNEL`` was recorded before the Groebner, Hessian and normal-form kernel
+moved from Fractions to integers: dense inputs whose bases reach large
+coefficients, and inputs with rational coefficients.
 """
 
 from __future__ import annotations
@@ -272,6 +275,25 @@ GW_ACTIONS = [
     (["gw", "diagonalize", "[[0,0],[0,0]]", "--field", "Fp:3", "--json"], 1,
      "e8035fdece3383db9ea63237041258be4163ce0843ed9495a507e02d46726769"),
 ]
+# the large-coefficient path: the ROADMAP's reference inputs Q4 (a dense
+# ternary quartic, mu = 27) and C4 (a dense quaternary cubic, mu = 16), and
+# rational coefficients on the graded and the ungraded path; recorded before
+# the exact kernel moved from Fractions to integers
+KERNEL = [
+    (["milnor", "--vars", "x,y,z",
+      "-x^4 - 5*x^3*y - 4*x^2*y^2 + 5*x*y^3 + y^4 + 2*x^3*z - 2*x^2*y*z + 2*x*y^2*z"
+      " - y^3*z + x^2*z^2 + 2*x*y*z^2 - 4*y^2*z^2 + 2*x*z^3 + 4*y*z^3 - z^4", "--json"], 0,
+     "c61a72ea37939d1c12e114ff52fe54a79081ca7e0982d3bf6e67c444aab8c776"),
+    (["milnor", "--vars", "x,y,z,w",
+      "2*x^3 + 2*x^2*y + x*y^2 + y^3 - 5*x^2*z + x*y*z + 5*y^2*z + 2*x*z^2 + 2*y*z^2"
+      " + 3*z^3 + 4*x^2*w - 5*x*y*w + 2*y^2*w - 4*x*z*w + 2*y*z*w - 4*z^2*w - 2*x*w^2"
+      " - 4*y*w^2 + 4*z*w^2 + w^3", "--json"], 0,
+     "255e067db5d3fc7b9e9b757f8aab3ca67f5f7db644af9d47358ab4cb55290c11"),
+    (["milnor", "--vars", "x,y", "x^3/2 + 3*y^3/4", "--json"], 0,
+     "463ea58e9bcd7c0e90c7e069932cbd067c60ce663ccc35ad6466f09ad0195c52"),
+    (["milnor", "--vars", "x,y", "x^2/3 - y^3/2 + x*y^2/5", "--json"], 0,
+     "40eac98cad7a29a041bd1e79e25a65baef714b736d57cbd26b170805e4509f2f"),
+]
 # run with QUADSING_ASCII=1
 ASCII = [
     (["gw", "add", "<1,2>", "<-2>"], 0,
@@ -280,7 +302,9 @@ ASCII = [
      "75082086d235d21f3a611e720709f52f20d0c6b6c1d550d7f013c9eae18fa5ac"),
 ]
 
-CORPUS = [(*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS]
+CORPUS = [
+    (*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL
+]
 CORPUS += [(*call, True) for call in ASCII]
 
 

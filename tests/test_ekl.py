@@ -110,6 +110,62 @@ def test_divided_differences_write_each_contribution_once(g):
     assert expansion == P.substitute(g, xs) - P.substitute(g, ys)
 
 
+def _oracle_det(mat, nvars):
+    """Determinant of a matrix of Fraction polynomials by Laplace expansion
+    along the first row, with no memo and no integers."""
+    if not mat:
+        return P.Polynomial.constant(nvars, 1)
+    out = P.Polynomial.zero(nvars)
+    for col, entry in enumerate(mat[0]):
+        minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
+        out = out + entry * _oracle_det(minor, nvars) * (-1) ** col
+    return out
+
+
+def _rational_polynomials(m):
+    """Polynomials in m variables with rational coefficients of either sign,
+    some scaled by an integer that makes them non-primitive."""
+    return st.builds(
+        lambda terms, k: P.Polynomial(m, {e: k * c for e, c in terms.items()}),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * m),
+            st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([1, -1, 6, -10]),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_rational_polynomials))
+@example(P.parse("x^3/2 + 3*y^3/4 - x*y/6", XY))
+@example(P.parse("-6*x^4 + 4*x*y^2*z - 10*z^3", XYZ))
+def test_hessian_matches_the_fraction_determinant(f):
+    """The integer Hessian of the denominator-cleared partials L*g_i is L^n
+    times the Fraction determinant of the second partials of f."""
+    m = f.nvars
+    gs = P.partials(f)
+    ints, scale = P.clear_denominators(gs)
+    hess = ekl._hessian(ints)
+    assert all(type(c) is int and c for c in hess.values())
+    expected = _oracle_det([[g.diff(j) for j in range(m)] for g in gs], m) * scale**m
+    assert hess == expected.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(_rational_polynomials(m), min_size=m, max_size=m)))
+@example([P.parse("2*x*y/3", XY), P.parse("-x^2/2 + 4*y^3", XY)])
+def test_bezoutian_matches_the_fraction_determinant(gs):
+    """The Bezoutian, a determinant over the integers row by row, is the
+    Fraction determinant of the divided differences, with Fraction
+    coefficients."""
+    m = len(gs)
+    b = ekl.bezoutian(gs)
+    assert all(type(c) is Fraction and c for c in b.terms.values())
+    assert b == _oracle_det([[ekl._delta(g, j, m) for j in range(m)] for g in gs], 2 * m)
+
+
 # ---------------------------------------------------------------------------
 # the frozen gram battery
 # ---------------------------------------------------------------------------
@@ -549,7 +605,7 @@ def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
     ``diagonalize`` sees only the middle piece, and no normal form divides a
     polynomial once the Groebner basis is known."""
     seen, divisions, basis_known = [], [], []
-    real_groebner, real_reduce = P.groebner, P.reduce_poly
+    real_groebner, real_reduce = P.groebner, P._reduce
 
     def diagonalize(gram, *args):
         seen.append(len(gram))
@@ -560,14 +616,14 @@ def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
         basis_known.append(True)
         return q
 
-    def reduce_poly(f, basis):
+    def reduce(f, divisors):
         if basis_known:
             divisions.append(f)
-        return real_reduce(f, basis)
+        return real_reduce(f, divisors)
 
     monkeypatch.setattr(ekl, "diagonalize", diagonalize)
     monkeypatch.setattr(P, "groebner", groebner)
-    monkeypatch.setattr(P, "reduce_poly", reduce_poly)
+    monkeypatch.setattr(P, "_reduce", reduce)
     bf = ekl.ss_form(ekl.singularity(src, names))
     assert seen == sizes
     assert basis_known and not divisions
@@ -577,6 +633,12 @@ def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
 # ---------------------------------------------------------------------------
 # the socle functional against the Bezoutian
 # ---------------------------------------------------------------------------
+
+
+def _nf(quotient, exps):
+    """The normal form of a monomial as basis index -> Fraction."""
+    vec, den = quotient.nf_vector(exps)
+    return {k: Fraction(v, den) for k, v in vec.items()}
 
 
 def _bezoutian_oracle(s):
@@ -589,8 +651,8 @@ def _bezoutian_oracle(s):
     m, d = s.nvars, quotient.dimension
     gram = [[Fraction(0)] * d for _ in range(d)]
     for exps, c in ekl.bezoutian(gs).terms.items():
-        for k, a in quotient.nf_vector(exps[:m]).items():
-            for l, b in quotient.nf_vector(exps[m:]).items():
+        for k, a in _nf(quotient, exps[:m]).items():
+            for l, b in _nf(quotient, exps[m:]).items():
                 gram[k][l] += c * a * b
     weights, r = s.grading()
     socle = sum(r - 2 * w for w in weights)
@@ -645,6 +707,9 @@ _C4 = (
         # that G^-T and G^-1 differ
         ("x^5 + y^5 + x^2*y^3", XY, None),
         ("x^3 + y^3 + z^3 + x^2*y", XYZ, None),
+        # rational coefficients: the Hessian is that of L*f, L = 4 and 6
+        ("x^3/2 + 3*y^3/4", XY, None),
+        ("x^3/6 - 5*y^4/4 + x^2*z/3 - z^3", XYZ, (4, 3, 4)),
     ],
 )
 def test_graded_form_matches_the_bezoutian(src, names, weights):
@@ -702,9 +767,9 @@ def test_only_ungraded_input_builds_the_bezoutian(monkeypatch):
 @pytest.mark.parametrize(
     "hessian",
     [
-        lambda h: h * 0,  # zero
-        lambda h: P.Polynomial.constant(h.nvars, 1),  # in A_0, not A_s
-        lambda h: h + 1,  # in A_s plus a part in A_0
+        lambda h: {},  # zero
+        lambda h: {(0, 0): 1},  # in A_0, not A_s
+        lambda h: {**h, (0, 0): 1},  # in A_s plus a part in A_0
     ],
 )
 def test_hessian_off_the_socle_is_a_bug(monkeypatch, hessian):
@@ -732,7 +797,7 @@ def test_singular_pairing_block_is_a_bug(monkeypatch, src, socle, doctored):
     real = P.QuotientBasis.nf_vector
 
     def nf_vector(self, exps):
-        return {sigma: Fraction(1)} if tuple(exps) in doctored else real(self, exps)
+        return ({sigma: 1}, 1) if tuple(exps) in doctored else real(self, exps)
 
     monkeypatch.setattr(P.QuotientBasis, "nf_vector", nf_vector)
     with pytest.raises(AssertionError, match="singular"):
@@ -740,13 +805,17 @@ def test_singular_pairing_block_is_a_bug(monkeypatch, src, socle, doctored):
 
 
 def test_exact_inverse():
-    block = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
-    inverse = ekl._inverse(block)
+    block = [[0, 2], [3, 1]]
+    inverse = ekl._inverse(block, 1)
     assert inverse == [[Fraction(-1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(0)]]
+    assert all(type(v) is Fraction for row in inverse for v in row)
+    assert ekl._inverse(block, Fraction(-3, 2)) == [
+        [Fraction(1, 4), Fraction(-1, 2)], [Fraction(-3, 4), Fraction(0)]
+    ]
     with pytest.raises(AssertionError, match="singular"):
-        ekl._inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        ekl._inverse([[1, 2], [2, 4]], 1)
     with pytest.raises(AssertionError, match="not square"):
-        ekl._inverse([[Fraction(1), Fraction(2)]])
+        ekl._inverse([[1, 2]], 1)
 
 
 # ---------------------------------------------------------------------------

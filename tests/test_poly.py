@@ -4,6 +4,7 @@ quotient bases."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -265,6 +266,21 @@ def test_substitute_linear_change():
     assert P.substitute(f, [u, v]) == _p("4*x*y")
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, polys, st.fractions(max_denominator=4))
+def test_substitute_matches_term_by_term_expansion(f, u, v, c):
+    """substitute adds every term's expansion into one dict; adding the
+    expanded terms as polynomials, one at a time, gives the same result, and
+    terms that cancel leave no zero behind."""
+    f = f * c
+    expected = P.Polynomial.zero(2)
+    for exps, a in f.terms.items():
+        expected = expected + P.Polynomial.constant(2, a) * u ** exps[0] * v ** exps[1]
+    result = P.substitute(f, [u, v])
+    assert result == expected
+    assert all(type(a) is Fraction and a for a in result.terms.values())
+
+
 def test_quasi_homogeneity():
     f = _p("x^2 - y^3")
     assert P.is_quasi_homogeneous(f, (3, 2), 6)
@@ -317,20 +333,53 @@ def test_infinite_quotient_detected():
         q.dimension
 
 
+def _divisors(basis):
+    """Polynomials as the divisors of the integer kernel: each made a
+    primitive integer polynomial with a positive leading coefficient."""
+    out = []
+    for g in basis:
+        if g.terms:
+            lead = g.leading()[0]
+            (terms,), _ = P.clear_denominators([g])
+            out.append(P._divisor(lead, P._primitive(terms, lead)))
+    return out
+
+
+def _ints(f):
+    return P.clear_denominators([f])[0][0]
+
+
+def _as_fractions(nf):
+    """An ``nf_vector`` result read as basis index -> Fraction."""
+    vec, den = nf
+    return {k: Fraction(v, den) for k, v in vec.items()}
+
+
 def test_normal_form_reduction():
     q = P.groebner([_p("2*x"), _p("-3*y^2")])
-    nf = P.reduce_poly(_p("x^2 + y^2 + y + 1"), q.groebner)
-    assert nf == _p("y + 1")
-    assert P.reduce_poly(_p("x*y^5"), q.groebner).is_zero()
+    divisors = _divisors(q.groebner)
+    assert P._reduce(_ints(_p("x^2 + y^2 + y + 1")), divisors) == {(0, 1): 1, (0, 0): 1}
+    assert P._reduce(_ints(_p("x*y^5")), divisors) == {}
+    # 3*x*y + 2*y^2 - 3*y: 3*x*y is left, and 2*y^2 is cancelled by
+    # y^2 + 3*x, whose leading coefficient 1 divides 2, so nothing is scaled
+    q = P.groebner([_p("y^2 + 3*x"), _p("x^2")])
+    assert P._reduce(_ints(_p("2*y^2 + 3*x*y - 3*y")), _divisors(q.groebner)) == {
+        (1, 1): 3, (1, 0): -6, (0, 1): -3
+    }
+    # 3*x*y over the lead 2*x*y: dividend and remainder scaled by 2
+    assert P._reduce(_ints(_p("y^3 + 3*x*y + 1")), _divisors([_p("2*x*y - 1")])) == {
+        (0, 3): 2, (0, 0): 5
+    }
 
 
 def test_nf_vector_matches_normal_form():
     q = P.groebner([_p("2*x*y"), _p("x^2 + 4*y^3")])
     std = q.standard_monomials
-    vec = q.nf_vector((0, 3))  # y^3 = -x^2/4 mod the ideal
-    nf = P.reduce_poly(P.Polynomial.monomial(2, (0, 3)), q.groebner)
+    vec, den = q.nf_vector((0, 3))  # y^3 = -x^2/4 mod the ideal
+    assert den == 4 and vec == {std.index((2, 0)): -1}
+    nf = _oracle_reduce_poly(P.Polynomial.monomial(2, (0, 3)), q.groebner)
     for idx, m in enumerate(std):
-        assert nf.coefficient(m) == vec.get(idx, 0)
+        assert nf.coefficient(m) == Fraction(vec.get(idx, 0), den)
 
 
 @st.composite
@@ -408,9 +457,12 @@ def test_groebner_matches_sympy_on_dense_jacobians(gens):
 def _zero_dimensional(draw):
     """Generators with leading monomials c*x_i^a_i under grevlex: every other
     term has a lower total degree.  So the ideal is zero-dimensional, and in
-    general neither graded nor radical.  One more generator may follow."""
+    general neither graded nor radical.  One more generator may follow.  The
+    coefficients are integers or fractions, of either sign."""
     nvars = draw(st.integers(min_value=1, max_value=3))
-    coeff = st.integers(min_value=-4, max_value=4).filter(bool)
+    coeff = st.integers(min_value=-4, max_value=4).filter(bool) | st.fractions(
+        min_value=-4, max_value=4, max_denominator=3
+    ).filter(bool)
     gens = []
     for i in range(nvars):
         a = draw(st.integers(min_value=1, max_value=5))
@@ -429,7 +481,7 @@ def _zero_dimensional(draw):
 
 
 def _nf_by_division(q, exps):
-    nf = P.reduce_poly(P.Polynomial.monomial(q.nvars, exps), q.groebner)
+    nf = _oracle_reduce_poly(P.Polynomial.monomial(q.nvars, exps), q.groebner)
     index = {m: k for k, m in enumerate(q.standard_monomials)}
     return {index[m]: c for m, c in nf.terms.items()}
 
@@ -441,17 +493,22 @@ def _nf_by_division(q, exps):
 @example(P.partials(_p("x^2 - y^2 + 2*y^4")), random.Random(2))
 @example([_p("2*x*y"), _p("x^2 + 4*y^3")], random.Random(3))
 @example(P.partials(_p("x^2*y + y^4")), random.Random(4))
+@example([_p("-3*x^2/2 + y/5"), _p("4*y^3/3 - x/2")], random.Random(5))
 def test_nf_vector_matches_division(gens, rng):
     """Sixty monomials from a box twice as wide as the basis' exponents,
     asked for in random order so that the memo fills differently, have the
-    normal forms that polynomial division gives."""
+    normal forms that Fraction division by the basis gives; each integer
+    vector shares no factor with its positive denominator."""
     q = P.groebner(gens)
     assert q.is_finite
     top = [max(m[i] for g in q.groebner for m in g.terms) for i in range(q.nvars)]
     monomials = list(itertools.product(*(range(2 * t + 2) for t in top)))
     rng.shuffle(monomials)
     for exps in monomials[:60]:
-        assert q.nf_vector(exps) == _nf_by_division(q, exps)
+        vec, den = q.nf_vector(exps)
+        assert den > 0 and all(type(v) is int and v for v in vec.values())
+        assert math.gcd(den, *vec.values()) == 1
+        assert _as_fractions((vec, den)) == _nf_by_division(q, exps)
 
 
 def test_reduced_basis_is_deterministic():
@@ -463,15 +520,17 @@ def test_reduced_basis_is_deterministic():
 
 
 def test_spoly_and_reduce():
-    f = _p("x^2")
-    g = _p("x*y + 1")
-    s = P.spoly(f, g)
-    assert s == _p("-x")
-    assert P.reduce_poly(_p("x^2*y"), [g]) == _p("-x")
+    f, g = {(2, 0): 1}, {(1, 1): 1, (0, 0): 1}  # x^2 and x*y + 1
+    assert P._spoly((2, 0), f, (1, 1), g) == {(1, 0): -1}
+    assert P._reduce({(2, 1): 1}, [P._divisor((1, 1), g)]) == {(1, 0): -1}
+    # leading coefficients 4 and 6 scale by 6/2 and 4/2:
+    # 3*y*(4*x^2 + y) - 2*x*(6*x*y + 1) = 3*y^2 - 2*x
+    f, g = {(2, 0): 4, (0, 1): 1}, {(1, 1): 6, (0, 0): 1}
+    assert P._spoly((2, 0), f, (1, 1), g) == {(0, 2): 3, (1, 0): -2}
 
 
 # ---------------------------------------------------------------------------
-# the division kernel against the slow path it replaced
+# the integer kernel against the Fraction kernel it replaced
 # ---------------------------------------------------------------------------
 
 
@@ -546,10 +605,43 @@ def _oracle_buchberger(gens):
     return basis
 
 
+def _oracle_reduce_basis(basis):
+    """The reduced basis of a Groebner basis of monic elements: minimized,
+    each element tail-reduced against the others, in ascending grevlex order
+    of the leading monomials."""
+    basis = sorted(basis, key=lambda g: P.grevlex_key(g.leading()[0]))
+    minimal = []
+    for g in basis:
+        if not any(P.mono_divides(h.leading()[0], g.leading()[0]) for h in minimal):
+            minimal.append(g)
+    out = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        out.append(_oracle_reduce_poly(g, others) if others else g)
+    return out
+
+
 def _exact(f):
     """The terms in dict order, each coefficient with its type: equal only
     when the two dicts are the same, byte for byte."""
     return repr(list(f.terms.items()))
+
+
+def _over(terms, e):
+    """A nonzero integer term dict divided by its coefficient at e, as a
+    Polynomial."""
+    return P.Polynomial(len(e), {m: Fraction(c, terms[e]) for m, c in terms.items()})
+
+
+def _assert_positive_multiple(terms, oracle):
+    """terms is a positive multiple of the Polynomial oracle, with its terms
+    in the same order: divided by their first coefficients, they agree byte
+    for byte."""
+    assert list(terms) == list(oracle.terms)
+    if terms:
+        e = next(iter(terms))
+        assert (terms[e] > 0) == (oracle.terms[e] > 0)
+        assert _exact(_over(terms, e)) == _exact(oracle * (1 / oracle.terms[e]))
 
 
 def _rational_polys(nvars, top, size):
@@ -573,27 +665,70 @@ def _divisions(draw):
 @settings(max_examples=200, deadline=None)
 @given(_divisions())
 @example((_p("x^2*y + x*y^2 + y^2"), [_p("x*y - 1"), _p("y^2 - 1")]))
+@example((_p("y^3 + 3*x*y + 1"), [_p("-2*x*y + 1")]))
 def test_division_matches_the_oracle_byte_for_byte(case):
+    """Fraction-free division and S-polynomials of the denominator-cleared,
+    primitive operands are positive multiples of the Fraction results, term
+    for term in the same order."""
     f, basis = case
-    assert _exact(P.reduce_poly(f, basis)) == _exact(_oracle_reduce_poly(f, basis))
+    before = [dict(g.terms) for g in [f, *basis]]
+    _assert_positive_multiple(P._reduce(_ints(f), _divisors(basis)), _oracle_reduce_poly(f, basis))
     nonzero = [g for g in [f, *basis] if not g.is_zero()]
     for g, h in zip(nonzero, nonzero[1:]):
-        assert _exact(P.spoly(g, h)) == _exact(_oracle_spoly(g, h))
+        (dg, _, _), (dh, _, _) = _divisors([g, h])
+        s = P._spoly(dg, P._primitive(_ints(g), dg), dh, P._primitive(_ints(h), dh))
+        _assert_positive_multiple(s, _oracle_spoly(g, h))
+    assert [g.terms for g in [f, *basis]] == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ideals() | _zero_dimensional())
 @example([_p("-x^2*y^2 + x^2*y"), _p("2*x^2*y^2 - 2*x*y"), _p("-x^2*y^2 + 2*x*y - 1")])
 def test_buchberger_matches_the_oracle(gens):
-    """The same pairs in the same order: the unreduced bases agree element by
-    element, and the generators are left as they were.  In the example all
-    three leading monomials are equal, so the pairs' lcms tie and only the
-    tie-break orders them."""
-    before = [dict(g.terms) for g in gens]
-    assert [_exact(g) for g in P._buchberger(list(gens))] == [
-        _exact(g) for g in _oracle_buchberger(list(gens))
-    ]
-    assert [g.terms for g in gens] == before
+    """The same pairs in the same order: the unreduced bases, made monic,
+    agree element by element, and the generators are left as they were.  In
+    the example all three leading monomials are equal, so the pairs' lcms tie
+    and only the tie-break orders them."""
+    ints = [_ints(g) for g in gens]
+    before = [dict(g) for g in ints]
+    basis, lead = P._buchberger(ints)
+    oracle = _oracle_buchberger(list(gens))
+    assert lead == [g.leading()[0] for g in oracle]
+    assert [_exact(_over(g, e)) for g, e in zip(basis, lead)] == [_exact(g) for g in oracle]
+    assert all(math.gcd(*g.values()) == 1 and g[e] > 0 for g, e in zip(basis, lead))
+    assert ints == before
+
+
+def _generators(nvars):
+    """Up to three generators with rational coefficients, some scaled by an
+    integer that makes them non-primitive, some with a negative leading
+    coefficient."""
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars).filter(lambda e: sum(e) <= 3)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    gen = st.builds(
+        lambda terms, k: P.Polynomial(nvars, {e: k * c for e, c in terms.items()}),
+        st.dictionaries(exps, coeff, min_size=1, max_size=4),
+        st.sampled_from([1, -1, 6, -4, 15]),
+    )
+    return st.lists(gen, min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(_generators))
+@example([_p("6*x^2 + 4*y/3"), _p("-10*x*y + 15/2")])
+@example([_p("-x*y/2 + 3*y^2/4")])  # an infinite quotient
+@example([_p("4*x^2 - 6*x*y"), _p("-2*x*y + 3*y^2")])  # infinite: x*(2x - 3y), y*(2x - 3y)
+@example([_p("3*x/2", ("x",)), _p("-9/4", ("x",))])  # the unit ideal
+def test_reduced_basis_matches_the_fraction_oracle_and_sympy(gens):
+    """The monic reduced basis is the Fraction Buchberger's basis, reduced
+    by the Fraction division, byte for byte, and sympy's reduced basis."""
+    q = P.groebner(gens)
+    oracle = _oracle_reduce_basis(_oracle_buchberger(list(gens)))
+    assert [_exact(g) for g in q.groebner] == [_exact(g) for g in oracle]
+    expected, zero_dimensional = _sympy_groebner(gens)
+    assert {frozenset(g.terms.items()) for g in q.groebner} == expected
+    unit = q.groebner == (P.Polynomial.constant(gens[0].nvars, 1),)
+    assert q.is_finite == (zero_dimensional or unit)
 
 
 def _leading_is_the_grevlex_maximum(f):
@@ -613,10 +748,8 @@ def test_operations_return_fresh_exact_polynomials(f, g, h, k, c):
         _leading_is_the_grevlex_maximum(p)  # fills the caches first
     results = [
         f + g, f - g, f * g, f ** k, -f, f.diff(0), f.diff(1), f * c, f + c, c - f,
-        P.reduce_poly(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
+        P.substitute(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
     ]
-    nonzero = [p for p in operands if not p.is_zero()]
-    results += [P.spoly(p, q) for p, q in zip(nonzero, nonzero[1:])]
     for r in results:
         assert all(type(v) is Fraction and v for v in r.terms.values())
         _leading_is_the_grevlex_maximum(r)
