@@ -579,7 +579,9 @@ def hilbert_symbol(a, b, p: int) -> int:
 
     Each rational is replaced by numerator * denominator, an integer in the
     same square class, and its p-adic valuation and unit part are read off
-    by division by p; nothing is factored.
+    by division by p; nothing is factored.  This is the public per-pair
+    symbol; ``_hasse_witt`` does not call it, so it also serves the tests as
+    an independent oracle for the closed-form Hasse-Witt invariant.
     """
     a, b = _integer_class(a), _integer_class(b)
     if not _is_prime(p):
@@ -611,18 +613,54 @@ def hilbert_symbol_real(a, b) -> int:
 
 
 def _hasse_witt(entries: Sequence[int], p: int) -> int:
-    """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>.
+    """Hasse-Witt invariant prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>, in closed form.
 
-    By bilinearity it equals prod_j (a_1...a_{j-1}, a_j)_p, one symbol per
-    entry against the running squarefree prefix product.  At odd p a symbol
-    of two p-adic units is 1, so only pairs with p on one side are evaluated.
+    Write a_i = p^alpha_i * u_i with u_i a p-adic unit.  At odd p,
+    (a_i, a_j)_p = (-1/p)^(alpha_i alpha_j) (u_i/p)^alpha_j (u_j/p)^alpha_i
+    (Serre, A Course in Arithmetic, III.1.2, Theorem 1).  Over all i < j, u_i
+    meets the exponent sum_{j != i} alpha_j, so with k entries of odd
+    valuation the product is (-1/p)^(k(k-1)/2) (A/p)^(k-1) (B/p)^k, where A and
+    B multiply the units of odd and of even valuation.  At p = 2 the pairwise
+    exponents eps(u_i)eps(u_j) + alpha_i omega(u_j) + alpha_j omega(u_i) sum to
+    C(E, 2) + (sum alpha_i)(sum omega_i) - sum alpha_i omega_i, where E counts
+    the units with eps(u_i) = 1.  One pass reads a_i mod p, and at most one
+    Legendre symbol follows.
     """
-    out, prefix = 1, 1
+    if p == 2:
+        units_eps = alphas = omegas = alpha_omegas = 0
+        for a in entries:
+            alpha = (a & -a).bit_length() - 1
+            u = (a >> alpha) % 8
+            omega = u in (3, 5)
+            units_eps += u % 4 == 3
+            alphas += alpha
+            omegas += omega
+            alpha_omegas += alpha * omega
+        e = units_eps * (units_eps - 1) // 2 + alphas * omegas + alpha_omegas
+        return -1 if e % 2 else 1
+    k, odd_units, even_units = 0, 1, 1
     for a in entries:
-        if p == 2 or prefix % p == 0 or a % p == 0:
-            out *= hilbert_symbol(prefix, a, p)
-        prefix = RATIONALS.mul_reps(prefix, a)
-    return out
+        r = a % p
+        if r:
+            even_units = even_units * r % p
+            continue
+        if a == 0:
+            raise ValueError("zero has no square class")
+        alpha = 0
+        while r == 0:
+            a //= p
+            alpha += 1
+            r = a % p
+        if alpha % 2:
+            k += 1
+            odd_units = odd_units * r % p
+        else:
+            even_units = even_units * r % p
+    if k == 0:
+        return 1
+    # of A^(k-1) B^k only the factor with an odd exponent is not a square
+    unit = odd_units if k % 2 == 0 else even_units
+    return _legendre(-unit if k * (k - 1) // 2 % 2 else unit, p)
 
 
 def _signature(entries: Sequence[int]) -> int:
@@ -654,7 +692,9 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     every relevant place; over a prime field rank and discriminant decide.
     The discriminants are gcd-reduced products of the squarefree entries and
     the relevant primes come from factoring each distinct entry, so no
-    product of entries is ever factored.
+    product of entries is ever factored.  Each Hasse invariant is the closed
+    form of ``_hasse_witt``, one pass over the entries and at most one
+    Legendre symbol, so no Hilbert symbol is evaluated.
     """
     if not isinstance(a, GWElement) or not isinstance(b, GWElement):
         raise TypeError("is_equal expects two GWElements")

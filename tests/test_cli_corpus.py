@@ -11,7 +11,10 @@ recorded later, before the gw actions moved into one table: every action over
 each field it reads, and the arity, field-label and matrix-shape errors.
 ``KERNEL`` was recorded before the Groebner, Hessian and normal-form kernel
 moved from Fractions to integers: dense inputs whose bases reach large
-coefficients, and inputs with rational coefficients.
+coefficients, and inputs with rational coefficients.  ``HASSE`` was recorded
+before the Hasse-Witt invariant moved from pairwise Hilbert symbols to its
+closed form: forms in which several entries share an odd prime and several
+are even, a virtual one among them, and an equal and an unequal partner.
 """
 
 from __future__ import annotations
@@ -294,6 +297,28 @@ KERNEL = [
     (["milnor", "--vars", "x,y", "x^2/3 - y^3/2 + x*y^2/5", "--json"], 0,
      "40eac98cad7a29a041bd1e79e25a65baef714b736d57cbd26b170805e4509f2f"),
 ]
+# Hasse invariants and equality over Q, recorded before the Hasse-Witt
+# invariant moved to its closed form; the equal partner is <2,7> = <9,126>,
+# <6,10> = <16,960> and square multiples, the unequal one swaps <2,-5> for
+# <1,-10>, which keeps rank, signature and discriminant
+HASSE = [
+    (["gw", "invariants", "<2,6,10,-3,15,-5,7>"], 0,
+     "d1b8828b14f88497c932eddb00e7f71116335d6328cd48c32fe84c701729fe67"),
+    (["gw", "invariants", "<2,6,10,-3,15,-5,7>", "--json"], 0,
+     "bd39d1a44c7bfebd9f6429293d1643690e752ef80b03c3bafc0020250245c33c"),
+    (["gw", "invariants", "<2,6,10,-3,15,-5,7> - <-6,14>"], 0,
+     "050352f7f73a49fd911b9285555e017c8c1eb7185b9c77457d98514b9d4299a1"),
+    (["gw", "invariants", "<2,6,10,-3,15,-5,7> - <-6,14>", "--json"], 0,
+     "39add48e71e9339f57be71b853887a67fc506f0f4cf0c021c62e8584b2742568"),
+    (["gw", "equal", "<2,6,10,-3,15,-5,7>", "<126,-45,16,960,60,-12,9>"], 0,
+     "84dbbf3449afa8aef5aa604e2b55b4f8624986ac2b980e7b9289702a8b5e3d53"),
+    (["gw", "equal", "<2,6,10,-3,15,-5,7>", "<126,-45,16,960,60,-12,9>", "--json"], 0,
+     "d9115dc79df0418b8037c3010e58ef04bc222dc5872c5d0a9de52824266ef747"),
+    (["gw", "equal", "<2,6,10,-3,15,-5,7>", "<-40,6,7,25,135,10,-3>"], 0,
+     "6f63e2dd9720abd281f961f102112b7127f3d4b26dd5c270e9efaba629026cc1"),
+    (["gw", "equal", "<2,6,10,-3,15,-5,7>", "<-40,6,7,25,135,10,-3>", "--json"], 0,
+     "4aae1d68b05e56c76e01d2efb66a51026cd8e68428ef8292202722a2d9b0aa62"),
+]
 # run with QUADSING_ASCII=1
 ASCII = [
     (["gw", "add", "<1,2>", "<-2>"], 0,
@@ -303,7 +328,7 @@ ASCII = [
 ]
 
 CORPUS = [
-    (*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL
+    (*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL + HASSE
 ]
 CORPUS += [(*call, True) for call in ASCII]
 

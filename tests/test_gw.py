@@ -3,6 +3,7 @@ specialization, and the Scharlau transfer."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -277,9 +278,124 @@ def test_bilinear_hasse_witt_matches_pairwise_product(values):
         assert gw._hasse_witt(entries, p) == _pairwise_hasse_witt(entries, p)
 
 
+# 2, 3, 5, 7; a prime = 1 mod 4 and one = 3 mod 4 in [2^9, 2^11], where the
+# gw-equal benchmark puts its Hasse primes; and the first prime past the
+# trial-division table
+_HASSE_PRIMES = (2, 3, 5, 7, 521, 523, _P1)
+# every signed squarefree divisor of 2*3*5*7*521
+_CLASSES = sorted(
+    s * math.prod(c)
+    for s in (1, -1)
+    for r in range(6)
+    for c in itertools.combinations((2, 3, 5, 7, 521), r)
+)
+
+
+@st.composite
+def _hasse_entry(draw):
+    """A nonzero integer of absolute value at most 2^40: a power p^e, e <= 3,
+    of one of the Hasse primes times a cofactor, so squares are common."""
+    p = draw(st.sampled_from(_HASSE_PRIMES))
+    e = draw(st.integers(min_value=0, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=2**40 // p**e))
+    return draw(st.sampled_from((1, -1))) * p**e * m
+
+
+# 2-adic units = 1, 3, 5, 7 mod 8 at valuations 0-3
+_TWO_ADIC = [u * 2**v for u in (1, 3, 5, 7) for v in range(4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_hasse_entry(), max_size=40))
+@example([])
+@example([-1, 2, 11, -13])  # k = 0 at every odd prime
+@example([12, -5, 7**3, 11])  # k = 1 at 3, 5 and 7; 12 and 7^3 are not squarefree
+@example([15, -21, 35 * 9, 2])  # k = 2 at 3, 5 and 7, with an even valuation at each
+@example([105, -105 * 8, 105 * 5**2, 11])  # k = 3 at 3, 5 and 7
+@example([521, 523 * 521, -(521**3), 523 * _P1, -3 * _P1**2])  # k = 3, 2, 1 and one p^2
+@example(_TWO_ADIC)
+@example([-a for a in _TWO_ADIC])
+@example([(-1) ** i * a for i, a in enumerate(_TWO_ADIC)])
+def test_closed_form_hasse_witt_matches_pairwise_product(entries):
+    for p in _HASSE_PRIMES:
+        assert gw._hasse_witt(entries, p) == _pairwise_hasse_witt(entries, p), p
+
+
+def test_closed_form_hasse_witt_rejects_a_zero_entry():
+    """As the pairwise product does, through hilbert_symbol, rather than
+    dividing zero by p forever."""
+    for p in (2, 3):
+        with pytest.raises(ValueError):
+            gw._hasse_witt([5, 0], p)
+
+
+def _oracle_primes(*entries):
+    return sorted({2}.union(*(sympy.primefactors(a) for a in entries)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_hasse_entry(), max_size=20), st.lists(_hasse_entry(), min_size=1, max_size=20))
+@example([2, 6, 10, -3, 15, -5, 7], [-6, 14])
+@example([521, 569], [1, 521 * 569])
+def test_invariants_hasse_matches_the_pairwise_product(pos, neg):
+    e = gw.GWElement(QQ, pos, neg)
+    assume(e.neg)
+    assert e.invariants().hasse == {
+        p: _pairwise_hasse_witt(e.pos, p) * _pairwise_hasse_witt(e.neg, p)
+        for p in _oracle_primes(*e.pos, *e.neg)
+    }
+
+
 # ---------------------------------------------------------------------------
 # is_equal (Hasse-Minkowski)
 # ---------------------------------------------------------------------------
+
+
+def _hasse_minkowski(left, right):
+    """Equality of two genuine diagonal forms of squarefree entries over Q:
+    rank, signature, discriminant and the pairwise Hasse-Witt product at
+    every prime dividing an entry, and at 2."""
+    return (
+        len(left) == len(right)
+        and sum(a < 0 for a in left) == sum(a < 0 for a in right)
+        and gw._squarefree(math.prod(left) * math.prod(right)) == 1
+        and all(
+            _pairwise_hasse_witt(left, p) == _pairwise_hasse_witt(right, p)
+            for p in _oracle_primes(*left, *right)
+        )
+    )
+
+
+@st.composite
+def _same_rank_signature_discriminant(draw):
+    """Two lists of classes with the same length, the same number of
+    negative entries and the same discriminant, and a third, subtracted from
+    both sides."""
+    left = draw(st.lists(st.sampled_from(_CLASSES), min_size=1, max_size=10))
+    negatives = min(sum(a < 0 for a in left), len(left) - 1)
+    head = draw(st.lists(st.sampled_from([a for a in _CLASSES if a > 0]),
+                         min_size=len(left) - 1, max_size=len(left) - 1))
+    head = [-a if i < negatives else a for i, a in enumerate(head)]
+    right = head + [gw._squarefree(math.prod(left) * math.prod(head))]
+    common = draw(st.lists(st.sampled_from(_CLASSES), max_size=4))
+    return left, right, common
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_rank_signature_discriminant())
+@example(([1, 1], [2, 2], []))
+@example(([2, 3], [1, 6], [5]))
+@example(([2, 7, -5], [1, 14, -5], [-1, 7]))
+@example(([1, 1, 521, 569], [2, 2, 569, 521], [3]))  # a gw-equal equal pair
+@example(([1, 1, 521, 569], [2, 2, 1, 521 * 569], [3]))  # and an unequal one
+def test_is_equal_matches_a_pairwise_hasse_minkowski_decision(forms):
+    left, right, common = forms
+    assert sum(a < 0 for a in left) == sum(a < 0 for a in right)
+    expected = _hasse_minkowski(left, right)
+    assert gw.is_equal(gw.diag_form(left), gw.diag_form(right)) is expected
+    a = gw.diag_form(left) - gw.diag_form(common)
+    b = gw.diag_form(right) - gw.diag_form(common)
+    assert gw.is_equal(a, b) is expected
 
 
 def test_is_equal_basic_identities():

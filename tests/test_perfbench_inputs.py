@@ -1,10 +1,12 @@
-"""The benchmark's own milnor-sparse and milnor-dense inputs all pass the
-benchmark's checks.
+"""The benchmark's own milnor-sparse, milnor-dense and gw-equal inputs all
+pass the benchmark's checks.
 
 ``perfbench/workloads.py`` builds every round of milnor-sparse, three
-inputs whose Jacobian algebra is not local among them, and every round of
-milnor-dense, and checks each result without reusing quadsing's answers.
-The module and its ``checks`` are loaded from their files and only read.
+inputs whose Jacobian algebra is not local among them, every round of
+milnor-dense, and every round of gw-equal, whose pairs of diagonal forms are
+equal or unequal by construction, and checks each result without reusing
+quadsing's answers.  The module and its ``checks`` are loaded from their
+files and only read.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _failures(workload, batch):
     for item in batch:
         problem = workload.check(item, workload.run(item))
         if problem is not None:
-            failures.append(f"{item.label} {item.data['src']}: {problem}")
+            failures.append(f"{item.label} {item.data.get('src', '')}: {problem}")
     return failures
 
 
@@ -52,4 +54,14 @@ def test_no_milnor_dense_item_fails(workloads):
     workload = workloads.MilnorDense(41, PERFBENCH.parent)
     batch = workload.round(0)
     assert [item.label for item in batch] == ["octic", "septic", "cubic"]
+    assert _failures(workload, batch) == []
+
+
+def test_no_gw_equal_item_fails(workloads):
+    """Ranks 8, 20 and 32, equal and unequal; the unequal pairs differ only
+    in their Hasse invariants at the two largest relevant primes."""
+    workload = workloads.GwEqual(41, PERFBENCH.parent)
+    batch = workload.round(0) + workload.round(1)
+    assert [item.label for item in batch] == ["rank8", "rank20", "rank32"] * 2
+    assert [item.data["equal"] for item in batch] == [True, False, True, False, True, False]
     assert _failures(workload, batch) == []
