@@ -10,6 +10,11 @@ error, all set in ``run``: a subcommand handler returns nothing and
 raises on failure.  JSON output is deterministic (sorted keys, fixed indentation);
 text output honors QUADSING_ASCII=1 by writing <a> instead of the angle
 brackets.
+
+Each handler imports the modules it runs inside its body, so a call loads
+only those: ``monodromy`` loads ``tate`` alone, a ``gw`` call loads ``gw``
+and ``poly``, ``milnor`` adds ``ekl``, and only ``conductor``, ``euler`` and
+``batch`` load ``conductor`` or ``euler``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,7 @@ import os
 import sys
 from collections import Counter
 
-from . import conductor as cond
-from . import ekl, euler, gw, tate
-from . import poly as P
-from .errors import InputDomainError, ParseError, QuadsingError
+from .errors import InputDomainError, ParseError, QuadsingError, json_rational
 
 
 def _unicode_ok() -> bool:
@@ -48,8 +50,11 @@ def _display_entries(entries) -> list[int]:
     return out
 
 
-def display_form(e: gw.GWElement) -> str:
-    """Human-readable form with hyperbolic pairs normalized to <1> + <-1>."""
+def display_form(e) -> str:
+    """Human-readable form of a GWElement, with hyperbolic pairs normalized
+    to <1> + <-1>."""
+    from . import gw
+
     if e.ctx is gw.RATIONALS:
         e = gw.GWElement(e.ctx, _display_entries(e.pos), _display_entries(e.neg), _raw=True)
     return gw.format_terms(e, unicode_brackets=_unicode_ok())
@@ -64,7 +69,9 @@ def _print_json(out, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _field_ctx(label: str) -> gw.FieldCtx:
+def _field_ctx(label: str):
+    from . import gw
+
     if label == "Q":
         return gw.RATIONALS
     if label == "Qt":
@@ -81,7 +88,9 @@ def _field_ctx(label: str) -> gw.FieldCtx:
     raise ParseError(f"unknown field {label!r}; use Q, Fp:<p>, or Qt")
 
 
-def _singularity_from_args(args) -> ekl.SingularityInput:
+def _singularity_from_args(args):
+    from . import ekl
+
     var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
     if not var_names:
         raise ParseError("--vars must list at least one variable")
@@ -99,7 +108,9 @@ def _singularity_from_args(args) -> ekl.SingularityInput:
 # ---------------------------------------------------------------------------
 
 
-def _invariants(e: gw.GWElement):
+def _invariants(e):
+    from . import gw
+
     inv = e.invariants()
     lines = [f"element: {display_form(e)}", f"rank: {inv.rank}"]
     if inv.signature is not None:
@@ -116,13 +127,17 @@ def _invariants(e: gw.GWElement):
     }, "\n".join(lines)
 
 
-def _equal(a: gw.GWElement, b: gw.GWElement):
+def _equal(a, b):
+    from . import gw
+
     verdict = gw.is_equal(a, b)
     return {"equal": verdict}, f"equal: {'true' if verdict else 'false'}"
 
 
 def _matrix_entry(v, i: int, j: int):
     """A JSON integer, or a string in the expression grammar with no variables."""
+    from . import poly as P
+
     where = f"matrix entry at row {i}, column {j}"
     if type(v) is int:
         return v
@@ -134,8 +149,10 @@ def _matrix_entry(v, i: int, j: int):
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _read_matrix(text: str, ctx: gw.FieldCtx) -> gw.GWElement:
+def _read_matrix(text: str, ctx):
     """The form of a symmetric matrix given as a JSON array of rows."""
+    from . import gw
+
     try:
         rows = json.loads(text)
     except ValueError as exc:
@@ -149,6 +166,18 @@ def _read_matrix(text: str, ctx: gw.FieldCtx) -> gw.GWElement:
         raise ParseError(str(exc)) from exc
 
 
+def _specialize(e):
+    from . import gw
+
+    return gw.specialize(e)
+
+
+def _transfer(e):
+    from . import gw
+
+    return gw.transfer(e.ctx.min_poly, e)
+
+
 #: each gw action: its number of arguments, the field they are read over, and
 #: the operation on them, which returns an element or a (JSON, text) pair;
 #: diagonalize reads its matrix as the form it defines
@@ -157,13 +186,15 @@ _GW_ACTIONS = {
     "equal": (2, "--field", _equal),
     "add": (2, "--field", operator.add),
     "mul": (2, "--field", operator.mul),
-    "specialize": (1, "Q(t)", gw.specialize),
-    "transfer": (1, "--min-poly", lambda e: gw.transfer(e.ctx.min_poly, e)),
+    "specialize": (1, "Q(t)", _specialize),
+    "transfer": (1, "--min-poly", _transfer),
     "diagonalize": (1, "--field", lambda e: e),
 }
 
 
 def _cmd_gw(args, out) -> None:
+    from . import gw
+
     arity, reads, op = _GW_ACTIONS[args.action]
     if len(args.args) != arity:
         raise ParseError(
@@ -195,6 +226,9 @@ def _cmd_gw(args, out) -> None:
 
 
 def _cmd_milnor(args, out) -> None:
+    from . import ekl, gw
+    from . import poly as P
+
     s = _singularity_from_args(args)
     form = ekl.ss_form(s)
     mu = form.gw
@@ -203,7 +237,7 @@ def _cmd_milnor(args, out) -> None:
             "input": s.to_json_dict(),
             "dimension": form.dimension,
             "basis": [list(e) for e in form.basis],
-            "gram": [[gw.json_rational(v) for v in row] for row in form.gram],
+            "gram": [[json_rational(v) for v in row] for row in form.gram],
             "form": gw.to_json_dict(mu),
         })
         return
@@ -217,6 +251,9 @@ def _cmd_milnor(args, out) -> None:
 
 
 def _cmd_conductor(args, out) -> None:
+    from . import conductor as cond
+    from . import poly as P
+
     s = _singularity_from_args(args)
     report = cond.verify(s)
     if args.json:
@@ -243,6 +280,8 @@ def _cmd_conductor(args, out) -> None:
 
 
 def _cmd_euler(args, out) -> None:
+    from . import euler, gw
+
     if args.quadric is not None:
         e = euler.chi_split_quadric(args.quadric)
         if args.json:
@@ -275,6 +314,8 @@ def _cmd_euler(args, out) -> None:
 
 
 def _cmd_monodromy(args, out) -> None:
+    from . import tate
+
     if args.kummer:
         N = tate.kummer_monodromy()
         NN = tate.compose(N.twist(-1), N)
@@ -346,6 +387,9 @@ def _entry_field(entry: dict, key: str, kind: str, required: bool = True):
 
 
 def _cmd_batch(args, out) -> None:
+    from . import conductor as cond
+    from . import ekl, gw
+
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             entries = json.load(fh)

@@ -21,9 +21,8 @@ reported as skipped with the reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import _univar as uv
 from . import poly as P
@@ -140,14 +139,20 @@ def split_quadric_singularity(n: int) -> SingularityInput:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConductorReport:
-    input: SingularityInput
-    rhs: GWElement
-    lhs_full: GWElement | None
-    lhs_rank: int | None
-    verdicts: dict
-    notes: list[str]
+    """The two sides of the conductor identity for one input, the verdicts
+    of each comparison that ran, and notes on what ran and what was skipped."""
+
+    __slots__ = ("input", "rhs", "lhs_full", "lhs_rank", "verdicts", "notes")
+
+    def __init__(self, input: SingularityInput, rhs: GWElement, lhs_full: GWElement | None,
+                 lhs_rank: int | None, verdicts: dict, notes: list[str]):
+        self.input = input
+        self.rhs = rhs
+        self.lhs_full = lhs_full
+        self.lhs_rank = lhs_rank
+        self.verdicts = verdicts
+        self.notes = notes
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
 from . import poly as P
 from .errors import (
@@ -249,13 +248,24 @@ def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BilinearForm:
     """Symmetric bilinear form on the Jacobian ring, with its GW class."""
 
-    basis: tuple[P.Exps, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    gw: GWElement
+    __slots__ = ("basis", "gram", "gw")
+
+    def __init__(self, basis: tuple[P.Exps, ...], gram: tuple[tuple[Fraction, ...], ...],
+                 gw: GWElement):
+        self.basis = basis
+        self.gram = gram
+        self.gw = gw
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BilinearForm)
+            and self.basis == other.basis
+            and self.gram == other.gram
+            and self.gw == other.gw
+        )
 
     @property
     def dimension(self) -> int:

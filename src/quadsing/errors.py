@@ -1,7 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and two small rules that every module may share.
 
 Every library error carries a stable kebab-case ``code`` that the CLI maps
-into its machine-readable error object.
+into its machine-readable error object.  ``json_rational`` is the one rule
+for writing a rational as JSON, and ``frozen_setattr`` makes a class with
+``__slots__`` immutable.  They live here, in the module every call loads,
+so that using them loads no other module.
 """
 
 
@@ -88,3 +91,14 @@ class UnknownVariableError(ParseError):
     """An identifier in an expression is not a declared variable."""
 
     code = "unknown-variable"
+
+
+def frozen_setattr(self, name, value):
+    """``__setattr__`` of an immutable class, whose ``__init__`` sets its
+    fields with ``object.__setattr__``: every assignment raises."""
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+
+def json_rational(v):
+    """A rational as a JSON value: an integer as a number, else "p/q"."""
+    return v.numerator if v.denominator == 1 else str(v)

@@ -22,10 +22,9 @@ for equality in the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Mapping, Sequence
 
 from . import _univar as uv
 from . import poly as P
@@ -36,6 +35,7 @@ from .errors import (
     NonSpecializableError,
     ParseError,
     UnsupportedInvariantError,
+    frozen_setattr,
 )
 
 _RATIONALS = "rationals"
@@ -360,20 +360,34 @@ RATIONALS = FieldCtx(_RATIONALS)
 RATIONAL_FUNCTIONS = FieldCtx(_RATFUNC)
 
 
-@dataclass(frozen=True)
 class SquareClass:
-    """A square class of a field, in canonical form."""
+    """A square class of a field, in canonical form; immutable."""
 
-    ctx: FieldCtx
-    rep: object
+    __slots__ = ("ctx", "rep")
+
+    def __init__(self, ctx: FieldCtx, rep):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "rep", rep)
+
+    __setattr__ = frozen_setattr
+
+    def __eq__(self, other):
+        if type(other) is not SquareClass:
+            return NotImplemented
+        return self.ctx == other.ctx and self.rep == other.rep
+
+    def __hash__(self):
+        return hash((self.ctx, self.rep))
+
+    def __repr__(self):
+        return f"SquareClass(ctx={self.ctx!r}, rep={self.rep!r})"
 
     def __str__(self):
         return self.ctx.rep_str(self.rep)
 
 
-@dataclass(frozen=True)
 class InvariantTuple:
-    """Classical invariants of a virtual form.
+    """Classical invariants of a virtual form; immutable.
 
     ``signature`` is None outside the rationals.  ``hasse`` maps each
     relevant prime (always including 2) to the product of Hilbert symbols
@@ -382,10 +396,14 @@ class InvariantTuple:
     decisions go through ``is_equal`` instead.
     """
 
-    rank: int
-    signature: int | None
-    discriminant: SquareClass
-    hasse: Mapping[int, int]
+    __slots__ = ("rank", "signature", "discriminant", "hasse")
+
+    def __init__(self, rank: int, signature: int | None, discriminant: SquareClass,
+                 hasse: Mapping[int, int]):
+        for name, value in zip(self.__slots__, (rank, signature, discriminant, hasse)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = frozen_setattr
 
 
 class GWElement:
@@ -937,11 +955,6 @@ def to_json_dict(e: GWElement) -> dict:
             f"JSON serialization is defined over Q and prime fields, not {e.ctx.label()}"
         )
     return {"field": e.ctx.label(), "pos": list(e.pos), "neg": list(e.neg)}
-
-
-def json_rational(v: Fraction):
-    """A rational as a JSON value: an integer as a number, else "p/q"."""
-    return v.numerator if v.denominator == 1 else str(v)
 
 
 def parse_poly_in_x(text: str) -> uv.Poly:

@@ -28,10 +28,9 @@ import heapq
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InfiniteQuotientError,
@@ -674,16 +673,19 @@ def _reduce_basis(basis: list[Ints], lead: list[Exps]) -> list[tuple[Exps, Ints]
     return out
 
 
-@dataclass
 class QuotientBasis:
     """A reduced Groebner basis with its standard monomials, ``_standard``;
     these are None, and so ``is_finite`` is False, for an infinite quotient."""
 
-    groebner: tuple[Polynomial, ...]
-    nvars: int
-    _standard: tuple[Exps, ...] | None
-    _nf_cache: dict[Exps, tuple[dict[int, int], int]] = field(default_factory=dict, repr=False)
-    _leads: tuple[Exps, ...] = field(default=(), repr=False)
+    __slots__ = ("groebner", "nvars", "_standard", "_nf_cache", "_leads")
+
+    def __init__(self, groebner: tuple[Polynomial, ...], nvars: int,
+                 standard: tuple[Exps, ...] | None):
+        self.groebner = groebner
+        self.nvars = nvars
+        self._standard = standard
+        self._nf_cache: dict[Exps, tuple[dict[int, int], int]] = {}
+        self._leads: tuple[Exps, ...] = ()
 
     @property
     def is_finite(self) -> bool:

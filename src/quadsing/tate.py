@@ -15,12 +15,10 @@ sign), which is what the scissor identity for quadrics holds at.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InputDomainError
-from .gw import json_rational
+from .errors import InputDomainError, frozen_setattr, json_rational
 
 Summand = tuple[int, int]
 
@@ -190,9 +188,9 @@ def hc_affine(n: int) -> TateObject:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VariationResult:
-    """Outcome of the variation computation for the quadratic singularity.
+    """Outcome of the variation computation for the quadratic singularity;
+    immutable.
 
     For even fiber dimension the map is zero and ``certificate`` lists the
     two hom slots whose vanishing forces this; for odd dimension the map
@@ -200,13 +198,23 @@ class VariationResult:
     with scalar -1.
     """
 
-    n: int
-    kind: str  # "zero" | "factored"
-    var: TateMap
-    scalar: Fraction | None
-    m1: TateMap | None
-    m2_twisted: TateMap | None
-    certificate: tuple[tuple[Summand, Summand], ...] | None
+    __slots__ = ("n", "kind", "var", "scalar", "m1", "m2_twisted", "certificate")
+
+    def __init__(
+        self,
+        n: int,
+        kind: str,  # "zero" | "factored"
+        var: TateMap,
+        scalar: Fraction | None,
+        m1: TateMap | None,
+        m2_twisted: TateMap | None,
+        certificate: tuple[tuple[Summand, Summand], ...] | None,
+    ):
+        values = (n, kind, var, scalar, m1, m2_twisted, certificate)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = frozen_setattr
 
     def to_json(self) -> dict:
         out = {

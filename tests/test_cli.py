@@ -508,7 +508,7 @@ def test_index_error_inside_the_library_is_not_a_missing_argument(monkeypatch):
     def broken(a, b):
         raise IndexError("list index out of range")
 
-    monkeypatch.setattr(cli.gw, "is_equal", broken)
+    monkeypatch.setattr("quadsing.gw.is_equal", broken)
     with pytest.raises(IndexError):
         cli.run(["gw", "equal", "<1>", "<1>"], stdout=io.StringIO())
 
@@ -715,10 +715,60 @@ def test_import_and_small_milnor_leave_sympy_unloaded(tmp_path):
     assert res.stdout.strip() == "False"
 
 
+_LOADS = (
+    "import io, json, sys\n"
+    "before = set(sys.modules)\n"
+    "import quadsing\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "if argv:\n"
+    "    import quadsing.cli\n"
+    "    assert quadsing.cli.run(argv, stdout=io.StringIO()) == 0, argv\n"
+    "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ([], None),
+        (["monodromy", "--quadratic", "--dimension", "1", "--json"], {"gw", "poly", "ekl"}),
+        (["gw", "equal", "<1,-1>", "<2,-2>", "--json"], {"ekl", "conductor", "euler", "tate"}),
+        (["milnor", "--vars", "x,y", "x^2 - y^3", "--json"], {"conductor", "euler", "tate"}),
+        (["conductor", "--vars", "x,y", "--degree", "2", "x^2 - y^2", "--json"], set()),
+    ],
+)
+def test_a_call_loads_only_the_modules_it_runs(argv, unloaded):
+    """In a fresh interpreter, ``import quadsing`` loads no submodule and a
+    CLI call loads only the modules its subcommand runs; no call loads
+    ``dataclasses``, which would pull in ``inspect`` and ``ast``."""
+    src = str(Path(quadsing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", _LOADS, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    loaded = set(json.loads(res.stdout))
+    if unloaded is None:  # the bare import: no submodule at all
+        assert not [m for m in loaded if m.startswith("quadsing.")]
+    else:
+        assert not loaded & {f"quadsing.{m}" for m in unloaded}, argv
+    assert "dataclasses" not in loaded, argv
+
+
 def test_exports_resolve_once():
+    """Every exported name is the object its defining module binds, whether
+    read as an attribute, listed by dir() or bound by a star import."""
     assert len(quadsing.__all__) == len(set(quadsing.__all__))
     for name in quadsing.__all__:
-        assert getattr(quadsing, name) is not None, name
+        value = getattr(quadsing, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(quadsing.__all__) <= set(dir(quadsing))
+    namespace: dict = {}
+    exec("from quadsing import *", namespace)
+    assert all(namespace[name] is getattr(quadsing, name) for name in quadsing.__all__)
+    with pytest.raises(AttributeError):
+        quadsing.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from quadsing.errors import (
     InadmissibleWeightsError,
     InputDomainError,
     NotIsolatedError,
+    json_rational,
 )
 
 XY = ("x", "y")
@@ -671,7 +672,7 @@ def _assert_matches_bezoutian(s):
     bf = ekl.ss_form(s)
     gram, form = _bezoutian_oracle(s)
     assert bf.gram == tuple(tuple(row) for row in gram)
-    as_json = lambda rows: json.dumps([[gw.json_rational(v) for v in row] for row in rows])
+    as_json = lambda rows: json.dumps([[json_rational(v) for v in row] for row in rows])
     assert as_json(bf.gram) == as_json(gram)
     assert (bf.gw.pos, bf.gw.neg) == (form.pos, form.neg)
 

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
-from quadsing import gw
+from quadsing import gw, tate
 from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
     ContextMismatchError,
@@ -167,6 +167,23 @@ def test_discriminant_is_product_of_classes():
     assert _form(2, 2).discriminant().rep == 1
     # virtual: neg entries contribute inverses, same square class
     assert (_form(2) - _form(3)).discriminant().rep == 6
+
+
+def test_square_classes_and_invariant_records_are_values():
+    """A square class equals and hashes as its field and representative;
+    it, an InvariantTuple and a VariationResult refuse assignment."""
+    F7 = gw.FieldCtx.prime_field(7)
+    six = _form(2, 3).discriminant()
+    assert six == gw.SquareClass(QQ, 6) and hash(six) == hash(gw.SquareClass(QQ, 6))
+    assert six != gw.SquareClass(QQ, -6) and six != gw.SquareClass(F7, 6) and six != 6
+    assert len({six, gw.SquareClass(QQ, 6), gw.SquareClass(F7, 6)}) == 2
+    for record, field in [
+        (six, "rep"),
+        (_form(2, 3).invariants(), "rank"),
+        (tate.variation_quadric(3), "scalar"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 # ---------------------------------------------------------------------------
