@@ -21,6 +21,7 @@ reported as skipped with the reason.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -139,20 +140,11 @@ def split_quadric_singularity(n: int) -> SingularityInput:
 # ---------------------------------------------------------------------------
 
 
-class ConductorReport:
+class ConductorReport(namedtuple("ConductorReport", "input rhs lhs_full lhs_rank verdicts notes")):
     """The two sides of the conductor identity for one input, the verdicts
     of each comparison that ran, and notes on what ran and what was skipped."""
 
-    __slots__ = ("input", "rhs", "lhs_full", "lhs_rank", "verdicts", "notes")
-
-    def __init__(self, input: SingularityInput, rhs: GWElement, lhs_full: GWElement | None,
-                 lhs_rank: int | None, verdicts: dict, notes: list[str]):
-        self.input = input
-        self.rhs = rhs
-        self.lhs_full = lhs_full
-        self.lhs_rank = lhs_rank
-        self.verdicts = verdicts
-        self.notes = notes
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,9 +161,10 @@ def verify(s: SingularityInput) -> ConductorReport:
     """Compute the RHS and run every LHS realization that applies.
 
     GW-level comparison runs for unweighted r = 2 inputs whose quadric
-    pair is split; rank-level comparison runs for homogeneous inputs (via
-    graded Euler characteristics) and for weighted inputs (via the
-    Milnor-Orlik number).  Everything else is skipped with a reason.
+    pair is split; rank-level comparison runs for homogeneous inputs in two
+    or more variables (via graded Euler characteristics) and for weighted
+    inputs (via the Milnor-Orlik number).  Everything else is skipped with
+    a reason.
     Identical inputs yield identical reports.
     """
     mu = quadratic_milnor(s)
@@ -212,16 +205,18 @@ def verify(s: SingularityInput) -> ConductorReport:
         return ConductorReport(s, rhs, None, None, verdicts, notes)
 
     # r >= 2 and, for r = 2, a nondegenerate form: ss_form raised otherwise
-    if n >= 1:
-        lhs_rank = lhs_rank_general(r, n)
-        verdicts["rank"] = rhs.rank == lhs_rank
-    else:
+    if n < 1:
         notes.append("rank-level lhs needs degree >= 2 and at least two variables")
+        notes.append("gw-level lhs needs at least two variables")
+        return ConductorReport(s, rhs, None, None, verdicts, notes)
+
+    lhs_rank = lhs_rank_general(r, n)
+    verdicts["rank"] = rhs.rank == lhs_rank
 
     if r == 2:
         c_form = diagonalize(quadratic_form_gram(s.f))
         d_form = c_form + diag_form([-1])
-        if is_split_form(c_form) and is_split_form(d_form) and n >= 1:
+        if is_split_form(c_form) and is_split_form(d_form):
             lhs_full = lhs_conductor_quadric(n)
             verdicts["gw"] = is_equal(rhs, lhs_full)
         else:

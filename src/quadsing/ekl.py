@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
@@ -248,24 +249,10 @@ def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class BilinearForm:
+class BilinearForm(namedtuple("BilinearForm", "basis gram gw")):
     """Symmetric bilinear form on the Jacobian ring, with its GW class."""
 
-    __slots__ = ("basis", "gram", "gw")
-
-    def __init__(self, basis: tuple[P.Exps, ...], gram: tuple[tuple[Fraction, ...], ...],
-                 gw: GWElement):
-        self.basis = basis
-        self.gram = gram
-        self.gw = gw
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BilinearForm)
-            and self.basis == other.basis
-            and self.gram == other.gram
-            and self.gw == other.gw
-        )
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

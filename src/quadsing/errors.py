@@ -1,10 +1,8 @@
-"""Exception hierarchy, and two small rules that every module may share.
+"""Exception hierarchy, and the one rule for writing a rational as JSON.
 
 Every library error carries a stable kebab-case ``code`` that the CLI maps
-into its machine-readable error object.  ``json_rational`` is the one rule
-for writing a rational as JSON, and ``frozen_setattr`` makes a class with
-``__slots__`` immutable.  They live here, in the module every call loads,
-so that using them loads no other module.
+into its machine-readable error object.  ``json_rational`` lives here, in
+the module every call loads, so that using it loads no other module.
 """
 
 
@@ -91,12 +89,6 @@ class UnknownVariableError(ParseError):
     """An identifier in an expression is not a declared variable."""
 
     code = "unknown-variable"
-
-
-def frozen_setattr(self, name, value):
-    """``__setattr__`` of an immutable class, whose ``__init__`` sets its
-    fields with ``object.__setattr__``: every assignment raises."""
-    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
 
 def json_rational(v):

@@ -22,7 +22,8 @@ for equality in the ring.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -35,7 +36,6 @@ from .errors import (
     NonSpecializableError,
     ParseError,
     UnsupportedInvariantError,
-    frozen_setattr,
 )
 
 _RATIONALS = "rationals"
@@ -149,13 +149,12 @@ def _squarefree(value) -> int:
 class FieldCtx:
     """Base-field descriptor: drives normalization and printing of classes."""
 
-    __slots__ = ("kind", "p", "min_poly", "_nonresidue")
+    __slots__ = ("kind", "p", "min_poly")
 
     def __init__(self, kind: str, p: int | None = None, min_poly: uv.Poly | None = None):
         self.kind = kind
         self.p = p
         self.min_poly = min_poly
-        self._nonresidue = None
         if kind == _PRIME:
             if p is None or p == 2 or not _is_prime(p):
                 raise ValueError("prime-field context needs an odd prime")
@@ -229,12 +228,10 @@ class FieldCtx:
     def least_nonresidue(self) -> int:
         if self.kind != _PRIME:
             raise UnsupportedInvariantError("non-residues only exist over prime fields")
-        if self._nonresidue is None:
-            n = 2
-            while pow(n, (self.p - 1) // 2, self.p) == 1:
-                n += 1
-            self._nonresidue = n
-        return self._nonresidue
+        n = 2
+        while pow(n, (self.p - 1) // 2, self.p) == 1:
+            n += 1
+        return n
 
     def normalize(self, value):
         """Canonical representative of the square class of ``value``."""
@@ -360,33 +357,16 @@ RATIONALS = FieldCtx(_RATIONALS)
 RATIONAL_FUNCTIONS = FieldCtx(_RATFUNC)
 
 
-class SquareClass:
+class SquareClass(namedtuple("SquareClass", "ctx rep")):
     """A square class of a field, in canonical form; immutable."""
 
-    __slots__ = ("ctx", "rep")
-
-    def __init__(self, ctx: FieldCtx, rep):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rep", rep)
-
-    __setattr__ = frozen_setattr
-
-    def __eq__(self, other):
-        if type(other) is not SquareClass:
-            return NotImplemented
-        return self.ctx == other.ctx and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.ctx, self.rep))
-
-    def __repr__(self):
-        return f"SquareClass(ctx={self.ctx!r}, rep={self.rep!r})"
+    __slots__ = ()
 
     def __str__(self):
         return self.ctx.rep_str(self.rep)
 
 
-class InvariantTuple:
+class InvariantTuple(namedtuple("InvariantTuple", "rank signature discriminant hasse")):
     """Classical invariants of a virtual form; immutable.
 
     ``signature`` is None outside the rationals.  ``hasse`` maps each
@@ -396,14 +376,7 @@ class InvariantTuple:
     decisions go through ``is_equal`` instead.
     """
 
-    __slots__ = ("rank", "signature", "discriminant", "hasse")
-
-    def __init__(self, rank: int, signature: int | None, discriminant: SquareClass,
-                 hasse: Mapping[int, int]):
-        for name, value in zip(self.__slots__, (rank, signature, discriminant, hasse)):
-            object.__setattr__(self, name, value)
-
-    __setattr__ = frozen_setattr
+    __slots__ = ()
 
 
 class GWElement:

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over Q with a Buchberger engine over Z.
 
 Polynomials are immutable dictionaries from exponent tuples to nonzero
-Fractions, each with its leading term cached on first use.  The module
+Fractions.  The module
 provides the one expression grammar of the package (``parse`` for
 polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
 ``<a, b> - <c>`` forms whose entries are such quotients), formal partial
@@ -69,18 +69,16 @@ class Polynomial:
     """An exact polynomial in a fixed number of variables.
 
     A Polynomial is immutable: nothing changes ``nvars`` or ``terms`` after
-    construction, and no two polynomials share a ``terms`` dict.  So the
-    leading term is computed once, on the first ``leading()``, and cached.
-    The constructor validates its input; the operations build their results
+    construction, and no two polynomials share a ``terms`` dict.  The
+    constructor validates its input; the operations build their results
     with ``_of``, which adopts a dict they made.
     """
 
-    __slots__ = ("nvars", "terms", "_lead")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[Exps, Fraction] | None = None):
         self.nvars = nvars
         self.terms: dict[Exps, Fraction] = {}
-        self._lead = None
         if terms:
             for exps, c in terms.items():
                 if c:
@@ -93,7 +91,6 @@ class Polynomial:
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
-        p._lead = None
         return p
 
     @classmethod
@@ -227,13 +224,10 @@ class Polynomial:
 
     def leading(self) -> tuple[Exps, Fraction]:
         """The largest term in grevlex, as (exponents, coefficient)."""
-        lead = self._lead
-        if lead is None:
-            if not self.terms:
-                raise ValueError("the zero polynomial has no leading term")
-            e = max(self.terms, key=grevlex_key)
-            lead = self._lead = (e, self.terms[e])
-        return lead
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading term")
+        e = max(self.terms, key=grevlex_key)
+        return e, self.terms[e]
 
 
 def partials(f: Polynomial) -> list[Polynomial]:
@@ -772,11 +766,10 @@ class QuotientBasis:
         cache = self._nf_cache
         for e, k in pos.items():
             cache[e] = ({k: 1}, 1)
-        for g in self.groebner:
-            lead = g.leading()[0]
+        self._leads = tuple(g.leading()[0] for g in self.groebner)
+        for g, lead in zip(self.groebner, self._leads):
             (terms,), scale = clear_denominators([g])
             cache[lead] = ({pos[e]: -v for e, v in terms.items() if e != lead}, scale)
-        self._leads = tuple(g.leading()[0] for g in self.groebner)
 
 
 def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:

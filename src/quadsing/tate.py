@@ -14,11 +14,11 @@ sign), which is what the scissor identity for quadrics holds at.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import InputDomainError, frozen_setattr, json_rational
+from .errors import InputDomainError, json_rational
 
 Summand = tuple[int, int]
 
@@ -188,33 +188,19 @@ def hc_affine(n: int) -> TateObject:
 # ---------------------------------------------------------------------------
 
 
-class VariationResult:
+class VariationResult(
+    namedtuple("VariationResult", "n kind var scalar m1 m2_twisted certificate")
+):
     """Outcome of the variation computation for the quadratic singularity;
     immutable.
 
-    For even fiber dimension the map is zero and ``certificate`` lists the
-    two hom slots whose vanishing forces this; for odd dimension the map
-    factors through a single Tate summand as m2_twisted o (scalar) o m1
-    with scalar -1.
+    ``kind`` is "zero" or "factored".  For even fiber dimension the map is
+    zero and ``certificate`` lists the two hom slots whose vanishing forces
+    this; for odd dimension the map factors through a single Tate summand
+    as m2_twisted o (scalar) o m1 with scalar -1.
     """
 
-    __slots__ = ("n", "kind", "var", "scalar", "m1", "m2_twisted", "certificate")
-
-    def __init__(
-        self,
-        n: int,
-        kind: str,  # "zero" | "factored"
-        var: TateMap,
-        scalar: Fraction | None,
-        m1: TateMap | None,
-        m2_twisted: TateMap | None,
-        certificate: tuple[tuple[Summand, Summand], ...] | None,
-    ):
-        values = (n, kind, var, scalar, m1, m2_twisted, certificate)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    __setattr__ = frozen_setattr
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {

@@ -201,12 +201,25 @@ def test_a_degenerate_quadric_is_not_isolated(names, src):
          "f is not homogeneous and no weights were given; no lhs realization applies"),
         (["--vars", "x", "x^2"],
          "rank-level lhs needs degree >= 2 and at least two variables"),
+        (["--vars", "x", "x^3"], "gw-level lhs needs at least two variables"),
+        (["--vars", "x", "--degree", "2", "x^2"], "gw-level lhs needs at least two variables"),
     ],
 )
 def test_reports_say_why_a_check_was_skipped(argv, note):
     code, doc = _conductor_json(*argv)
     assert code == 0
     assert note in doc["notes"]
+
+
+@pytest.mark.parametrize("argv", [["--vars", "x", "x^3"], ["--vars", "x", "--degree", "2", "x^2"]])
+def test_one_variable_reports_do_not_contradict_their_verdicts(argv):
+    """With one variable both checks are skipped for n = 0, so no note may
+    claim a rank-level check or blame the splitness of the quadric pair."""
+    code, doc = _conductor_json(*argv)
+    assert code == 0
+    assert doc["verdicts"] == {"gw": "skipped", "rank": "skipped"}
+    assert not [note for note in doc["notes"]
+                if "checked at rank level" in note or "not split over Q" in note]
 
 
 def test_report_json_shape():

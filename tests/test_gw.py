@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
-from quadsing import gw, tate
+from quadsing import conductor as cond
+from quadsing import ekl, gw, tate
 from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
     ContextMismatchError,
@@ -171,16 +172,22 @@ def test_discriminant_is_product_of_classes():
 
 def test_square_classes_and_invariant_records_are_values():
     """A square class equals and hashes as its field and representative;
-    it, an InvariantTuple and a VariationResult refuse assignment."""
+    it, an InvariantTuple, a VariationResult, a BilinearForm and a
+    ConductorReport refuse assignment, and equal inputs give equal reports."""
     F7 = gw.FieldCtx.prime_field(7)
     six = _form(2, 3).discriminant()
     assert six == gw.SquareClass(QQ, 6) and hash(six) == hash(gw.SquareClass(QQ, 6))
     assert six != gw.SquareClass(QQ, -6) and six != gw.SquareClass(F7, 6) and six != 6
     assert len({six, gw.SquareClass(QQ, 6), gw.SquareClass(F7, 6)}) == 2
+    assert repr(gw.SquareClass(QQ, 6)) == "SquareClass(ctx=FieldCtx(Q), rep=6)"
+    s = ekl.singularity("x^2 - y^2", ["x", "y"])
+    assert cond.verify(s) == cond.verify(s)
     for record, field in [
         (six, "rep"),
         (_form(2, 3).invariants(), "rank"),
         (tate.variation_quadric(3), "scalar"),
+        (ekl.ss_form(s), "gram"),
+        (cond.verify(s), "notes"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, field, None)

@@ -741,11 +741,11 @@ def _leading_is_the_grevlex_maximum(f):
 @given(polys, polys, polys, st.integers(min_value=0, max_value=3), st.fractions(max_denominator=5))
 def test_operations_return_fresh_exact_polynomials(f, g, h, k, c):
     """Every result holds nonzero Fractions in a dict of its own, and its
-    cached leading term is the grevlex maximum; no operand changes."""
+    leading term is the grevlex maximum; no operand changes."""
     operands = (f, g, h)
     before = [dict(p.terms) for p in operands]
     for p in operands:
-        _leading_is_the_grevlex_maximum(p)  # fills the caches first
+        _leading_is_the_grevlex_maximum(p)  # reads every operand first
     results = [
         f + g, f - g, f * g, f ** k, -f, f.diff(0), f.diff(1), f * c, f + c, c - f,
         P.substitute(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
