@@ -98,6 +98,15 @@ class SingularityInput:
         self.weights = weights
         self.degree = int(degree) if degree is not None else None
 
+    def _key(self):
+        return (self.f, self.var_names, self.weights, self.degree)
+
+    def __eq__(self, other):
+        return isinstance(other, SingularityInput) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def nvars(self) -> int:
         return self.f.nvars

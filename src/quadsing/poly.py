@@ -28,7 +28,7 @@ import heapq
 import itertools
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import add, le, sub
 

@@ -756,6 +756,21 @@ def test_a_call_loads_only_the_modules_it_runs(argv, unloaded):
     assert "dataclasses" not in loaded, argv
 
 
+def test_module_entry_point_prints_what_run_writes():
+    """``python -m quadsing.cli`` goes through ``main()`` and the
+    ``__main__`` guard to the same exit code and bytes as ``cli.run``."""
+    argv = ["gw", "equal", "<1,-1>", "<2,-2>", "--json"]
+    src = str(Path(quadsing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-m", "quadsing.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, text = _run(*argv)
+    assert res.returncode == code == 0, res.stderr
+    assert res.stdout == text
+
+
 def test_exports_resolve_once():
     """Every exported name is the object its defining module binds, whether
     read as an attribute, listed by dir() or bound by a star import."""

@@ -283,3 +283,18 @@ def test_multi_point_additivity():
     """Two rational double points contribute twice the single value."""
     one = cond.rhs_conductor(_sing("x^2 - y^2"))
     assert gw.is_equal(one + one, -2 * _form(-1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cond.lhs_conductor_quadric(0),
+        lambda: cond.lhs_rank_general(1, 1),
+        lambda: cond.lhs_rank_general(2, 0),
+        lambda: cond.is_split_form(gw.diag_form([1]) - gw.diag_form([2])),
+        lambda: cond.split_quadric_singularity(-1),
+    ],
+)
+def test_quadric_arguments_out_of_range_are_rejected(call):
+    with pytest.raises(InputDomainError):
+        call()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -173,7 +174,8 @@ def test_discriminant_is_product_of_classes():
 def test_square_classes_and_invariant_records_are_values():
     """A square class equals and hashes as its field and representative;
     it, an InvariantTuple, a VariationResult, a BilinearForm and a
-    ConductorReport refuse assignment, and equal inputs give equal reports."""
+    ConductorReport refuse assignment; a singularity input equals and hashes
+    as its data, so equal inputs parsed twice give equal reports."""
     F7 = gw.FieldCtx.prime_field(7)
     six = _form(2, 3).discriminant()
     assert six == gw.SquareClass(QQ, 6) and hash(six) == hash(gw.SquareClass(QQ, 6))
@@ -182,6 +184,14 @@ def test_square_classes_and_invariant_records_are_values():
     assert repr(gw.SquareClass(QQ, 6)) == "SquareClass(ctx=FieldCtx(Q), rep=6)"
     s = ekl.singularity("x^2 - y^2", ["x", "y"])
     assert cond.verify(s) == cond.verify(s)
+    twin = ekl.singularity("x^2 - y^2", ("x", "y"))
+    assert twin == s and hash(twin) == hash(s)
+    report = cond.verify(s)
+    assert cond.verify(twin) == report
+    assert pickle.loads(pickle.dumps(report)) == report
+    cusp = ekl.singularity("x^3 + y^2", ["x", "y"], weights=[2, 3])
+    assert cusp == ekl.singularity("x^3 + y^2", ["x", "y"], weights=[2, 3], degree=6)
+    assert cusp != ekl.singularity("x^3 + y^2", ["x", "y"], weights=[4, 6])
     for record, field in [
         (six, "rep"),
         (_form(2, 3).invariants(), "rank"),
@@ -198,9 +208,50 @@ def test_square_classes_and_invariant_records_are_values():
 # ---------------------------------------------------------------------------
 
 
+def _split(n, p):
+    """(v, u) with n = p^v * u and p not dividing u."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _hilbert_symbol_oracle(a, b, p):
+    """(a,b)_p for nonzero integers a, b by Serre's per-pair formula (A Course
+    in Arithmetic, III.1.2, Theorem 1), with its own valuations and Legendre
+    symbol: an oracle that shares no code with gw."""
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    if p == 2:
+        # the 2-adic units matter only modulo 8
+        u, v = u % 8, v % 8
+        eps_u, eps_v = (u - 1) // 2 % 2, (v - 1) // 2 % 2
+        om_u, om_v = (u * u - 1) // 8 % 2, (v * v - 1) // 8 % 2
+        e = eps_u * eps_v + alpha * om_v + beta * om_u
+        return -1 if e % 2 else 1
+
+    def legendre(w):
+        return 1 if pow(w % p, (p - 1) // 2, p) == 1 else -1
+
+    out = 1
+    if alpha * beta % 2:
+        out *= legendre(-1)
+    if beta % 2:
+        out *= legendre(u)
+    if alpha % 2:
+        out *= legendre(v)
+    return out
+
+
+def _hilbert_symbol_real(a, b):
+    """The Hilbert symbol at the real place."""
+    return -1 if a < 0 and b < 0 else 1
+
+
 def test_hilbert_symbol_table_values():
     assert gw.hilbert_symbol(-1, -1, 2) == -1
-    assert gw.hilbert_symbol_real(-1, -1) == -1
+    assert _hilbert_symbol_real(-1, -1) == -1
     assert gw.hilbert_symbol(-1, 3, 3) == -1  # 3 = 3 mod 4
     assert gw.hilbert_symbol(2, 3, 3) == -1  # 3 = 3 mod 8
     assert gw.hilbert_symbol(2, 5, 5) == -1
@@ -227,7 +278,7 @@ def test_hilbert_product_formula():
         a = rng.choice([-1, 1]) * rng.randint(1, 120)
         b = rng.choice([-1, 1]) * rng.randint(1, 120)
         places = sorted(set(gw._relevant_primes([QQ.normalize(a), QQ.normalize(b)])))
-        prod = gw.hilbert_symbol_real(a, b)
+        prod = _hilbert_symbol_real(a, b)
         for p in places:
             prod *= gw.hilbert_symbol(a, b, p)
         assert prod == 1
@@ -246,7 +297,7 @@ def _pairwise_hasse_witt(entries, p):
     out = 1
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            out *= gw.hilbert_symbol(entries[i], entries[j], p)
+            out *= _hilbert_symbol_oracle(entries[i], entries[j], p)
     return out
 
 
@@ -346,11 +397,22 @@ def test_closed_form_hasse_witt_matches_pairwise_product(entries):
 
 
 def test_closed_form_hasse_witt_rejects_a_zero_entry():
-    """As the pairwise product does, through hilbert_symbol, rather than
-    dividing zero by p forever."""
+    """With a ValueError, as hilbert_symbol does, rather than dividing zero
+    by p forever."""
     for p in (2, 3):
         with pytest.raises(ValueError):
             gw._hasse_witt([5, 0], p)
+
+
+_nonzero_40 = st.integers(min_value=-(2**40), max_value=2**40).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonzero_40, _nonzero_40, st.sampled_from(_HASSE_PRIMES))
+@example(Fraction(3, 8), 3, 2)  # read as 24, the class of 6: (6, 3)_2 = 1, (3, 3)_2 = -1
+def test_hilbert_symbol_matches_the_per_pair_formula(a, b, p):
+    n = Fraction(a).numerator * Fraction(a).denominator
+    assert gw.hilbert_symbol(a, b, p) == _hilbert_symbol_oracle(n, b, p)
 
 
 def _oracle_primes(*entries):
@@ -1060,6 +1122,45 @@ def test_malformed_forms_name_a_position(text, ctx, at):
     with pytest.raises(ParseError) as info:
         gw.parse_gw(text, ctx)
     assert info.value.position == at
+
+
+_Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: gw.FieldCtx.prime_field(4096), ValueError),  # even, above the prime table
+        (lambda: gw.factorint(0), ValueError),
+        (lambda: gw.FieldCtx.extension([5]), InvalidExtensionError),  # degree 0
+        (lambda: gw.FieldCtx.extension([1, 2]), InvalidExtensionError),  # not monic
+        (lambda: gw.diag_form([0], _Q2), ValueError),
+        (lambda: QQ.least_nonresidue(), UnsupportedInvariantError),
+        (lambda: QT.normalize(0), ValueError),
+        (lambda: QT.normalize(((1,), ())), ZeroDivisionError),
+        (lambda: gw.diag_form([1]) + 1, TypeError),
+        (lambda: gw.is_equal(1, 2), TypeError),
+        (lambda: gw.diag_form([(0, 1)], QT).discriminant(), UnsupportedInvariantError),
+        (lambda: gw.diagonalize([[1]], QT), UnsupportedInvariantError),
+        (lambda: gw.hilbert_symbol(0, 3, 3), ValueError),
+        (lambda: gw.hilbert_symbol(2, 3, 4), ValueError),  # p not prime
+    ],
+)
+def test_invalid_field_data_and_operands_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_contexts_and_elements_behave_as_values():
+    assert repr(_Q2) == "FieldCtx(Q[x]/(-2,0,1))"
+    with pytest.raises(ContextMismatchError, match=r"Q\[x\]/\(-2,0,1\) and Q$"):
+        gw.diag_form([(0, 1)], _Q2) + gw.diag_form([1])
+    assert gw.GWElement.unit(QT) == gw.parse_gw("<1>", QT)
+    # an int, a Fraction and a coefficient list are each read as an element of Q(t)
+    mixed = gw.GWElement(QT, pos=[3, Fraction(1, 2), (0, 1)])
+    assert mixed == gw.parse_gw("<3, 1/2, t>", QT)
+    assert hash(gw.diag_form([2, 3])) == hash(gw.diag_form([3, 2]))
+    assert gw.diag_form([2]) * 3 == 3 * gw.diag_form([2])
 
 
 def test_json_round_trip():

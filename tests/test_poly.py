@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
+from quadsing import ekl
 from quadsing import poly as P
 from quadsing.errors import (
     InfiniteQuotientError,
@@ -757,3 +758,32 @@ def test_operations_return_fresh_exact_polynomials(f, g, h, k, c):
     assert [p.terms for p in operands] == before
     for p in operands:
         _leading_is_the_grevlex_maximum(p)
+
+
+_X1 = P.Polynomial.variable(1, 0)
+_X2 = P.Polynomial.variable(2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _X1 + _X2, "different variable counts"),
+        (lambda: _X1 * _X2, "different variable counts"),
+        (lambda: _X1 ** -1, "non-negative"),
+        (lambda: P.Polynomial.zero(1).leading(), "no leading term"),
+        (lambda: P.substitute(_X2, [_X2]), "one image polynomial per variable"),
+        (lambda: P.is_quasi_homogeneous(_X2, (1,), 1), "weight vector length"),
+        (lambda: P.groebner([_X1, _X2]), "mixed variable counts"),
+        (lambda: ekl.bezoutian([_X2]), "m polynomials in m variables"),
+    ],
+)
+def test_mismatched_shapes_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_equal_polynomials_hash_equal(f, g):
+    assert hash(f * g + f) == hash(f * (g + 1))
+    assert hash(_p(P.format_poly(f, XY))) == hash(f)

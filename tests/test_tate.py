@@ -221,3 +221,32 @@ def test_abstract_report_rejects_degenerate_degrees():
         tate.abstract_variation_report(1, 2)
     with pytest.raises(InputDomainError):
         tate.abstract_variation_report(2, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tate.quadric_motive(-1),
+        lambda: tate.h_affine(0),
+        lambda: tate.hc_affine(0),
+    ],
+)
+def test_quadric_dimensions_out_of_range_are_rejected(call):
+    with pytest.raises(InputDomainError):
+        call()
+
+
+def test_objects_and_maps_add_hash_compare_and_print():
+    a = _obj((0, 0), (1, 2))
+    assert a + _obj((2, 0)) == _obj((0, 0), (1, 2), (2, 0))
+    assert hash(a) == hash(_obj((1, 2), (0, 0)))
+    assert repr(a) == "TateObject(1(0)[0] + 1(1)[2])"
+    assert repr(_obj()) == "TateObject(0)"
+    with pytest.raises(ValueError, match="2x2"):
+        tate.TateMap(a, a, [[1, 0]])
+    assert tate.TateMap.identity(a) == tate.TateMap(a, a, [[1, 0], [0, 1]])
+    assert tate.TateMap.identity(a) != tate.TateMap.zero(a, a)
+    one = _obj((0, 0))
+    assert repr(tate.TateMap.identity(one)) == (
+        "TateMap(TateObject(1(0)[0]) -> TateObject(1(0)[0]), ((Fraction(1, 1),),))"
+    )
