@@ -38,7 +38,7 @@ _EXPORTS = {
         "errors": (
             "ContextMismatchError", "DegenerateFormError", "InadmissibleWeightsError",
             "InfiniteQuotientError", "InputDomainError", "InvalidExtensionError",
-            "InvalidIdealError", "NonSpecializableError", "NotIsolatedError", "ParseError",
+            "InvalidIdealError", "NotIsolatedError", "ParseError",
             "QuadsingError", "UnknownVariableError", "UnsupportedInvariantError",
         ),
         "euler": ("chi_split_quadric", "euler_rank", "primitive_hodge"),

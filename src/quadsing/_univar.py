@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import rational
+
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
@@ -16,8 +18,8 @@ ONE: Poly = (Fraction(1),)
 
 
 def poly(coeffs) -> Poly:
-    """Build a canonical polynomial from an iterable of numbers."""
-    return trim(tuple(Fraction(c) for c in coeffs))
+    """Build a canonical polynomial from an iterable of exact numbers."""
+    return trim(tuple(map(rational, coeffs)))
 
 
 def of_polynomial(f) -> Poly:

@@ -34,19 +34,17 @@ def _unicode_ok() -> bool:
 
 
 def _display_entries(entries) -> list[int]:
-    """Rewrite pairs {a, -a} as {1, -1} (a hyperbolic-plane identity),
-    then order by magnitude with positives first.  Display only."""
+    """Rewrite pairs {a, -a} as {1, -1} (a hyperbolic-plane identity); display only."""
     c = Counter(entries)
     hyper = 0
     for a in sorted(c):
-        if a > 0 and c.get(a, 0) and c.get(-a, 0):
+        if a > 0 and c.get(-a, 0):
             k = min(c[a], c[-a])
             c[a] -= k
             c[-a] -= k
             hyper += k
     out = [a for a, k in c.items() for _ in range(k)]
     out.extend([1] * hyper + [-1] * hyper)
-    out.sort(key=lambda a: (abs(a), a < 0))
     return out
 
 

@@ -21,6 +21,7 @@ reported as skipped with the reason.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -53,12 +54,7 @@ def conductor_multiplier(s: SingularityInput) -> int:
             "the (weighted) degree r is required; pass weights and degree for "
             "non-homogeneous f"
         )
-    if s.is_weighted():
-        w = s.degree
-        for a in s.weights:
-            w *= a
-        return w
-    return s.degree
+    return s.degree * math.prod(s.weights or ())
 
 
 def _assemble_rhs(w: int, n: int, mu: GWElement) -> GWElement:

@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import add
+from operator import add, index
 
 from . import poly as P
 from .errors import (
@@ -42,6 +42,14 @@ from .errors import (
     NotIsolatedError,
 )
 from .gw import GWElement, RATIONALS, diagonalize
+
+
+def _integer(v, what: str) -> int:
+    """v as an int; an InputDomainError when ``operator.index`` refuses it."""
+    try:
+        return index(v)
+    except TypeError:
+        raise InputDomainError(f"{what} must be an integer, not {v!r}") from None
 
 
 class SingularityInput:
@@ -64,15 +72,17 @@ class SingularityInput:
         weights: Sequence[int] | None = None,
         degree: int | None = None,
     ):
-        var_names = tuple(var_names)
+        var_names = tuple(P.check_names(var_names))
         if f.nvars != len(var_names) or f.nvars < 1:
             raise InputDomainError("variable names must match the polynomial, one or more")
         if f.constant_term() != 0:
             raise InputDomainError("f must vanish at the origin")
-        if degree is not None and int(degree) < 1:
-            raise InputDomainError(f"a declared degree must be at least 1, not {degree}")
+        if degree is not None:
+            degree = _integer(degree, "a declared degree")
+            if degree < 1:
+                raise InputDomainError(f"a declared degree must be at least 1, not {degree}")
         if weights is not None:
-            weights = tuple(int(w) for w in weights)
+            weights = tuple(_integer(w, "a weight") for w in weights)
             if len(weights) != f.nvars or any(w < 1 for w in weights):
                 raise InputDomainError("weights must be positive, one per variable")
             degrees = {P.weighted_degree(e, weights) for e in f.terms}
@@ -82,21 +92,21 @@ class SingularityInput:
                         "f is not quasi-homogeneous for the given weights"
                     )
                 degree = degrees.pop()
-            elif degrees - {int(degree)}:
+            elif degrees - {degree}:
                 raise InputDomainError(
                     f"f is not quasi-homogeneous of degree {degree} for the given weights"
                 )
         elif not f.is_zero() and P.is_homogeneous(f):
             if degree is None:
                 degree = f.total_degree()
-            elif int(degree) != f.total_degree():
+            elif degree != f.total_degree():
                 raise InputDomainError(
                     f"f is homogeneous of degree {f.total_degree()}, not {degree}"
                 )
         self.f = f
         self.var_names = var_names
         self.weights = weights
-        self.degree = int(degree) if degree is not None else None
+        self.degree = degree
 
     def _key(self):
         return (self.f, self.var_names, self.weights, self.degree)

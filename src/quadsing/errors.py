@@ -1,9 +1,12 @@
-"""Exception hierarchy, and the one rule for writing a rational as JSON.
+"""Exception hierarchy, and the one rule for reading and for writing a rational.
 
 Every library error carries a stable kebab-case ``code`` that the CLI maps
-into its machine-readable error object.  ``json_rational`` lives here, in
-the module every call loads, so that using it loads no other module.
+into its machine-readable error object.  ``rational`` and ``json_rational``
+live here, in the module every call loads, so that using them loads no
+other module of the package.
 """
+
+from fractions import Fraction
 
 
 class QuadsingError(Exception):
@@ -22,12 +25,6 @@ class UnsupportedInvariantError(QuadsingError):
     """An invariant was requested over a context where it is undefined."""
 
     code = "unsupported-invariant"
-
-
-class NonSpecializableError(QuadsingError):
-    """A rational-function square class has no well-defined value at t=0."""
-
-    code = "non-specializable"
 
 
 class InvalidExtensionError(QuadsingError):
@@ -89,6 +86,15 @@ class UnknownVariableError(ParseError):
     """An identifier in an expression is not a declared variable."""
 
     code = "unknown-variable"
+
+
+def rational(v) -> Fraction:
+    """An outside value as an exact rational: an int, a Fraction or a string
+    such as "1/3" is read exactly, and a float, a binary fraction, is a
+    TypeError."""
+    if isinstance(v, float):
+        raise TypeError(f"a float is not an exact rational: {v!r}")
+    return Fraction(v)
 
 
 def json_rational(v):

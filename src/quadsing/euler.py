@@ -31,7 +31,8 @@ def primitive_hodge(d: int, N: int) -> tuple[int, ...]:
     series = jacobian_hilbert_series((1,) * (N + 1), d)
     degrees = range(d - N - 1, N * (d - 1), d)  # (q + 1)d - N - 1 for q = 0..N-1
     prim = tuple(series[k] if 0 <= k < len(series) else 0 for k in degrees)
-    assert prim == prim[::-1], "Hodge symmetry failed"
+    if prim != prim[::-1]:
+        raise AssertionError("Hodge symmetry failed; this is a bug")
     return prim
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -37,6 +38,7 @@ from .errors import (
     InvalidIdealError,
     ParseError,
     UnknownVariableError,
+    rational,
 )
 
 Exps = tuple[int, ...]
@@ -81,8 +83,17 @@ class Polynomial:
         self.terms: dict[Exps, Fraction] = {}
         if terms:
             for exps, c in terms.items():
+                try:
+                    e = tuple(map(operator.index, exps))
+                except TypeError:
+                    e = None
+                if e is None or len(e) != nvars or any(x < 0 for x in e):
+                    raise ValueError(
+                        f"exponents {exps!r} are not {nvars} non-negative integers"
+                    )
+                c = rational(c)
                 if c:
-                    self.terms[tuple(exps)] = Fraction(c)
+                    self.terms[e] = c
 
     @classmethod
     def _of(cls, nvars: int, terms: dict[Exps, Fraction]) -> "Polynomial":
@@ -99,9 +110,6 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -112,7 +120,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exps, c=1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -339,14 +347,21 @@ def parse_form(src: str, variables: Sequence[str]) -> list:
     return _parse(src.translate(_FORM_CHARS), variables, "form")
 
 
-def _parse(src: str, variables: Sequence[str], mode: str):
-    """Read src as a "polynomial", a "rational" expression or a "form"."""
+def check_names(variables: Sequence[str]) -> list[str]:
+    """The variable names as a list; a ParseError unless they are distinct
+    identifiers."""
     names = list(variables)
     for i, name in enumerate(names):
         if not isinstance(name, str) or not _NAME.fullmatch(name):
             raise ParseError(f"variable name {name!r} at index {i} is not an identifier")
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names")
+    return names
+
+
+def _parse(src: str, variables: Sequence[str], mode: str):
+    """Read src as a "polynomial", a "rational" expression or a "form"."""
+    names = check_names(variables)
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
     tokens = _tokenize(src)

@@ -33,6 +33,8 @@ def _sing(src, names=XY, **kw):
 def test_multiplier_homogeneous():
     assert cond.conductor_multiplier(_sing("x^2 - y^2")) == 2
     assert cond.conductor_multiplier(_sing("x^3 + y^3")) == 3
+    # declared weights (1, 1) multiply r by 1
+    assert cond.conductor_multiplier(_sing("x^2 - y^2", weights=(1, 1), degree=2)) == 2
 
 
 def test_multiplier_weighted_uses_weight_product():

@@ -23,6 +23,7 @@ from quadsing.errors import (
     InadmissibleWeightsError,
     InputDomainError,
     NotIsolatedError,
+    ParseError,
     json_rational,
 )
 
@@ -401,6 +402,22 @@ def test_variable_names_must_match_the_polynomial(src, f_names, names):
         ekl.SingularityInput(P.parse(src, f_names), names)
 
 
+@pytest.mark.parametrize("names, message", [
+    (("x", "x"), "duplicate variable names"),
+    (("x y", "1"), "variable name 'x y' at index 0 is not an identifier"),
+    (("x", 2), "variable name 2 at index 1 is not an identifier"),
+])
+def test_variable_names_are_distinct_identifiers(names, message):
+    """A Polynomial handed to SingularityInput meets the parser's name rule,
+    with the parser's error."""
+    f = P.parse("x^2 + y^3", XY)
+    with pytest.raises(ParseError) as direct:
+        ekl.SingularityInput(f, names)
+    with pytest.raises(ParseError) as parsed:
+        P.parse("x^2", names)
+    assert str(direct.value) == str(parsed.value) == message
+
+
 def test_singularity_must_vanish_at_origin():
     with pytest.raises(InputDomainError):
         ekl.singularity("x^2 + 1", XY)
@@ -411,6 +428,18 @@ def test_weights_must_be_positive_and_consistent():
         ekl.singularity("x^2 - y^3", XY, weights=(0, 2), degree=6)
     with pytest.raises(InputDomainError):
         ekl.singularity("x^2 - y^3", XY, weights=(1, 1), degree=2)
+
+
+@pytest.mark.parametrize("src, kw", [
+    ("x^2 - y^3", {"weights": (3.5, 2)}),
+    ("x^2 - y^3", {"weights": (3, 2), "degree": 6.9}),
+    ("x^2 - y^3", {"weights": (3, 2), "degree": 6.0}),
+    ("x^3 + y^3", {"degree": 3.2}),
+    ("x^3 + y^3", {"degree": Fraction(3)}),
+])
+def test_weights_and_degree_must_be_integers(src, kw):
+    with pytest.raises(InputDomainError, match="must be an integer"):
+        ekl.singularity(src, XY, **kw)
 
 
 def test_declared_degree_of_homogeneous_f_is_checked():

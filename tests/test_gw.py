@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from quadsing import _univar as uv
 from quadsing import conductor as cond
 from quadsing import ekl, gw, tate
+from quadsing import poly as P
 from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
     ContextMismatchError,
@@ -1144,6 +1145,20 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: gw.diagonalize([[1]], QT), UnsupportedInvariantError),
         (lambda: gw.hilbert_symbol(0, 3, 3), ValueError),
         (lambda: gw.hilbert_symbol(2, 3, 4), ValueError),  # p not prime
+        (lambda: gw.FieldCtx.prime_field(7.0), ValueError),  # p not an int
+        # a float is a binary fraction, never read as a rational
+        (lambda: gw.diag_form([0.1]), TypeError),
+        (lambda: gw.diag_form([0.5]), TypeError),
+        (lambda: gw.diag_form([0.5], gw.FieldCtx.prime_field(7)), TypeError),
+        (lambda: gw.hilbert_symbol(0.5, 3, 3), TypeError),
+        (lambda: gw.FieldCtx.extension([0.5, 1]), TypeError),
+        (lambda: uv.poly([1, 0.5]), TypeError),
+        (lambda: P.Polynomial(1, {(1,): 0.5}), TypeError),
+        (lambda: P.Polynomial.constant(1, 0.5), TypeError),
+        (lambda: P.Polynomial.monomial(1, (1,), 0.5), TypeError),
+        (lambda: tate.TateMap.identity(tate.TateObject([(0, 0)])).scale(0.5), TypeError),
+        (lambda: tate.TateMap(tate.TateObject([(0, 0)]), tate.TateObject([(0, 0)]), [[0.5]]),
+         TypeError),
     ],
 )
 def test_invalid_field_data_and_operands_are_rejected(call, error):
@@ -1161,6 +1176,15 @@ def test_contexts_and_elements_behave_as_values():
     assert mixed == gw.parse_gw("<3, 1/2, t>", QT)
     assert hash(gw.diag_form([2, 3])) == hash(gw.diag_form([3, 2]))
     assert gw.diag_form([2]) * 3 == 3 * gw.diag_form([2])
+    # k * e is |k| additions of e, or of -e for k < 0
+    for e in (gw.diag_form([2, 3]) - gw.diag_form([-1]), gw.parse_gw("<t, 1 + t> - <2>", QT)):
+        for k in range(-3, 4):
+            total = gw.GWElement.zero(e.ctx)
+            for _ in range(abs(k)):
+                total = total + (e if k >= 0 else -e)
+            assert k * e == e * k == total
+    # a string is read exactly
+    assert gw.diag_form(["1/3"]) == gw.diag_form([3])
 
 
 def test_json_round_trip():

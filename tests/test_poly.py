@@ -775,6 +775,14 @@ _X2 = P.Polynomial.variable(2, 0)
         (lambda: P.is_quasi_homogeneous(_X2, (1,), 1), "weight vector length"),
         (lambda: P.groebner([_X1, _X2]), "mixed variable counts"),
         (lambda: ekl.bezoutian([_X2]), "m polynomials in m variables"),
+        # an exponent tuple holds nvars non-negative integers
+        (lambda: P.Polynomial(2, {(1,): 1}) * _X2, "not 2 non-negative integers"),
+        (lambda: P.Polynomial(2, {(-1, 0): 1}), "not 2 non-negative integers"),
+        (lambda: P.Polynomial(2, {(1.5, 0): 1}), "not 2 non-negative integers"),
+        (lambda: P.Polynomial(1, {"x": 1}), "not 1 non-negative integers"),
+        (lambda: P.Polynomial.monomial(2, (2,)), "not 2 non-negative integers"),
+        (lambda: ekl.SingularityInput(P.Polynomial(2, {(2,): 1, (0, 3): 1}), XY),
+         "not 2 non-negative integers"),
     ],
 )
 def test_mismatched_shapes_are_rejected(call, message):
