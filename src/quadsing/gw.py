@@ -132,9 +132,9 @@ def _squarefree(value) -> int:
     """The squarefree integer representing the square class of a rational.
 
     Numerator and denominator are coprime, so each is factored on its own;
-    their product is never formed.
+    their product is never formed.  An int carries both already.
     """
-    fr = rational(value)
+    fr = value if isinstance(value, int) else rational(value)
     if fr == 0:
         raise ValueError("zero has no square class")
     out = 1
@@ -513,7 +513,10 @@ class GWElement:
 
 
 def _cancel(pos: list, neg: list) -> tuple[tuple, tuple]:
-    """Remove classes occurring with both signs; sort for determinism."""
+    """Remove classes occurring with both signs, one for one as multisets;
+    sort for determinism."""
+    if not neg:
+        return tuple(sorted(pos)), ()
     neg = list(neg)
     out_pos = []
     for a in pos:
@@ -631,14 +634,18 @@ def _relevant_primes(entries: Sequence[int]) -> list[int]:
 def is_equal(a: GWElement, b: GWElement) -> bool:
     """Exact equality in the Grothendieck-Witt ring.
 
-    Over Q the decision clears negative parts and compares the two genuine
-    forms through rank, signature, discriminant, and Hasse invariants at
-    every relevant place; over a prime field rank and discriminant decide.
-    The discriminants are gcd-reduced products of the squarefree entries and
-    the relevant primes come from factoring each distinct entry, so no
-    product of entries is ever factored.  Each Hasse invariant is the closed
-    form of ``_hasse_witt``, one pass over the entries and at most one
-    Legendre symbol, so no Hilbert symbol is evaluated.
+    Over Q, [a] = [b] iff the genuine forms a.pos + b.neg and b.pos + a.neg
+    are isometric.  A class on both sides is dropped first, one for one:
+    by Witt's cancellation theorem (Lam, Introduction to Quadratic Forms over
+    Fields, ch. I) C + L and C + R are isometric iff L and R are.  What is
+    left is compared through rank, signature, discriminant, and Hasse
+    invariants at every relevant place; over a prime field rank and
+    discriminant decide.  The discriminants are gcd-reduced products of the
+    squarefree entries and the relevant primes come from factoring each
+    distinct class that did not cancel, so no product of entries is ever
+    factored.  Each Hasse invariant is the closed form of ``_hasse_witt``,
+    one pass over the entries and at most one Legendre symbol, so no Hilbert
+    symbol is evaluated.
     """
     if not isinstance(a, GWElement) or not isinstance(b, GWElement):
         raise TypeError("is_equal expects two GWElements")
@@ -655,9 +662,8 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
         )
     if a.rank != b.rank:
         return False
-    left = a.pos + b.neg
-    right = b.pos + a.neg
-    if sorted(left) == sorted(right):
+    left, right = _cancel(a.pos + b.neg, b.pos + a.neg)
+    if not left:  # the ranks agree, so right is empty too
         return True
     if _signature(left) != _signature(right):
         return False

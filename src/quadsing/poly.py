@@ -114,6 +114,9 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
+        i = operator.index(i)
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} is not in range({nvars})")
         e = [0] * nvars
         e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
@@ -142,6 +145,8 @@ class Polynomial:
     def _binop(self, other, sign: int) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomials have different variable counts")
         out = dict(self.terms)
@@ -177,6 +182,8 @@ class Polynomial:
             if not c:
                 return Polynomial(self.nvars)
             return Polynomial._of(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomials have different variable counts")
         out: dict[Exps, Fraction] = {}

@@ -14,6 +14,7 @@ sign), which is what the scissor identity for quadrics holds at.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
@@ -38,7 +39,7 @@ class TateObject:
     __slots__ = ("summands",)
 
     def __init__(self, summands: Sequence[Summand] = ()):
-        self.summands = tuple((int(t), int(s)) for t, s in summands)
+        self.summands = tuple((operator.index(t), operator.index(s)) for t, s in summands)
 
     def __eq__(self, other):
         return isinstance(other, TateObject) and Counter(self.summands) == Counter(

@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,21 @@ def test_squarefree_of_a_fraction_matches_sympy(n, d):
     assert gw._squarefree(Fraction(n, d)) == _sympy_squarefree(n * d)
 
 
+@pytest.mark.parametrize(
+    "n", [1, -1, -12, -(2**10) * 3**5, 7**3, _P1**3, -(_P1 * _P2) * _LAST**2, True]
+)
+def test_squarefree_of_an_int_matches_its_fraction(n):
+    """An int is read without a Fraction; the class is the same."""
+    assert gw._squarefree(n) == gw._squarefree(Fraction(n))
+
+
+@pytest.mark.parametrize("value, error", [(0, ValueError), (False, ValueError),
+                                          (0.5, TypeError), (2.0, TypeError)])
+def test_squarefree_rejects_zero_and_floats(value, error):
+    with pytest.raises(error):
+        gw._squarefree(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_nonzero, _nonzero)
 def test_mul_reps_matches_squarefree_of_the_product(a, b):
@@ -468,6 +484,28 @@ def _same_rank_signature_discriminant(draw):
     return left, right, common
 
 
+# the 20 primes of [32, 128), from which the gw-equal benchmark builds its entries
+_GW_EQUAL_PRIMES = [p for p in range(32, 128) if sympy.isprime(p)]
+
+
+def _gw_equal_rank32(equal):
+    """A rank-32 pair built as the gw-equal benchmark builds one.  The left
+    side holds 24 signed products of three primes from [32, 128), two pairs
+    <s u^2, s v^2> with u^2 + v^2 prime, and <1, 1, 521, 569>; 569 is a
+    non-residue mod 521 = 1 mod 4.  The right side turns each pair <a, b>
+    into <a + b, ab(a + b)>, scales every entry by a square, and holds
+    <2, 2> and <4 * 569, 521> if equal, else <2, 2, 1, 521 * 569>."""
+    q = _GW_EQUAL_PRIMES
+    s = [(-1) ** i * q[3 * i % 20] * q[(3 * i + 1) % 20] * q[(3 * i + 2) % 20]
+         for i in range(26)]
+    pairs = [(s[0], s[0] * 36), (s[1] * 16, s[1] * 25)]  # 1 + 36 = 37, 16 + 25 = 41
+    left = [v for pair in pairs for v in pair] + s[2:] + [1, 1, 521, 569]
+    right = [v for a, b in pairs for v in (a + b, a * b * (a + b))] + s[2:]
+    right = [v * (i % 5 + 1) ** 2 for i, v in enumerate(right)]
+    right += [2, 2] + ([4 * 569, 521] if equal else [1, 521 * 569])
+    return left, right[::-1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_same_rank_signature_discriminant())
 @example(([1, 1], [2, 2], []))
@@ -475,14 +513,53 @@ def _same_rank_signature_discriminant(draw):
 @example(([2, 7, -5], [1, 14, -5], [-1, 7]))
 @example(([1, 1, 521, 569], [2, 2, 569, 521], [3]))  # a gw-equal equal pair
 @example(([1, 1, 521, 569], [2, 2, 1, 521 * 569], [3]))  # and an unequal one
+@example((*_gw_equal_rank32(True), [3, 3, -7]))
+@example((*_gw_equal_rank32(False), [3, 3, -7]))
 def test_is_equal_matches_a_pairwise_hasse_minkowski_decision(forms):
     left, right, common = forms
     assert sum(a < 0 for a in left) == sum(a < 0 for a in right)
     expected = _hasse_minkowski(left, right)
     assert gw.is_equal(gw.diag_form(left), gw.diag_form(right)) is expected
+    # Witt cancellation: classes on both sides change nothing
+    assert gw.is_equal(gw.diag_form(left + common), gw.diag_form(right + common)) is expected
     a = gw.diag_form(left) - gw.diag_form(common)
     b = gw.diag_form(right) - gw.diag_form(common)
     assert gw.is_equal(a, b) is expected
+
+
+def test_gw_equal_rank32_pairs_are_decided_as_built():
+    assert _hasse_minkowski(*_gw_equal_rank32(True))
+    assert not _hasse_minkowski(*_gw_equal_rank32(False))
+
+
+@pytest.mark.parametrize(
+    "left, right, uncancelled",
+    [
+        ([3, 3, 1], [3, 2, 6], [1, 2, 3, 6]),  # one 3 cancels, one is left
+        ([1, 1, 7, 7, 7], [7, 2, 7, 2, 7], [1, 2]),
+        ([6, 10, 15, 1], [1, 6, 10, 15], []),
+        (*_gw_equal_rank32(True), None),
+        (*_gw_equal_rank32(False), None),
+    ],
+)
+def test_is_equal_factors_only_the_classes_that_do_not_cancel(monkeypatch, left, right,
+                                                               uncancelled):
+    """Each distinct class left after multiset cancellation is factored once,
+    and no other (every pair here passes the signature and discriminant
+    tests); the list is a Counter difference when not given."""
+    a, b = gw.diag_form(left), gw.diag_form(right)
+    if uncancelled is None:
+        L, R = Counter(a.pos), Counter(b.pos)
+        uncancelled = sorted((L - R) | (R - L))
+    factor, factored = gw.factorint, []
+
+    def counting(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(gw, "factorint", counting)
+    gw.is_equal(a, b)
+    assert sorted(factored) == uncancelled
 
 
 def test_is_equal_basic_identities():

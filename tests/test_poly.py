@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -783,11 +784,26 @@ _X2 = P.Polynomial.variable(2, 0)
         (lambda: P.Polynomial.monomial(2, (2,)), "not 2 non-negative integers"),
         (lambda: ekl.SingularityInput(P.Polynomial(2, {(2,): 1, (0, 3): 1}), XY),
          "not 2 non-negative integers"),
+        # a variable index lies in range(nvars); -1 does not wrap to the last
+        (lambda: P.Polynomial.variable(2, -1), "not in range"),
+        (lambda: P.Polynomial.variable(2, 2), "not in range"),
+        (lambda: P.Polynomial.variable(2, 5), "not in range"),
     ],
 )
 def test_mismatched_shapes_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("other", [0.5, "a", None, [1]])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_arithmetic_with_a_foreign_operand_is_a_type_error(op, other):
+    """Only an int, a Fraction or a Polynomial combines with a Polynomial;
+    anything else gets Python's TypeError, in either operand order."""
+    with pytest.raises(TypeError):
+        op(_X2, other)
+    with pytest.raises(TypeError):
+        op(other, _X2)
 
 
 @settings(max_examples=60, deadline=None)

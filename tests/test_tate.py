@@ -34,6 +34,13 @@ def test_object_equality_is_multiset():
     assert a != _obj((0, 0), (0, 0))
 
 
+@pytest.mark.parametrize("summand", [(0.5, 0), ("1", 0), (0, Fraction(1, 2)), (Fraction(2), 0)])
+def test_object_summands_are_integers(summand):
+    """A twist or shift that is not an integer is refused, not truncated."""
+    with pytest.raises(TypeError):
+        tate.TateObject([summand])
+
+
 def test_twist_and_shift():
     a = _obj((0, 0), (-1, -2))
     assert a.twist(-1).summands == ((-1, 0), (-2, -2))
