@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import _univar as uv
 from . import poly as P
@@ -45,7 +45,8 @@ _EXTENSION = "extension"
 
 
 # ---------------------------------------------------------------------------
-# integer factoring: the one place that factors, and the primality test
+# integer factoring and square classes: the primes below 2^12 are stripped by
+# gcds with two primorials; sympy factors only a composite cofactor >= 2^24
 # ---------------------------------------------------------------------------
 
 
@@ -65,6 +66,14 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 # bound (Sorenson and Webster, Math. Comp. 86 (2017), psi_13).
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_BOUND = 3317044064679887385961981
+# (primes, their product, bound) for the primes below 2^7 and those in
+# [2^7, 2^12).  A cofactor free of every prime below 2^k and below
+# 2^(2k) = bound is 1 or a prime.
+_SPLIT = sum(p < 1 << 7 for p in _SMALL_PRIMES)
+_TIERS = tuple(
+    (primes, prod(primes), bound)
+    for primes, bound in ((_SMALL_PRIMES[:_SPLIT], 1 << 14), (_SMALL_PRIMES[_SPLIT:], 1 << 24))
+)
 
 
 def _is_prime(n: int) -> bool:
@@ -98,9 +107,13 @@ def _is_prime(n: int) -> bool:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a nonzero integer, as sympy.factorint.
 
-    A negative n carries the key -1.  Trial division by the primes below
-    2^12 comes first; a cofactor left over is tested for primality, and
-    only a composite one is handed to sympy, which is imported then.
+    A negative n carries the key -1.  For each tier of primes below 2^12,
+    g = gcd(n, P) with P the tier's primorial is the product of the tier's
+    primes that divide n: a tier with g = 1 is skipped whole, and only the
+    primes dividing g are divided out, until g reaches 1.  A cofactor below
+    2^14 after the primes below 2^7, or below 2^24 after all of them, is 1
+    or a prime; a larger one is tested for primality, and only a composite
+    one is handed to sympy, which is imported then.
     """
     if n == 0:
         raise ValueError("zero has no factorization")
@@ -108,17 +121,23 @@ def factorint(n: int) -> dict[int, int]:
     if n < 0:
         out[-1] = 1
         n = -n
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
+    for primes, primorial, bound in _TIERS:
+        g = gcd(n, primorial)
+        for p in primes:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
                 n //= p
-                e += 1
-            out[p] = e
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+        if n < bound:
+            break
     else:
-        if n > 1 and not _is_prime(n):
+        if not _is_prime(n):
             from sympy import factorint as sympy_factorint
 
             out.update((int(p), e) for p, e in sympy_factorint(n).items())
@@ -131,18 +150,37 @@ def factorint(n: int) -> dict[int, int]:
 def _squarefree(value) -> int:
     """The squarefree integer representing the square class of a rational.
 
-    Numerator and denominator are coprime, so each is factored on its own;
-    their product is never formed.  An int carries both already.
+    Numerator and denominator are coprime, so each is read on its own; their
+    product is never formed.  An int carries both already.  For a primorial
+    P, g = gcd(n, P) is the radical of the part of n that P's primes cover:
+    n // g lowers each of their exponents by one, and g, squarefree, is its
+    own class, folded in as ``mul_reps`` does, a*b / gcd(a, b)^2.  Repeating
+    with g = gcd(n, g) until g = 1 strips P's primes without naming one.
+    The cofactor rules are ``factorint``'s: below 2^14 after the primes
+    below 2^7, or below 2^24 after all primes below 2^12, it is 1 or a
+    prime; a larger one is tested, and only a composite one is factored.
     """
     fr = value if isinstance(value, int) else rational(value)
     if fr == 0:
         raise ValueError("zero has no square class")
-    out = 1
-    for n in (fr.numerator, fr.denominator):
-        if n != 1:
-            for p, e in factorint(n).items():
-                if e % 2:
-                    out *= p
+    num = fr.numerator
+    out = 1 if num > 0 else -1
+    for n in (abs(num), fr.denominator):
+        if n == 1:
+            continue
+        for _, primorial, bound in _TIERS:
+            g = gcd(n, primorial)
+            while g > 1:
+                n //= g
+                h = gcd(out, g)
+                out = (out // h) * (g // h)
+                g = gcd(n, g)
+            if n < bound:
+                break
+        else:
+            if not _is_prime(n):
+                n = prod(p for p, e in factorint(n).items() if e % 2)
+        out *= n
     return out
 
 

@@ -25,7 +25,6 @@ there is no floating point anywhere.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 import re
@@ -829,7 +828,19 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     if None in bounds:
         return QuotientBasis(basis, nvars, None)
 
-    box = itertools.product(*map(range, bounds))
-    standard = [e for e in box if not any(all(map(le, l, e)) for l in leads)]
+    # The standard monomials are an order ideal: walk its staircase from the
+    # origin over the first nvars - 1 exponents, stepping +1 only at or after
+    # the last one raised, so each prefix is reached once.  (e, k) is standard
+    # iff k is below every last exponent of a leading monomial whose other
+    # exponents are <= e; x_n's pure power keeps that minimum defined, and a
+    # prefix whose minimum is 0 is not stepped out of.
+    heads = [(l[:-1], l[-1]) for l in leads]
+    standard, stack = [], [((0,) * (nvars - 1), 0)]
+    while stack:
+        e, first = stack.pop()
+        top = min(t for h, t in heads if all(map(le, h, e)))
+        if top:
+            standard.extend(e + (k,) for k in range(top))
+            stack.extend((e[:i] + (e[i] + 1,) + e[i + 1 :], i) for i in range(first, nvars - 1))
     standard.sort(key=grevlex_key)
     return QuotientBasis(basis, nvars, tuple(standard))

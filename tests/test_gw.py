@@ -330,12 +330,39 @@ _P2 = sympy.nextprime(_P1)
 @example(-(_P1 * _P2) * _LAST**2)
 @example((2**31 - 1) * (2**61 - 1))
 @example(STRONG_PSEUDOPRIME)
+@example(127**2)
+@example(-(131**2))
+@example(127 * 131)
+@example(16381)  # the largest prime below 2^14
+@example(-(4093**2) * 5)  # 4093: the largest prime below 2^12
+@example(4099**2)  # this and the next: the two smallest composites above 2^24
+@example(-4099 * 4111)  # with no prime factor below 2^12
 def test_factorint_matches_sympy(n):
     assert gw.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}
 
 
 @settings(max_examples=200, deadline=None)
+@given(_nonzero)
+@example(1)
+@example(-1)
+@example(-(2**10) * 3**5)
+@example(127**2)  # the edges of the two primorial tiers and of the cofactor rules
+@example(-(131**2))
+@example(127 * 131)
+@example(-16381)
+@example(4093**2 * 5)
+@example(-(4099**2))
+@example(4099 * 4111)
+@example(STRONG_PSEUDOPRIME)
+@example(-(STRONG_PSEUDOPRIME**2) * 127**3)
+def test_squarefree_of_an_int_matches_sympy(n):
+    assert gw._squarefree(n) == _sympy_squarefree(n)
+
+
+@settings(max_examples=200, deadline=None)
 @given(_nonzero, st.integers(min_value=1, max_value=2**64))
+@example(4099 * 4111, 127**2)
+@example(-(4093**2) * 5, 131**2 * 16381)
 def test_squarefree_of_a_fraction_matches_sympy(n, d):
     assert gw._squarefree(Fraction(n, d)) == _sympy_squarefree(n * d)
 
@@ -560,6 +587,25 @@ def test_is_equal_factors_only_the_classes_that_do_not_cancel(monkeypatch, left,
     monkeypatch.setattr(gw, "factorint", counting)
     gw.is_equal(a, b)
     assert sorted(factored) == uncancelled
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_diag_form_of_gw_equal_entries_factors_nothing(monkeypatch, equal):
+    """gw-equal entries are products of primes below 2^12 times at most a
+    cofactor below 2^24: the primorial gcds strip them, and no integer is
+    handed to ``factorint``."""
+    left, right = _gw_equal_rank32(equal)
+    values = [v * k * k for k, v in enumerate(left + right, 2)]
+    factor, factored = gw.factorint, []
+
+    def counting(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(gw, "factorint", counting)
+    form = gw.diag_form(values)
+    assert factored == []
+    assert sorted(form.pos) == sorted(map(_sympy_squarefree, values))
 
 
 def test_is_equal_basic_identities():

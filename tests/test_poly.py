@@ -455,6 +455,16 @@ def test_groebner_matches_sympy_on_dense_jacobians(gens):
     assert q.is_finite == zero_dimensional
 
 
+def _box_standard_monomials(q):
+    """Every monomial of the box under the pure-power leading monomials that
+    no leading monomial divides, in grevlex: the oracle for the staircase."""
+    leads = [max(g.terms, key=P.grevlex_key) for g in q.groebner]
+    bounds = [min(e[i] for e in leads if sum(e) == e[i]) for i in range(q.nvars)]
+    box = itertools.product(*map(range, bounds))
+    standard = [e for e in box if not any(all(map(operator.le, l, e)) for l in leads)]
+    return tuple(sorted(standard, key=P.grevlex_key))
+
+
 @st.composite
 def _zero_dimensional(draw):
     """Generators with leading monomials c*x_i^a_i under grevlex: every other
@@ -480,6 +490,15 @@ def _zero_dimensional(draw):
     if extra:
         gens.append(P.Polynomial(nvars, dict(extra)))
     return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dense_jacobians() | _zero_dimensional())
+@example(P.partials(_p("x^5 + y^7 + z^3", XYZ)))
+def test_staircase_matches_the_box_filter(gens):
+    q = P.groebner(gens)
+    if q.is_finite:
+        assert q.standard_monomials == _box_standard_monomials(q)
 
 
 def _nf_by_division(q, exps):
