@@ -17,9 +17,14 @@ and has phi(Hess) = mu is then the Scheja-Storch functional, and the Gram
 matrix is the inverse of the matrix of phi(b_i * b_j) (Scheja and Storch,
 1975; Kass and Wickelgren, arXiv:1608.05669).  That matrix pairs the piece
 of weighted degree e only with the piece of degree s - e, so it is inverted
-pair of pieces by pair of pieces.  Every pair off the middle is
-hyperbolic, and only the middle piece of degree s/2 is diagonalized; its
-diagonal representatives are the ones printed.
+pair of pieces by pair of pieces, each block B by one fraction-free
+elimination that pivots from its last column to its first.  Every pair off
+the middle is hyperbolic.  The middle piece of degree s/2 is not eliminated
+again: the pivots of its block's elimination are the block's trailing
+principal minors M_t, and by Jacobi's identity the congruence pivots of the
+k x k inverse are M_(k-j) / M_(k-j+1).  When a trailing minor vanishes, the
+middle block of the Gram matrix is diagonalized instead.  Either way these
+are the diagonal representatives printed.
 
 Any other input is a single piece with no unique functional.  Its Gram
 matrix is read off the Bezoutian of the partials, reduced in its X-block
@@ -292,11 +297,16 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     sigma.  The normal form of Hess = det(d^2 f) lies in A_s, and phi(sigma)
     is set so that phi(Hess) = mu, the dimension of the ring.  For each pair
     of pieces (A_e, A_(s-e)) with 2e <= s only the block G of phi(b_i * b_j)
-    is formed and inverted exactly; the Gram matrix holds G^-T in the
-    (A_e, A_(s-e)) block, G^-1 in its transpose, and zero everywhere else,
-    which is the Bezoutian's matrix entry for entry.  Every pair with
-    e < s/2 adds dim A_e copies of <1> + <-1>, and only the inverse of the
-    middle block of A_(s/2) is diagonalized.  A normal form of Hess that is
+    is formed and inverted exactly, by ``_inverse``; the Gram matrix holds
+    G^-T in the (A_e, A_(s-e)) block, G^-1 in its transpose, and zero
+    everywhere else, which is the Bezoutian's matrix entry for entry.  Every
+    pair with e < s/2 adds dim A_e copies of <1> + <-1>.  The class of the
+    middle piece A_(s/2) comes from the trailing principal minors M_t of its
+    k x k block G, which ``_inverse`` finds on G's integer multiple when it
+    swaps no row: by Jacobi's identity the leading j x j minor of G^-1 is
+    M_(k-j) / M_k, so the congruence pivots that ``diagonalize`` would take
+    on G^-1 are M_(k-j) / M_(k-j+1), with M_0 = 1.  After a swap some M_t is
+    0, and G^-1 goes through ``diagonalize``.  A normal form of Hess that is
     zero or leaves A_s, a singular block, or a class whose rank is not the
     dimension of the ring raises AssertionError.
 
@@ -371,36 +381,55 @@ def _hessian(gs: Sequence[P.Ints]) -> P.Ints:
     return _det([[diff(g, j) for j in range(m)] for g in gs], m)
 
 
-def _inverse(block: list[list[int]], scale: int | Fraction) -> list[list[Fraction]]:
-    """scale times the exact inverse of a square integer matrix; a singular
-    or non-square block raises AssertionError.
+def _inverse(
+    block: list[list[int]], scale: int | Fraction
+) -> tuple[list[list[Fraction]], list[int] | None]:
+    """scale times the exact inverse of a square integer matrix B, and B's
+    trailing principal minors M_1 ... M_k when no row swap was needed; a
+    singular or non-square block raises AssertionError.
 
-    The block is reduced by fraction-free Gauss-Jordan elimination: each
-    step replaces every other row by (pivot * row - entry * pivot row) /
-    previous pivot, a division that is exact because every entry is then a
-    minor of the augmented matrix (Bareiss, Math. Comp. 1968).  That ends in
-    det * I beside det * M^-1, so the result is scale * (right half) / det,
-    one Fraction per entry.
+    B is reduced in place by fraction-free Gauss-Jordan elimination, pivoting
+    from the last column to the first: each step replaces every other row
+    by (pivot * row - entry * pivot row) / previous pivot, a division that
+    is exact because every entry is then a minor of B beside the identity
+    (Bareiss, Math. Comp. 1968).  Once eliminated, a column of B is only the
+    pivot times a unit vector, so it holds the same column of the identity's
+    image instead, and the last step leaves det * B^-1; the result is
+    scale * that / det, one Fraction per entry.  Without a swap the pivot of
+    step t is the minor of the last t rows and columns, M_t.  A zero pivot
+    swaps in a row not yet used; that permutes the identity's columns, so
+    the swaps are undone on the columns at the end, and no minors return.
     """
     k = len(block)
     if any(len(row) != k for row in block):
         raise AssertionError("a pairing block of the Scheja-Storch form is not square; this is a bug")
-    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(block)]
-    previous = 1
-    for c in range(k):
-        p = next((i for i in range(c, k) if rows[i][c]), None)
-        if p is None:
-            raise AssertionError("a pairing block of the Scheja-Storch form is singular; this is a bug")
-        rows[c], rows[p] = rows[p], rows[c]
+    rows = [list(row) for row in block]
+    swaps, minors, previous = [], [], 1
+    for c in reversed(range(k)):
+        if not rows[c][c]:
+            p = next((i for i in reversed(range(c)) if rows[i][c]), None)
+            if p is None:
+                raise AssertionError(
+                    "a pairing block of the Scheja-Storch form is singular; this is a bug"
+                )
+            rows[c], rows[p] = rows[p], rows[c]
+            swaps.append((c, p))
         pivot = rows[c]
         head = pivot[c]
         for i, row in enumerate(rows):
             if i != c:
                 f = row[c]
                 rows[i] = [(head * a - f * b) // previous for a, b in zip(row, pivot)]
+                rows[i][c] = -f
+        pivot[c] = previous
+        minors.append(head)
         previous = head
+    for c, p in reversed(swaps):
+        for row in rows:
+            row[c], row[p] = row[p], row[c]
     num, den = scale.numerator, scale.denominator * previous
-    return [[Fraction(num * v, den) for v in row[k:]] for row in rows]
+    inverse = [[Fraction(num * v, den) for v in row] for row in rows]
+    return inverse, None if swaps else minors
 
 
 def _graded_form(gs, quotient, weights, r):
@@ -439,7 +468,7 @@ def _graded_form(gs, quotient, weights, r):
     phi = Fraction(d * hess_den * scale ** len(gs), hess[sigma])
 
     gram = [[Fraction(0)] * d for _ in range(d)]
-    hyperbolic, middle = 0, None
+    hyperbolic, middle = 0, GWElement.zero(RATIONALS)
     for e, rows in pieces.items():
         if 2 * e > socle:
             continue
@@ -449,21 +478,26 @@ def _graded_form(gs, quotient, weights, r):
             for i in rows
         ]
         den = math.lcm(*(v_den for row in products for vec, v_den in row if sigma in vec))
-        inverse = _inverse(
-            [[vec.get(sigma, 0) * (den // v_den) for vec, v_den in row] for row in products],
-            den / phi,
+        c = den / phi
+        inverse, minors = _inverse(
+            [[vec.get(sigma, 0) * (den // v_den) for vec, v_den in row] for row in products], c
         )
         for a, i in enumerate(rows):
             for b, j in enumerate(cols):
                 gram[i][j] = gram[j][i] = inverse[b][a]
         if 2 * e < socle:
             hyperbolic += len(rows)
-        else:  # rows == cols, and the inverse of a symmetric block is symmetric
-            middle = inverse
-    gw = GWElement(RATIONALS, pos=(1, -1) * hyperbolic)
-    if middle is not None:
-        gw = gw + diagonalize(middle)
-    return gram, gw
+        # the middle: rows == cols, and the inverse of a symmetric block is symmetric
+        elif minors is None:
+            middle = diagonalize(inverse)
+        else:
+            # the congruence pivots of c * B^-1, B the integer block: its
+            # leading j x j minor is c^j * M_(k-j) / M_k (Jacobi), so pivot j
+            # is c * M_(k-j) / M_(k-j+1)
+            m = [1, *minors]
+            pivots = [c * Fraction(m[t], m[t + 1]) for t in reversed(range(len(minors)))]
+            middle = GWElement(RATIONALS, pos=pivots)
+    return gram, GWElement(RATIONALS, pos=(1, -1) * hyperbolic) + middle
 
 
 def _bezoutian_form(gs, quotient):

@@ -15,6 +15,11 @@ coefficients, and inputs with rational coefficients.  ``HASSE`` was recorded
 before the Hasse-Witt invariant moved from pairwise Hilbert symbols to its
 closed form: forms in which several entries share an odd prime and several
 are even, a virtual one among them, and an equal and an unequal partner.
+``PAIRING`` was recorded before the middle piece's class came from the
+trailing minors of its pairing block instead of a second elimination: the
+dense octic, septic and ternary cubic, two inputs whose antidiagonal middle
+takes the fallback through ``gw.diagonalize``, and a chain with declared
+weights.
 """
 
 from __future__ import annotations
@@ -319,6 +324,32 @@ HASSE = [
     (["gw", "equal", "<2,6,10,-3,15,-5,7>", "<-40,6,7,25,135,10,-3>", "--json"], 0,
      "4aae1d68b05e56c76e01d2efb66a51026cd8e68428ef8292202722a2d9b0aa62"),
 ]
+# graded inputs, recorded before the middle class moved to the trailing
+# minors of the pairing block: the octic (middle A_6 of size 7), the septic
+# (A_5, size 6), the cubic (odd socle degree, no middle), x^3 + y^3 and
+# x^25 + y^25 (antidiagonal middles, which keep gw.diagonalize), and a chain
+# with declared weights
+PAIRING = [
+    (["milnor", "--vars", "x,y",
+      "2*x^8 + 2*x^7*y + 2*x^6*y^2 - x^5*y^3 - x^4*y^4 + 2*x^3*y^5 - x^2*y^6 - 2*x*y^7"
+      " + 2*y^8", "--json"], 0,
+     "81374639281179371d08f44addf78ddc651eeffe205a7ccde701af75c52a52a5"),
+    (["milnor", "--vars", "x,y",
+      "-x^7 - 2*x^6*y - 3*x^5*y^2 + 2*x^4*y^3 + 3*x^3*y^4 + 3*x^2*y^5 - 3*x*y^6 + 2*y^7",
+      "--json"], 0,
+     "2a2c186ae401c8b0e4d5b712f00464ca1f61dcf7172b2ff817f5570584097e1a"),
+    (["milnor", "--vars", "x,y,z",
+      "4*x^3 + 6*x^2*y - 4*x^2*z - 9*x*y^2 + 8*x*y*z - 7*x*z^2 - 8*y^3 - 8*y^2*z"
+      " - 3*y*z^2 - 2*z^3", "--json"], 0,
+     "03ee81544ddb86fdbe2791495a41b4d81b8b840cbfb965a8e12dbe926de6fa68"),
+    (["milnor", "--vars", "x,y", "x^3 + y^3", "--json"], 0,
+     "0a95eb6c810add6441458f384bd5658f04347ae56b83361f2af36187c427d464"),
+    (["milnor", "--vars", "x,y", "x^25 + y^25", "--json"], 0,
+     "82a2bcbed402c5573f1af27e71080b68645795372f5cd614d3e142e0f795ac83"),
+    (["milnor", "--vars", "x,y", "--weights", "3,2", "--degree", "8", "x^2*y + y^4",
+      "--json"], 0,
+     "e03c9bc1d09d36325f653a1fc0d606ac350e1c5c761405ba211666d72d091d03"),
+]
 # run with QUADSING_ASCII=1
 ASCII = [
     (["gw", "add", "<1,2>", "<-2>"], 0,
@@ -328,7 +359,8 @@ ASCII = [
 ]
 
 CORPUS = [
-    (*call, False) for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL + HASSE
+    (*call, False)
+    for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL + HASSE + PAIRING
 ]
 CORPUS += [(*call, True) for call in ASCII]
 

@@ -12,6 +12,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -623,17 +624,19 @@ _CUBIC = (
 @pytest.mark.parametrize(
     "src, names, sizes",
     [
-        (_OCTIC, XY, [7]),  # socle degree 12: only A_6 is diagonalized
-        (_SEPTIC, XY, [6]),  # socle degree 10: A_5
+        (_OCTIC, XY, []),  # socle degree 12: A_6's class is read off its minors
+        (_SEPTIC, XY, []),  # socle degree 10: A_5, likewise
         (_CUBIC, XYZ, []),  # socle degree 3 is odd: every piece pairs off
-        ("x^25 + y^25", XY, [24]),  # socle degree 46: A_23
+        ("x^25 + y^25", XY, [24]),  # socle degree 46: A_23 is antidiagonal
         ("x^2 - y^3", XY, [2]),  # ungraded: the whole Gram matrix
+        ("x^3 + y^3", XY, [2]),  # A_1 is antidiagonal, M_1 = 0
     ],
 )
 def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
     """The graded split and the division-free normal forms are what run:
-    ``diagonalize`` sees only the middle piece, and no normal form divides a
-    polynomial once the Groebner basis is known."""
+    ``diagonalize`` sees no graded piece unless a trailing minor of the
+    middle block vanishes, and then only the middle piece; no normal form
+    divides a polynomial once the Groebner basis is known."""
     seen, divisions, basis_known = [], [], []
     real_groebner, real_reduce = P.groebner, P._reduce
 
@@ -658,6 +661,67 @@ def test_only_the_middle_piece_is_diagonalized(monkeypatch, src, names, sizes):
     assert seen == sizes
     assert basis_known and not divisions
     assert bf.gw.rank == bf.dimension
+
+
+def _split(s, bf):
+    """The number of basis monomials below half the socle degree, and the
+    Gram block of those at half of it."""
+    weights, r = s.grading()
+    socle = sum(r - 2 * w for w in weights)
+    degrees = [2 * P.weighted_degree(b, weights) for b in bf.basis]
+    middle = [i for i, e in enumerate(degrees) if e == socle]
+    return sum(e < socle for e in degrees), [[bf.gram[i][j] for j in middle] for i in middle]
+
+
+def _diagonalized_class(s, bf):
+    """The class built from the Gram matrix by a second elimination: a
+    hyperbolic pair per basis monomial below half the socle degree, plus
+    ``gw.diagonalize`` of the middle block."""
+    hyperbolic, middle = _split(s, bf)
+    cls = gw.GWElement(gw.RATIONALS, pos=(1, -1) * hyperbolic)
+    return cls + gw.diagonalize(middle) if middle else cls
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graded_inputs())
+@example(ekl.singularity(_OCTIC, XY))
+@example(ekl.singularity(_SEPTIC, XY))
+@example(ekl.singularity("x^3 + y^3", XY))
+@example(ekl.singularity("x^25 + y^25", XY))
+@example(ekl.singularity("x^2*y + y^4", XY, weights=(3, 2), degree=8))
+@example(ekl.singularity("x^3 + y^4", XY, weights=(4, 3), degree=12))
+def test_middle_class_from_minors_keeps_the_representatives(s):
+    """The class has the very representatives of the construction that
+    diagonalizes the middle Gram block, not only an equal class.  And the values the
+    middle piece hands to ``GWElement`` are, in order, the pivots
+    ``gw.congruence_pivots`` takes on its Gram block, unless a trailing
+    minor vanishes and that block goes to ``diagonalize``: the class alone
+    cannot show this, since a and 1/a share a square class and a class
+    sorts its entries."""
+    built, diagonalized = [], []
+
+    class Recording(gw.GWElement):
+        __slots__ = ()
+
+        def __init__(self, ctx, pos=(), neg=(), **kwargs):
+            built.append(list(pos))
+            super().__init__(ctx, pos, neg, **kwargs)
+
+    def diagonalize(gram, *args):
+        diagonalized.append(gram)
+        return gw.diagonalize(gram, *args)
+
+    with mock.patch.object(ekl, "GWElement", Recording), mock.patch.object(
+        ekl, "diagonalize", diagonalize
+    ):
+        bf = ekl.ss_form(s)
+    expected = _diagonalized_class(s, bf)
+    assert (bf.gw.pos, bf.gw.neg) == (expected.pos, expected.neg)
+    _, middle = _split(s, bf)
+    if diagonalized:
+        assert diagonalized == [middle]
+    elif middle:
+        assert gw.congruence_pivots(middle) in built
 
 
 # ---------------------------------------------------------------------------
@@ -836,16 +900,105 @@ def test_singular_pairing_block_is_a_bug(monkeypatch, src, socle, doctored):
 
 def test_exact_inverse():
     block = [[0, 2], [3, 1]]
-    inverse = ekl._inverse(block, 1)
+    inverse, minors = ekl._inverse(block, 1)
     assert inverse == [[Fraction(-1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(0)]]
     assert all(type(v) is Fraction for row in inverse for v in row)
-    assert ekl._inverse(block, Fraction(-3, 2)) == [
-        [Fraction(1, 4), Fraction(-1, 2)], [Fraction(-3, 4), Fraction(0)]
-    ]
+    assert minors == [1, -6]
+    assert ekl._inverse(block, Fraction(-3, 2)) == (
+        [[Fraction(1, 4), Fraction(-1, 2)], [Fraction(-3, 4), Fraction(0)]],
+        [1, -6],
+    )
+    assert ekl._inverse([[1, 2], [3, 0]], 1) == (
+        [[Fraction(0), Fraction(1, 3)], [Fraction(1, 2), Fraction(-1, 6)]],
+        None,
+    )
     with pytest.raises(AssertionError, match="singular"):
         ekl._inverse([[1, 2], [2, 4]], 1)
     with pytest.raises(AssertionError, match="not square"):
         ekl._inverse([[1, 2]], 1)
+
+
+def _oracle_inverse(block):
+    """The inverse by Gauss-Jordan elimination in Fractions, top-left first,
+    or None for a singular block."""
+    k = len(block)
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(i == j) for j in range(k)]
+        for i, row in enumerate(block)
+    ]
+    for c in range(k):
+        p = next((i for i in range(c, k) if rows[i][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[k:] for row in rows]
+
+
+def _fraction_det(block):
+    """The determinant by Gaussian elimination in Fractions."""
+    rows, det = [[Fraction(v) for v in row] for row in block], Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+@st.composite
+def _square_blocks(draw):
+    """Square integer matrices of size 1-8, symmetric or not, whose entries
+    are often 0, so that trailing minors vanish and rows are swapped."""
+    k = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    block = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        block = [[block[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    return block
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _square_blocks(),
+    st.fractions().filter(bool) | st.sampled_from([1, -1, 10**30 + 57, Fraction(-7, 10**20)]),
+)
+@example([[0, 1], [1, 0]], 1)  # M_1 = 0: a swap, so no minors
+@example([[0, 2], [3, 1]], Fraction(-3, 2))
+@example([[-5]], 3)
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -2)  # M_1 = 1, M_2 = 0, M_3 = -1
+def test_inverse_matches_the_fraction_oracle(block, scale):
+    """``_inverse`` is scale times the Fraction inverse, and a singular block
+    is a bug.  Its minors are the trailing principal minors M_1 ... M_k; by
+    Jacobi's identity the leading j x j minor of B^-1 is M_(k-j) / M_k, so on
+    a symmetric block scale * M_(k-j) / M_(k-j+1) are the congruence pivots
+    of scale * B^-1.  Minors come back exactly when every one is nonzero."""
+    k = len(block)
+    expected = _oracle_inverse(block)
+    if expected is None:
+        with pytest.raises(AssertionError, match="singular"):
+            ekl._inverse(block, scale)
+        return
+    inverse, minors = ekl._inverse(block, scale)
+    assert inverse == [[scale * v for v in row] for row in expected]
+    trailing = [_fraction_det([row[k - t :] for row in block[k - t :]]) for t in range(1, k + 1)]
+    if minors is None:
+        assert 0 in trailing
+        return
+    assert minors == trailing
+    if all(block[i][j] == block[j][i] for i in range(k) for j in range(i)):
+        ms = [1, *minors]
+        pivots = [scale * Fraction(ms[k - j], ms[k - j + 1]) for j in range(1, k + 1)]
+        assert pivots == gw.congruence_pivots([[scale * v for v in row] for row in expected])
 
 
 # ---------------------------------------------------------------------------
