@@ -6,7 +6,8 @@ provides the one expression grammar of the package (``parse`` for
 polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
 ``<a, b> - <c>`` forms whose entries are such quotients), formal partial
 derivatives, weighted-homogeneity checks, and reduced Groebner bases with
-standard-monomial enumeration for zero-dimensional quotients.
+standard-monomial enumeration for zero-dimensional quotients.  The parser
+evaluates on term dicts and makes Polynomials only for what it returns.
 
 The Groebner kernel runs over the integers (Buchberger over a domain, as in
 Becker and Weispfenning, *Groebner Bases*, 1993).  It works on term dicts
@@ -15,10 +16,11 @@ coefficient; ``clear_denominators`` brings Fractions in.  Division
 (``_reduce``) is fraction-free: it scales the dividend instead of dividing
 a coefficient, reduces one dict in place, driven by a heap of grevlex keys,
 and builds no polynomial per step.  Fractions come back only at the
-boundary: the monic reduced basis of ``groebner``.  Normal forms of
-monomials (``QuotientBasis.nf_vector``) are integer vectors over one common
-denominator.  Leading terms, bases, standard monomials and printed terms all
-follow one monomial order, grevlex (``grevlex_key``).  Everything is exact;
+boundary: the monic reduced basis ``QuotientBasis.groebner``, made on first
+read.  Normal forms of monomials (``QuotientBasis.nf_vector``) are integer
+vectors over one common denominator, read off the integer reduced basis.
+Leading terms, bases, standard monomials and printed terms all follow one
+monomial order, grevlex (``grevlex_key``).  Everything is exact;
 there is no floating point anywhere.
 """
 
@@ -64,6 +66,50 @@ def mono_div(a: Exps, b: Exps) -> Exps:
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(map(max, a, b))
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two term dicts, with no zero term."""
+    out: dict = {}
+    get = out.get
+    right = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in right:
+            e = tuple(map(add, ea, eb))
+            v = get(e)
+            out[e] = ca * cb if v is None else v + ca * cb
+    return {e: v for e, v in out.items() if v}
+
+
+def _sum(a: dict, b: dict, sign: int) -> dict:
+    """a + b, or a - b for sign -1, as a new term dict with no zero term."""
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e)
+        if v is None:
+            out[e] = c if sign > 0 else -c
+        else:
+            v = v + c if sign > 0 else v - c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
+
+
+def _power(a: dict, k: int, one: dict) -> dict:
+    """a^k by repeated squaring, one the term dict of the constant 1."""
+    if len(a) == 1:
+        ((e, c),) = a.items()
+        return {tuple(x * k for x in e): c**k}
+    out = one
+    while k:
+        if k & 1:
+            out = _mul(out, a)
+        k >>= 1
+        if k:
+            a = _mul(a, a)
+    return out
 
 
 class Polynomial:
@@ -141,77 +187,40 @@ class Polynomial:
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"Polynomial({format_poly(self, names)!r})"
 
-    def _binop(self, other, sign: int) -> "Polynomial":
+    def _binop(self, other, op, *args) -> "Polynomial":
+        """op(self.terms, other.terms, *args), other a Polynomial or a number."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         elif not isinstance(other, Polynomial):
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomials have different variable counts")
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = out.get(exps)
-            if v is None:
-                out[exps] = c if sign > 0 else -c
-            else:
-                v = v + c if sign > 0 else v - c
-                if v:
-                    out[exps] = v
-                else:
-                    del out[exps]
-        return Polynomial._of(self.nvars, out)
+        return Polynomial._of(self.nvars, op(self.terms, other.terms, *args))
 
     def __add__(self, other):
-        return self._binop(other, 1)
+        return self._binop(other, _sum, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, -1)
+        return self._binop(other, _sum, -1)
 
     def __rsub__(self, other):
-        return (-self)._binop(other, 1)
+        return (-self)._binop(other, _sum, 1)
 
     def __neg__(self):
         return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial(self.nvars)
-            return Polynomial._of(self.nvars, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials have different variable counts")
-        out: dict[Exps, Fraction] = {}
-        get = out.get
-        right = list(other.terms.items())
-        for ea, ca in self.terms.items():
-            for eb, cb in right:
-                e = tuple(map(add, ea, eb))
-                v = get(e)
-                out[e] = ca * cb if v is None else v + ca * cb
-        return Polynomial._of(self.nvars, {e: v for e, v in out.items() if v})
+        return self._binop(other, _mul)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            return Polynomial._of(self.nvars, {tuple(x * k for x in e): c**k})
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        one = {(0,) * self.nvars: Fraction(1)}
+        return Polynomial._of(self.nvars, _power(self.terms, k, one))
 
     def diff(self, i: int) -> "Polynomial":
         out: dict[Exps, Fraction] = {}
@@ -291,31 +300,9 @@ def is_homogeneous(f: Polynomial) -> bool:
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<num>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*/^()<>,]))"
+    rf"\s*(?:(?P<num>\d+)|(?P<name>{_NAME.pattern})|(?P<op>[-+*/^()<>,])|(?P<bad>\S))"
 )
 _FORM_CHARS = str.maketrans("⟨⟩−", "<>-")
-
-
-def _tokenize(src: str):
-    out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num"):
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    out.append(("end", "", len(src)))
-    return out
 
 
 def parse(src: str, variables: Sequence[str]) -> Polynomial:
@@ -366,18 +353,25 @@ def check_names(variables: Sequence[str]) -> list[str]:
 
 
 def _parse(src: str, variables: Sequence[str], mode: str):
-    """Read src as a "polynomial", a "rational" expression or a "form"."""
+    """Read src as a "polynomial", a "rational" expression or a "form".
+
+    Every value is a pair (num, den) of term dicts with int or Fraction
+    coefficients, den None for 1 until the expression divides by a
+    non-constant.  No Polynomial arithmetic runs; Polynomials are made only
+    for the pairs returned.
+    """
     names = check_names(variables)
     nvars = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    tokens = _tokenize(src)
+    zero = (0,) * nvars
+    one = {zero: 1}
+    index = {name: zero[:i] + (1,) + zero[i + 1 :] for i, name in enumerate(names)}
+    # (kind, text, position): every character but whitespace starts a token
+    tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN.finditer(src)]
+    for kind, text, at in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", at)
+    tokens.append(("end", "", len(src)))
     pos = 0
-    # the shared denominator of every value that has not divided by a
-    # non-constant; multiplications by it are skipped
-    one = Polynomial.constant(nvars, 1)
-
-    def peek():
-        return tokens[pos]
 
     def take():
         nonlocal pos
@@ -386,7 +380,7 @@ def _parse(src: str, variables: Sequence[str], mode: str):
         return t
 
     def is_op(chars):
-        kind, text, _ = peek()
+        kind, text, _ = tokens[pos]
         return kind == "op" and text in chars
 
     def expect(char):
@@ -394,17 +388,21 @@ def _parse(src: str, variables: Sequence[str], mode: str):
         if (kind, text) != ("op", char):
             raise ParseError(f"expected {char!r}, found {text or 'end of input'!r}", at)
 
-    def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-        return a if b is one else b if a is one else a * b
+    def times(a, b):  # a*b, where None is the constant 1
+        return a if b is None else b if a is None else _mul(a, b)
+
+    def polynomials(num, den):
+        pair = num, den or one
+        return tuple(Polynomial._of(nvars, {e: Fraction(c) for e, c in t.items()}) for t in pair)
 
     def parse_expr():
         num, den = parse_term()
         while is_op("+-"):
-            op = take()[1]
+            sign = 1 if take()[1] == "+" else -1
             n2, d2 = parse_term()
             if d2 is not den:
-                num, n2, den = mul(num, d2), mul(n2, den), mul(den, d2)
-            num = num + n2 if op == "+" else num - n2
+                num, n2, den = times(num, d2), times(n2, den), times(den, d2)
+            num = _sum(num, n2, sign)
         return num, den
 
     def parse_term():
@@ -412,16 +410,16 @@ def _parse(src: str, variables: Sequence[str], mode: str):
         while is_op("*/"):
             op, at = take()[1:]
             n2, d2 = parse_unary()
-            if op == "*":
-                num, den = mul(num, n2), mul(den, d2)
-            elif n2.is_zero():
-                raise ParseError("division by zero", at)
-            elif n2.total_degree() == 0:
-                num = mul(num, d2) * (1 / n2.constant_term())
-            elif mode == "polynomial":
-                raise ParseError("a polynomial may divide only by a nonzero constant", at)
-            else:
-                num, den = mul(num, d2), mul(den, n2)
+            if op == "/":  # multiply by the inverse of n2 / d2
+                if not n2:
+                    raise ParseError("division by zero", at)
+                if len(n2) == 1 and zero in n2:
+                    n2, d2 = times(d2, {zero: 1 / Fraction(n2[zero])}), None
+                elif mode == "polynomial":
+                    raise ParseError("a polynomial may divide only by a nonzero constant", at)
+                else:
+                    n2, d2 = d2, n2
+            num, den = times(num, n2), times(den, d2)
         return num, den
 
     def parse_sign():
@@ -433,10 +431,6 @@ def _parse(src: str, variables: Sequence[str], mode: str):
 
     def parse_unary():
         sign = parse_sign()
-        num, den = parse_power()
-        return (num if sign > 0 else -num), den
-
-    def parse_power():
         num, den = parse_atom()
         if is_op("^"):
             take()
@@ -444,17 +438,17 @@ def _parse(src: str, variables: Sequence[str], mode: str):
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer", at)
             k = int(text)
-            return num ** k, (den if den is one else den ** k)
-        return num, den
+            num, den = _power(num, k, one), den and _power(den, k, one)
+        return (num if sign > 0 else {e: -c for e, c in num.items()}), den
 
     def parse_atom():
         kind, text, at = take()
         if kind == "num":
-            return Polynomial.constant(nvars, int(text)), one
+            return {zero: int(text)} if int(text) else {}, None
         if kind == "name":
             if text not in index:
                 raise UnknownVariableError(f"unknown variable {text!r}", at)
-            return Polynomial.variable(nvars, index[text]), one
+            return {index[text]: 1}, None
         if kind == "op" and text == "(":
             inner = parse_expr()
             expect(")")
@@ -465,25 +459,25 @@ def _parse(src: str, variables: Sequence[str], mode: str):
         entries, first = [], True
         while first or is_op("+-"):
             sign = parse_sign()
-            if first and peek()[1] == "0" and tokens[pos + 1][0] == "end":
+            if first and tokens[pos][1] == "0" and tokens[pos + 1][0] == "end":
                 take()
                 break
             expect("<")
             more = not is_op(">")
             while more:
-                at = peek()[2]
-                num, den = parse_expr()
-                entries.append((sign, num, den, src[at : peek()[2]].strip(), at))
+                at = tokens[pos][2]
+                num, den = polynomials(*parse_expr())
+                entries.append((sign, num, den, src[at : tokens[pos][2]].strip(), at))
                 more = is_op(",") and take()
             expect(">")
             first = False
         return entries
 
     out = parse_form() if mode == "form" else parse_expr()
-    kind, text, at = peek()
+    kind, text, at = tokens[pos]
     if kind != "end":
         raise ParseError(f"unexpected {text!r} after expression", at)
-    return out
+    return out if mode == "form" else polynomials(*out)
 
 
 def format_poly(f: Polynomial, variables: Sequence[str]) -> str:
@@ -689,18 +683,29 @@ def _reduce_basis(basis: list[Ints], lead: list[Exps]) -> list[tuple[Exps, Ints]
 
 
 class QuotientBasis:
-    """A reduced Groebner basis with its standard monomials, ``_standard``;
-    these are None, and so ``is_finite`` is False, for an infinite quotient."""
+    """A reduced Groebner basis, ``reduced``, as ``_reduce_basis`` returns it
+    over the integers, with its standard monomials, ``_standard``; these are
+    None, and so ``is_finite`` is False, for an infinite quotient."""
 
-    __slots__ = ("groebner", "nvars", "_standard", "_nf_cache", "_leads")
+    __slots__ = ("reduced", "nvars", "_standard", "_nf_cache", "_groebner")
 
-    def __init__(self, groebner: tuple[Polynomial, ...], nvars: int,
+    def __init__(self, reduced: list[tuple[Exps, Ints]], nvars: int,
                  standard: tuple[Exps, ...] | None):
-        self.groebner = groebner
+        self.reduced = reduced
         self.nvars = nvars
         self._standard = standard
         self._nf_cache: dict[Exps, tuple[dict[int, int], int]] = {}
-        self._leads: tuple[Exps, ...] = ()
+        self._groebner: tuple[Polynomial, ...] | None = None
+
+    @property
+    def groebner(self) -> tuple[Polynomial, ...]:
+        """The reduced basis made monic: Polynomials, built on first read."""
+        if self._groebner is None:
+            self._groebner = tuple(
+                Polynomial._of(self.nvars, {e: Fraction(c, g[lead]) for e, c in g.items()})
+                for lead, g in self.reduced
+            )
+        return self._groebner
 
     @property
     def is_finite(self) -> bool:
@@ -748,7 +753,7 @@ class QuotientBasis:
             if m in cache:
                 stack.pop()
                 continue
-            lead = next(l for l in self._leads if mono_divides(l, m))
+            lead = next(l for l, _ in self.reduced if mono_divides(l, m))
             i = next(k for k, (a, b) in enumerate(zip(m, lead)) if a > b)
             shorter = m[:i] + (m[i] - 1,) + m[i + 1 :]
             hit = cache.get(shorter)
@@ -781,27 +786,26 @@ class QuotientBasis:
 
     def _seed_nf_cache(self) -> None:
         """Unit vectors of the standard monomials, and the leading monomials'
-        normal forms: minus the tail of the primitive integer multiple of
-        their element, over its leading coefficient."""
+        normal forms, read off the integer basis: minus the tail of the
+        element over its leading coefficient.  The element is primitive, so
+        the two share no factor."""
         pos = {e: k for k, e in enumerate(self.standard_monomials)}
         cache = self._nf_cache
         for e, k in pos.items():
             cache[e] = ({k: 1}, 1)
-        self._leads = tuple(g.leading()[0] for g in self.groebner)
-        for g, lead in zip(self.groebner, self._leads):
-            (terms,), scale = clear_denominators([g])
-            cache[lead] = ({pos[e]: -v for e, v in terms.items() if e != lead}, scale)
+        for lead, g in self.reduced:
+            cache[lead] = ({pos[e]: -c for e, c in g.items() if e != lead}, g[lead])
 
 
 def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     """Reduced grevlex Groebner basis of the ideal, plus the quotient's monomial basis.
 
-    The generators' denominators are cleared, and the basis is computed over
-    the integers and made monic once, at the end.  The reduced basis is
-    unique, so identical inputs produce identical bases.  Standard monomials
-    come back sorted ascending in grevlex when the quotient is
-    finite-dimensional; otherwise the result is flagged infinite and the
-    ideal's basis is still available.
+    The generators' denominators are cleared, and the basis is computed and
+    kept over the integers; ``QuotientBasis.groebner`` makes it monic on
+    first read.  The reduced basis is unique, so identical inputs produce
+    identical bases.  Standard monomials come back sorted ascending in
+    grevlex when the quotient is finite-dimensional; otherwise the result is
+    flagged infinite and the ideal's basis is still available.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -810,14 +814,10 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators have mixed variable counts")
     reduced = _reduce_basis(*_buchberger(clear_denominators(gens)[0]))
-    basis = tuple(
-        Polynomial._of(nvars, {e: Fraction(c, g[lead]) for e, c in g.items()})
-        for lead, g in reduced
-    )
     leads = [lead for lead, _ in reduced]
 
     if leads == [(0,) * nvars]:
-        return QuotientBasis(basis, nvars, ())
+        return QuotientBasis(reduced, nvars, ())
 
     # zero-dimensionality: each variable has a pure-power leading monomial, one at most
     bounds: list[int | None] = [None] * nvars
@@ -826,7 +826,7 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
         if len(nz) == 1:
             bounds[nz[0]] = e[nz[0]]
     if None in bounds:
-        return QuotientBasis(basis, nvars, None)
+        return QuotientBasis(reduced, nvars, None)
 
     # The standard monomials are an order ideal: walk its staircase from the
     # origin over the first nvars - 1 exponents, stepping +1 only at or after
@@ -843,4 +843,4 @@ def groebner(gens: Iterable[Polynomial]) -> QuotientBasis:
             standard.extend(e + (k,) for k in range(top))
             stack.extend((e[:i] + (e[i] + 1,) + e[i + 1 :], i) for i in range(first, nvars - 1))
     standard.sort(key=grevlex_key)
-    return QuotientBasis(basis, nvars, tuple(standard))
+    return QuotientBasis(reduced, nvars, tuple(standard))

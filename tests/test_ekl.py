@@ -344,6 +344,45 @@ def test_coordinate_invariance_on_random_forms(case):
     assert gw.is_equal(before, after)
 
 
+# graded inputs with their weights; None means homogeneous
+_TRIANGULAR_SOURCES = [
+    ("x^3 + y^4", XY, (4, 3)),
+    ("x^2*y + y^4", XY, (3, 2)),
+    ("x^3 + y^5", XY, (5, 3)),
+    ("x^4 - 2*y^4 + x*y^3", XY, None),
+    ("x^3 + y^3 + z^3", XYZ, None),
+    ("x^2*y + y^2*z + z^3", XYZ, None),
+]
+
+
+@st.composite
+def _triangular_images(draw):
+    """A graded input and its image under x_i -> x_i + c*x_j^k, j > i: an
+    automorphism that fixes the origin with Jacobian determinant 1."""
+    src, names, weights = draw(st.sampled_from(_TRIANGULAR_SOURCES))
+    n = len(names)
+    i, j = draw(st.sampled_from([(i, j) for j in range(n) for i in range(j)]))
+    k = draw(st.sampled_from([2, 3]))
+    c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    images = [P.Polynomial.variable(n, v) for v in range(n)]
+    images[i] = images[i] + P.Polynomial.monomial(n, tuple(k * (v == j) for v in range(n)), c)
+    return src, names, weights, P.substitute(P.parse(src, names), images)
+
+
+@settings(max_examples=36, deadline=None)
+@given(_triangular_images())
+@example(("x^3 + y^4", XY, (4, 3), P.parse("(x + 2*y^2)^3 + y^4", XY)))
+def test_triangular_automorphisms_keep_the_class(case):
+    """The image is not quasi-homogeneous, so its class comes from the
+    ungraded Bezoutian path; it equals the graded class of the original,
+    which shares no code with that path past the normal forms."""
+    src, names, weights, g = case
+    image = ekl.SingularityInput(g, names)
+    assert not any(image.grading()[0])
+    graded = ekl.quadratic_milnor(ekl.singularity(src, names, weights))
+    assert gw.is_equal(ekl.quadratic_milnor(image), graded)
+
+
 def test_signature_zero_for_plain_curve_singularities():
     # both frozen curve batteries split into hyperbolic planes
     rng = random.Random(7)

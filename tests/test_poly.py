@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadsing import _univar as uv
-from quadsing import ekl
+from quadsing import ekl, gw
 from quadsing import poly as P
 from quadsing.errors import (
     InfiniteQuotientError,
@@ -59,6 +59,41 @@ def test_parse_errors_carry_positions():
         _p("2 x")  # implicit multiplication is not a thing
     with pytest.raises(ParseError):
         _p("")
+
+
+@pytest.mark.parametrize(
+    "read, src, error, message, position",
+    [
+        ("parse", "x^2 -", ParseError, "expected a number, variable, or '(', found 'end of input'", 5),
+        ("parse", "3x", ParseError, "unexpected 'x' after expression", 1),
+        ("parse", "x y", ParseError, "unexpected 'y' after expression", 2),
+        ("parse", "x^2^3", ParseError, "unexpected '^' after expression", 3),
+        ("parse", "((x)", ParseError, "expected ')', found 'end of input'", 4),
+        ("parse", "1/2/0", ParseError, "division by zero", 3),
+        ("parse", "x/(y-y)", ParseError, "division by zero", 1),
+        ("parse", "x/y", ParseError, "a polynomial may divide only by a nonzero constant", 1),
+        ("parse", "x^(-2)", ParseError, "exponent must be a non-negative integer", 2),
+        ("parse", "x + w", UnknownVariableError, "unknown variable 'w'", 4),
+        ("parse", "", ParseError, "expected a number, variable, or '(', found 'end of input'", 0),
+        ("parse_rational", "t/0", ParseError, "division by zero", 1),
+        ("parse_gw", "<1,,2>", ParseError, "expected a number, variable, or '(', found ','", 3),
+        ("parse_gw", "<1> - 0", ParseError, "expected '<', found '0'", 6),
+        ("parse_gw", "<0>", ParseError, "bad square-class entry '0': zero has no square class", 1),
+    ],
+)
+def test_parse_error_contract(read, src, error, message, position):
+    """Each malformed input raises exactly this exception type, with this
+    message and position, whatever evaluates the expressions."""
+    call = {
+        "parse": lambda: P.parse(src, XYZ),
+        "parse_rational": lambda: P.parse_rational(src, ("t",)),
+        "parse_gw": lambda: gw.parse_gw(src),
+    }[read]
+    with pytest.raises(ParseError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
 
 
 @pytest.mark.parametrize("names", [["1", "y"], ["x", ",", "y"], ["x y"], [""], ["x", 2]])
@@ -229,6 +264,28 @@ def test_parse_ratfunc_matches_direct_evaluation(tree, points):
             continue
         assert num is not None, text
         assert uv.eval_at(num, x) / uv.eval_at(den, x) == value, text
+
+
+@pytest.mark.parametrize(
+    "src, num, den",
+    [
+        ("1/(t/2)", "2", "t"),
+        ("1/(1/(t/2))", "t", "2"),
+        ("(1/(t/2))^2", "4", "t^2"),
+        ("t^2/(t/3)/(2/t)", "3*t^2", "2"),
+        ("(t/2 + 1)/(t/3)", "3*t + 6", "2*t"),
+        ("1/(t/2) - 1/(t/3)", "-1", "t"),
+        ("(2/3)/(t/(3/4))", "1", "2*t"),
+        ("t/(t^2/4 - 1)", "4*t", "t^2 - 4"),
+        ("1/((t + 1)/t)", "t", "t + 1"),
+        ("(t/2)/((t + 1)/(3*t))", "3*t^2", "2*t + 2"),
+    ],
+)
+def test_parse_rational_keeps_the_constants_of_a_non_constant_divisor(src, num, den):
+    """A divisor with fractional coefficients, or one that is itself a
+    quotient, divides by all of its value: the quotient is num/den."""
+    top, bottom = P.parse_rational(src, ("t",))
+    assert top * P.parse(den, ("t",)) == bottom * P.parse(num, ("t",))
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +587,45 @@ def test_nf_vector_matches_division(gens, rng):
         assert den > 0 and all(type(v) is int and v for v in vec.values())
         assert math.gcd(den, *vec.values()) == 1
         assert _as_fractions((vec, den)) == _nf_by_division(q, exps)
+
+
+def _seeded_from_monic(q, monic):
+    """A quotient on q's basis whose normal-form table is seeded from a monic
+    Fraction basis, as ``nf_vector`` once was: each leading monomial's
+    vector is minus the tail of its element with the denominators cleared."""
+    oracle = P.QuotientBasis(q.reduced, q.nvars, q.standard_monomials)
+    pos = {e: k for k, e in enumerate(q.standard_monomials)}
+    oracle._nf_cache.update({e: ({k: 1}, 1) for e, k in pos.items()})
+    for g in monic:
+        lead = g.leading()[0]
+        (terms,), scale = P.clear_denominators([g])
+        oracle._nf_cache[lead] = ({pos[e]: -v for e, v in terms.items() if e != lead}, scale)
+    return oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_dimensional() | _dense_jacobians())
+@example([_p("2*x*y"), _p("x^2 + 4*y^3")])
+@example([_p("-3*x^2/2 + y/5"), _p("4*y^3/3 - x/2")])
+def test_nf_vector_seeded_from_the_integer_basis(gens):
+    """Normal forms read off the primitive integer basis equal those of a
+    table seeded from sympy's monic basis, on the standard monomials, the
+    leading monomials and products of them; no normal form builds the monic
+    basis, which is made on first read and equals sympy's, one element per
+    element of the integer basis."""
+    expected, _ = _sympy_groebner(gens)
+    q = P.groebner(gens)
+    if q.is_finite:
+        monic = [P.Polynomial(q.nvars, dict(terms)) for terms in expected]
+        oracle = _seeded_from_monic(q, monic)
+        leads = [lead for lead, _ in q.reduced]
+        standard = q.standard_monomials
+        products = [P.mono_mul(a, b) for a, b in itertools.product(leads + list(standard[:4]), repeat=2)]
+        for exps in [*standard, *leads, *products]:
+            assert q.nf_vector(exps) == oracle.nf_vector(exps)
+        assert q._groebner is None
+    assert {frozenset(g.terms.items()) for g in q.groebner} == expected
+    assert len(q.groebner) == len(q.reduced) == len(expected)
 
 
 def test_reduced_basis_is_deterministic():
