@@ -178,16 +178,17 @@ def singularity(
 # ---------------------------------------------------------------------------
 
 
-def _delta(g: P.Polynomial, j: int, m: int) -> P.Polynomial:
-    """Exact divided difference of g in slot j, with Y substituted in slots < j.
+def _delta(g: P.Ints, j: int, m: int) -> P.Ints:
+    """Exact divided difference of g in slot j, with Y substituted in slots < j;
+    g and the result are integer term dicts in m and 2m variables.
 
     Each term c*prod(v_k^(e_k)) contributes
     c * Y^(e_<j) * X^(e_>j) * sum_{u<e_j} X_j^u Y_j^(e_j-1-u),
     which clears the division by X_j - Y_j termwise.  A monomial
     determines its term of g and its u, so no two contributions meet.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, c in g.terms.items():
+    terms: P.Ints = {}
+    for exps, c in g.items():
         e = exps[j]
         if e == 0:
             continue
@@ -202,7 +203,7 @@ def _delta(g: P.Polynomial, j: int, m: int) -> P.Polynomial:
             t[j] = u
             t[m + j] = e - 1 - u
             terms[tuple(t)] = c
-    return P.Polynomial(2 * m, terms)
+    return terms
 
 
 def _det(mat: list[list[P.Ints]], nvars: int) -> P.Ints:
@@ -242,29 +243,31 @@ def _det(mat: list[list[P.Ints]], nvars: int) -> P.Ints:
 def bezoutian(gs: Sequence[P.Polynomial]) -> P.Polynomial:
     """det of the divided-difference matrix of gs, in the doubled X,Y ring.
 
-    The entry matrix satisfies g_i(X) - g_i(Y) = sum_j Delta_ij * (X_j - Y_j),
-    with the Y-substitution running left to right; the identity is checked
-    by expansion, against ``poly.substitute`` of the X and the Y variables,
-    before the determinant is taken.  Row i is scaled to integers by the lcm
-    L_i of its denominators, and the integer determinant is divided by the
-    product of the L_i.
+    The g_i are scaled once to integers, by the lcm L of all their
+    denominators, and every step runs on integer term dicts.  The entry
+    matrix satisfies L*g_i(X) - L*g_i(Y) = sum_j Delta_ij * (X_j - Y_j), with
+    the Y-substitution running left to right; the identity is checked by
+    expansion, one row at a time, before the determinant is taken.  That
+    determinant is L^m times the Bezoutian, which is returned with Fraction
+    coefficients.
     """
     m = len(gs)
     if any(g.nvars != m for g in gs):
         raise ValueError("need m polynomials in m variables")
-    mat = [[_delta(g, j, m) for j in range(m)] for g in gs]
-    xs = [P.Polynomial.variable(2 * m, j) for j in range(m)]
-    ys = [P.Polynomial.variable(2 * m, m + j) for j in range(m)]
-    for row, g in zip(mat, gs):
-        acc = sum((d * (x - y) for d, x, y in zip(row, xs, ys)), P.Polynomial.zero(2 * m))
-        if acc != P.substitute(g, xs) - P.substitute(g, ys):
+    ints, scale = P.clear_denominators(gs)
+    mat = [[_delta(g, j, m) for j in range(m)] for g in ints]
+    zero = (0,) * m
+    units = [tuple(int(k == i) for k in range(2 * m)) for i in range(2 * m)]
+    for row, g in zip(mat, ints):
+        acc: P.Ints = {}
+        for j, delta in enumerate(row):
+            acc = P._sum(acc, P._mul(delta, {units[j]: 1, units[m + j]: -1}), 1)
+        gx = {e + zero: c for e, c in g.items()}
+        gy = {zero + e: c for e, c in g.items()}
+        if acc != P._sum(gx, gy, -1):
             raise AssertionError("divided-difference identity failed; this is a bug")
-    rows, scale = [], 1
-    for row in mat:
-        ints, lcm = P.clear_denominators(row)
-        rows.append(ints)
-        scale *= lcm
-    det = _det(rows, 2 * m)
+    det = _det(mat, 2 * m)
+    scale **= m
     return P.Polynomial._of(2 * m, {e: Fraction(c, scale) for e, c in det.items()})
 
 
@@ -310,10 +313,12 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     zero or leaves A_s, a singular block, or a class whose rank is not the
     dimension of the ring raises AssertionError.
 
-    An ungraded input is a single piece: the Bezoutian of the partials is
-    reduced in the X and Y blocks separately, its symmetry is asserted, and
-    the whole Gram matrix is diagonalized; a degenerate one cannot occur
-    for an isolated singularity and raises DegenerateFormError if it does.
+    An ungraded input is a single piece: the Bezoutian of the partials,
+    taken over the integers once their denominators are cleared, is reduced
+    in the X and Y blocks separately and summed over one denominator (see
+    ``_bezoutian_form``), its symmetry is asserted, and the whole Gram
+    matrix is diagonalized; a degenerate one cannot occur for an isolated
+    singularity and raises DegenerateFormError if it does.
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -502,20 +507,37 @@ def _graded_form(gs, quotient, weights, r):
 
 def _bezoutian_form(gs, quotient):
     """Gram matrix and class of an ungraded Jacobian ring, read off the
-    Bezoutian (see ``ss_form``)."""
+    Bezoutian (see ``ss_form``).
+
+    Each Bezoutian term reads its two normal forms once, and the entries
+    are summed over the integers on one denominator, the lcm of the terms'
+    c.denominator * dx * dy; only a nonzero sum becomes a Fraction.  The
+    symmetry check still runs over every entry of the returned matrix, as
+    it is what callers read.
+    """
     d = quotient.dimension
     m = len(gs)
-    gram = [[Fraction(0)] * d for _ in range(d)]
+    terms = []
     for exps, c in bezoutian(gs).terms.items():
         vx, dx = quotient.nf_vector(exps[:m])
         if not vx:
             continue
         vy, dy = quotient.nf_vector(exps[m:])
-        c = c / (dx * dy)
+        terms.append((c.numerator, c.denominator * dx * dy, vx, vy))
+    den = math.lcm(*(t_den for _, t_den, _, _ in terms))
+    sums: list[dict[int, int]] = [{} for _ in range(d)]
+    for c, t_den, vx, vy in terms:
+        c *= den // t_den
         for k, a in vx.items():
             ca = c * a
+            row = sums[k]
             for l, b in vy.items():
-                gram[k][l] += ca * b
+                row[l] = row.get(l, 0) + ca * b
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for k, row in enumerate(sums):
+        for l, v in row.items():
+            if v:
+                gram[k][l] = Fraction(v, den)
     for i in range(d):
         for j in range(i + 1, d):
             if gram[i][j] != gram[j][i]:

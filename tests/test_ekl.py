@@ -106,9 +106,12 @@ def test_divided_differences_write_each_contribution_once(g):
     m = g.nvars
     xs = [P.Polynomial.variable(2 * m, j) for j in range(m)]
     ys = [P.Polynomial.variable(2 * m, m + j) for j in range(m)]
-    deltas = [ekl._delta(g, j, m) for j in range(m)]
+    ints = {e: int(c) for e, c in g.terms.items()}
+    deltas = [ekl._delta(ints, j, m) for j in range(m)]
     for j, delta in enumerate(deltas):
-        assert len(delta.terms) == sum(e[j] for e in g.terms)
+        assert len(delta) == sum(e[j] for e in g.terms)
+        assert all(type(c) is int for c in delta.values())
+    deltas = [P.Polynomial(2 * m, delta) for delta in deltas]
     expansion = sum((d * (x - y) for d, x, y in zip(deltas, xs, ys)), P.Polynomial.zero(2 * m))
     assert expansion == P.substitute(g, xs) - P.substitute(g, ys)
 
@@ -123,6 +126,41 @@ def _oracle_det(mat, nvars):
         minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
         out = out + entry * _oracle_det(minor, nvars) * (-1) ** col
     return out
+
+
+def _fraction_delta(g, j, m):
+    """The divided difference of ``ekl._delta``, on a Fraction Polynomial."""
+    terms = {}
+    for exps, c in g.terms.items():
+        e = exps[j]
+        if e == 0:
+            continue
+        base = [0] * (2 * m)
+        for k, v in enumerate(exps):
+            if k < j:
+                base[m + k] = v
+            elif k > j:
+                base[k] = v
+        for u in range(e):
+            t = list(base)
+            t[j] = u
+            t[m + j] = e - 1 - u
+            terms[tuple(t)] = c
+    return P.Polynomial(2 * m, terms)
+
+
+def _oracle_bezoutian(gs):
+    """The Bezoutian in Fraction Polynomial arithmetic: the divided
+    differences are checked against ``poly.substitute`` of the X and the Y
+    variables, and their determinant is ``_oracle_det``."""
+    m = len(gs)
+    mat = [[_fraction_delta(g, j, m) for j in range(m)] for g in gs]
+    xs = [P.Polynomial.variable(2 * m, j) for j in range(m)]
+    ys = [P.Polynomial.variable(2 * m, m + j) for j in range(m)]
+    for row, g in zip(mat, gs):
+        acc = sum((d * (x - y) for d, x, y in zip(row, xs, ys)), P.Polynomial.zero(2 * m))
+        assert acc == P.substitute(g, xs) - P.substitute(g, ys)
+    return _oracle_det(mat, 2 * m)
 
 
 def _rational_polynomials(m):
@@ -159,14 +197,14 @@ def test_hessian_matches_the_fraction_determinant(f):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda m: st.lists(_rational_polynomials(m), min_size=m, max_size=m)))
 @example([P.parse("2*x*y/3", XY), P.parse("-x^2/2 + 4*y^3", XY)])
+@example(P.partials(P.parse("x^3/2 + 3*y^3/4 - x*y/6", XY)))
 def test_bezoutian_matches_the_fraction_determinant(gs):
-    """The Bezoutian, a determinant over the integers row by row, is the
-    Fraction determinant of the divided differences, with Fraction
-    coefficients."""
-    m = len(gs)
+    """The Bezoutian, an integer determinant of the denominator-cleared
+    divided differences, is the Fraction determinant of the oracle's, with
+    Fraction coefficients."""
     b = ekl.bezoutian(gs)
     assert all(type(c) is Fraction and c for c in b.terms.values())
-    assert b == _oracle_det([[ekl._delta(g, j, m) for j in range(m)] for g in gs], 2 * m)
+    assert b == _oracle_bezoutian(gs)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +812,22 @@ def _nf(quotient, exps):
     return {k: Fraction(v, den) for k, v in vec.items()}
 
 
+def _oracle_gram(gs, quotient):
+    """The oracle Bezoutian's coefficients times the normal forms of its X
+    and Y blocks, summed in Fractions."""
+    m, d = len(gs), quotient.dimension
+    gram = [[Fraction(0)] * d for _ in range(d)]
+    for exps, c in _oracle_bezoutian(gs).terms.items():
+        for k, a in _nf(quotient, exps[:m]).items():
+            for l, b in _nf(quotient, exps[m:]).items():
+                gram[k][l] += c * a * b
+    return gram
+
+
+def _as_json(rows):
+    return json.dumps([[json_rational(v) for v in row] for row in rows])
+
+
 def _bezoutian_oracle(s):
     """The graded form read off the Bezoutian: its coefficients reduced
     modulo J in the X and Y blocks give the Gram matrix, every piece below
@@ -781,12 +835,8 @@ def _bezoutian_oracle(s):
     block is diagonalized."""
     gs = P.partials(s.f)
     quotient = P.groebner(gs)
-    m, d = s.nvars, quotient.dimension
-    gram = [[Fraction(0)] * d for _ in range(d)]
-    for exps, c in ekl.bezoutian(gs).terms.items():
-        for k, a in _nf(quotient, exps[:m]).items():
-            for l, b in _nf(quotient, exps[m:]).items():
-                gram[k][l] += c * a * b
+    gram = _oracle_gram(gs, quotient)
+    d = quotient.dimension
     weights, r = s.grading()
     socle = sum(r - 2 * w for w in weights)
     degree = [P.weighted_degree(b, weights) for b in quotient.standard_monomials]
@@ -804,8 +854,7 @@ def _assert_matches_bezoutian(s):
     bf = ekl.ss_form(s)
     gram, form = _bezoutian_oracle(s)
     assert bf.gram == tuple(tuple(row) for row in gram)
-    as_json = lambda rows: json.dumps([[json_rational(v) for v in row] for row in rows])
-    assert as_json(bf.gram) == as_json(gram)
+    assert _as_json(bf.gram) == _as_json(gram)
     assert (bf.gw.pos, bf.gw.neg) == (form.pos, form.neg)
 
 
@@ -895,6 +944,84 @@ def test_only_ungraded_input_builds_the_bezoutian(monkeypatch):
     assert calls == []
     ekl.ss_form(ekl.singularity("x^2 - y^3", XY))
     assert calls == [2]
+
+
+def _local_quotient(gs):
+    """The quotient that ``ss_form`` reduces an ungraded input by."""
+    quotient = P.groebner(gs)
+    return quotient if ekl._is_local(quotient) else ekl._local_factor(quotient)
+
+
+_COEFFICIENTS = st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _ungraded_inputs(draw):
+    """milnor-sparse's ungraded shapes with rational coefficients, the
+    localizing x^2 - y^2 + c*y^3, and triangular images of graded inputs."""
+    shape = draw(st.sampled_from(["d", "e", "bp", "local", "triangular"]))
+    c1, c2 = (f"({draw(_COEFFICIENTS)})" for _ in range(2))
+    if shape == "d":
+        src = f"{c1}*x^2*y + {c2}*y^{draw(st.integers(4, 9))}"
+    elif shape == "e":
+        src = f"{c1}*x^3 + {c2}*x*y^{draw(st.integers(3, 6))}"
+    elif shape == "bp":
+        a, b = draw(st.permutations(range(2, 8)))[:2]
+        src = f"{c1}*x^{a} + {c2}*y^{b}"
+    elif shape == "local":
+        src = f"x^2 - y^2 + {c1}*y^3"
+    else:
+        _, names, _, g = draw(_triangular_images())
+        return g, names
+    return P.parse(src, XY), XY
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ungraded_inputs())
+@example((P.parse("x^2*y/2 + y^5/3", XY), XY))
+@example((P.parse("x^2 - y^2 + 5*y^3", XY), XY))
+@example((P.parse("(x + 2*y^2)^3 + y^4", XY), XY))
+def test_ungraded_gram_matches_the_fraction_sum(case):
+    """The integer assembly of the ungraded Gram matrix is, entry for entry,
+    the Fraction sum of the oracle Bezoutian's coefficients times the
+    normal forms of its X and Y blocks, over the same quotient."""
+    f, names = case
+    s = ekl.SingularityInput(f, names)
+    assert not any(s.grading()[0])
+    gs = P.partials(f)
+    quotient = _local_quotient(gs)
+    gram = _oracle_gram(gs, quotient)
+    bf = ekl.ss_form(s)
+    assert bf.basis == quotient.standard_monomials
+    assert bf.gram == tuple(tuple(row) for row in gram)
+    assert all(type(v) is Fraction for row in bf.gram for v in row)
+    assert _as_json(bf.gram) == _as_json(gram)
+    form = gw.diagonalize(gram)
+    assert (bf.gw.pos, bf.gw.neg) == (form.pos, form.neg)
+
+
+@pytest.mark.parametrize("src", ["x^2*y + y^5", "x^2 - y^2 + y^3"])
+def test_ungraded_kernel_stays_integer(src, monkeypatch):
+    """The Bezoutian and the ungraded Gram assembly do no Polynomial
+    arithmetic and call no ``poly.substitute``."""
+    f = P.parse(src, XY)
+    gs = P.partials(f)
+    quotient = _local_quotient(gs)
+    expected = ekl.ss_form(ekl.SingularityInput(f, XY))
+    oracle = _oracle_bezoutian(gs)
+
+    def refuse(*args):
+        raise AssertionError("Polynomial arithmetic in the ungraded kernel")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__pow__"):
+        monkeypatch.setattr(P.Polynomial, name, refuse)
+    monkeypatch.setattr(P, "substitute", refuse)
+    b = ekl.bezoutian(gs)
+    gram, form = ekl._bezoutian_form(gs, quotient)
+    monkeypatch.undo()
+    assert b == oracle
+    assert tuple(tuple(row) for row in gram) == expected.gram
+    assert (form.pos, form.neg) == (expected.gw.pos, expected.gw.neg)
 
 
 @pytest.mark.parametrize(
