@@ -2,7 +2,8 @@
 
 A polynomial is a tuple of Fractions in ascending degree with no trailing
 zeros; the empty tuple is zero.  These helpers back the trace-form transfer
-and the rational-function square classes; they are deliberately minimal.
+and the rational-function square classes of ``gw``, which reads a unit's
+constant term by index; there is no evaluation here.
 """
 
 from __future__ import annotations
@@ -106,26 +107,3 @@ def gcd(p: Poly, q: Poly) -> Poly:
     while q:
         p, q = q, mod(p, q)
     return monic(p)
-
-
-def eval_at(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def t_order(p: Poly) -> int:
-    """Index of the lowest nonzero coefficient (the valuation at t=0)."""
-    for i, c in enumerate(p):
-        if c != 0:
-            return i
-    raise ValueError("the zero polynomial has no t-order")
-
-
-def shift_down(p: Poly, k: int) -> Poly:
-    """Divide by t^k; the low coefficients must vanish."""
-    if any(c != 0 for c in p[:k]):
-        raise ValueError("not divisible by the requested power of t")
-    return p[k:]

@@ -12,9 +12,9 @@ text output honors QUADSING_ASCII=1 by writing <a> instead of the angle
 brackets.
 
 Each handler imports the modules it runs inside its body, so a call loads
-only those: ``monodromy`` loads ``tate`` alone, a ``gw`` call loads ``gw``
-and ``poly``, ``milnor`` adds ``ekl``, and only ``conductor``, ``euler`` and
-``batch`` load ``conductor`` or ``euler``.
+only those and their imports: ``monodromy`` loads ``tate`` alone; ``gw``
+loads ``gw``, ``poly`` and ``_univar``; ``milnor`` adds ``ekl``; and only
+``conductor``, ``euler`` and ``batch`` load ``conductor``, ``euler``, ``tate``.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def _field_ctx(label: str):
 def _singularity_from_args(args):
     from . import ekl
 
-    var_names = [v.strip() for v in args.vars.split(",") if v.strip()]
-    if not var_names:
+    # an empty item stays, for check_names to report it
+    var_names = [v.strip() for v in args.vars.split(",")]
+    if not any(var_names):
         raise ParseError("--vars must list at least one variable")
     weights = None
     if args.weights:

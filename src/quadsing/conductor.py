@@ -123,12 +123,12 @@ def split_quadric_singularity(n: int) -> SingularityInput:
     if n < 0:
         raise InputDomainError("n must be non-negative")
     names = [f"x{i}" for i in range(n + 1)]
-    f = P.Polynomial.zero(n + 1)
+    squares = {}
     for i in range(n + 1):
         e = [0] * (n + 1)
         e[i] = 2
-        f = f + P.Polynomial.monomial(n + 1, tuple(e), (-1) ** i)
-    return SingularityInput(f, names)
+        squares[tuple(e)] = (-1) ** i
+    return SingularityInput(P.Polynomial(n + 1, squares), names)
 
 
 # ---------------------------------------------------------------------------

@@ -379,11 +379,7 @@ def _hessian(gs: Sequence[P.Ints]) -> P.Ints:
     """det(d g_i / d x_j) for the partials g_i of L*f in n variables, as
     integer term dicts: the Hessian of L*f, which is L^n times that of f."""
     m = len(gs)
-
-    def diff(g: P.Ints, j: int) -> P.Ints:
-        return {e[:j] + (e[j] - 1,) + e[j + 1 :]: c * e[j] for e, c in g.items() if e[j]}
-
-    return _det([[diff(g, j) for j in range(m)] for g in gs], m)
+    return _det([[P._diff(g, j) for j in range(m)] for g in gs], m)
 
 
 def _inverse(
@@ -456,14 +452,8 @@ def _graded_form(gs, quotient, weights, r):
         pieces.setdefault(P.weighted_degree(b, weights), []).append(i)
 
     ints, scale = P.clear_denominators(gs)
-    terms = [(c, quotient.nf_vector(e)) for e, c in _hessian(ints).items()]
-    hess_den = math.lcm(*(den for _, (_, den) in terms))
-    hess: dict[int, int] = {}
-    for c, (vec, den) in terms:
-        c *= hess_den // den
-        for k, a in vec.items():
-            hess[k] = hess.get(k, 0) + c * a
-    support = [k for k, v in hess.items() if v]
+    hess, hess_den = P._combine((c, quotient.nf_vector(e)) for e, c in _hessian(ints).items())
+    support = list(hess)
     if len(pieces.get(socle, ())) != 1 or support != pieces[socle]:
         raise AssertionError(
             "the Hessian's normal form must span the one-dimensional top piece; this is a bug"

@@ -362,16 +362,18 @@ def _as_ratfunc(value) -> tuple[uv.Poly, uv.Poly]:
 def _normalize_ratfunc(num: uv.Poly, den: uv.Poly):
     """Canonical (t-parity, unit numerator, unit denominator) triple.
 
-    The exact power of t is extracted from numerator and denominator, the
-    unit part is reduced to lowest terms with a monic denominator.  The
-    resulting unit is defined and nonzero at t=0 by construction.
+    The exact power of t is sliced off numerator and denominator at their
+    first nonzero coefficients, and the unit part is reduced to lowest terms
+    with a monic denominator.  Both units keep a nonzero constant term, as
+    does their gcd, so ``specialize`` reads u(0) as num[0] / den[0].
     """
     if uv.is_zero(num):
         raise ValueError("zero has no square class")
     if uv.is_zero(den):
         raise ZeroDivisionError("zero denominator in a rational function")
-    on, od = uv.t_order(num), uv.t_order(den)
-    num, den = uv.shift_down(num, on), uv.shift_down(den, od)
+    on = next(i for i, c in enumerate(num) if c)
+    od = next(i for i, c in enumerate(den) if c)
+    num, den = num[on:], den[od:]
     g = uv.gcd(num, den)
     if uv.degree(g) > 0:
         num = uv.divmod_poly(num, g)[0]
@@ -721,15 +723,15 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
 def specialize(e: GWElement) -> GWElement:
     """Send <t^m * u> to the square class of u(0).
 
-    Representatives are stored with the exact power of t split off, so the
-    unit is evaluable at 0.
+    Representatives are stored with the exact power of t split off and with
+    units whose constant terms are nonzero (``_normalize_ratfunc``).
     """
     if e.ctx.kind != _RATFUNC:
         raise ContextMismatchError("specialize expects an element over Q(t)")
 
     def value(rep):
         _parity, num, den = rep
-        return uv.eval_at(num, 0) / uv.eval_at(den, 0)
+        return num[0] / den[0]
 
     return GWElement(
         RATIONALS,

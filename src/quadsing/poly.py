@@ -1,13 +1,13 @@
 """Sparse multivariate polynomials over Q with a Buchberger engine over Z.
 
 Polynomials are immutable dictionaries from exponent tuples to nonzero
-Fractions.  The module
-provides the one expression grammar of the package (``parse`` for
-polynomials, ``parse_rational`` for quotients, ``parse_form`` for the
-``<a, b> - <c>`` forms whose entries are such quotients), formal partial
-derivatives, weighted-homogeneity checks, and reduced Groebner bases with
-standard-monomial enumeration for zero-dimensional quotients.  The parser
-evaluates on term dicts and makes Polynomials only for what it returns.
+Fractions.  The module provides the one expression grammar of the package,
+with two entry points: ``parse`` for polynomials and ``parse_form`` for the
+``<a, b> - <c>`` forms whose entries are quotients of polynomials.  It also
+provides formal partial derivatives, weighted-homogeneity checks, and
+reduced Groebner bases with standard-monomial enumeration for
+zero-dimensional quotients.  The parser evaluates on term dicts and makes
+Polynomials only for what it returns.
 
 The Groebner kernel runs over the integers (Buchberger over a domain, as in
 Becker and Weispfenning, *Groebner Bases*, 1993).  It works on term dicts
@@ -110,6 +110,11 @@ def _power(a: dict, k: int, one: dict) -> dict:
         if k:
             a = _mul(a, a)
     return out
+
+
+def _diff(terms: dict, i: int) -> dict:
+    """The partial derivative of a term dict in variable i, with no zero term."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
 
 
 class Polynomial:
@@ -223,15 +228,7 @@ class Polynomial:
         return Polynomial._of(self.nvars, _power(self.terms, k, one))
 
     def diff(self, i: int) -> "Polynomial":
-        out: dict[Exps, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            out[tuple(new)] = c * e
-        return Polynomial._of(self.nvars, out)
+        return Polynomial._of(self.nvars, _diff(self.terms, i))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
@@ -256,27 +253,6 @@ class Polynomial:
 def partials(f: Polynomial) -> list[Polynomial]:
     """All formal partial derivatives of f, in variable order."""
     return [f.diff(i) for i in range(f.nvars)]
-
-
-def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Evaluate f at the given polynomials, one per variable.  Each term's
-    expansion is added into one dict, so the cost is linear in the number
-    of expanded terms."""
-    if len(images) != f.nvars:
-        raise ValueError("need one image polynomial per variable")
-    if not images:
-        return f
-    nvars = images[0].nvars
-    out: dict[Exps, Fraction] = {}
-    get = out.get
-    for exps, c in f.terms.items():
-        term = Polynomial.constant(nvars, c)
-        for img, e in zip(images, exps):
-            if e:
-                term = term * img ** e
-        for m, v in term.terms.items():
-            out[m] = get(m, 0) + v
-    return Polynomial._of(nvars, {m: v for m, v in out.items() if v})
 
 
 def weighted_degree(exps: Exps, weights: Sequence[int]) -> int:
@@ -308,34 +284,26 @@ _FORM_CHARS = str.maketrans("⟨⟩−", "<>-")
 def parse(src: str, variables: Sequence[str]) -> Polynomial:
     """Parse a polynomial expression over the declared variables.
 
-    The grammar is that of ``parse_rational``; a polynomial may divide only
-    by a nonzero constant, so "3/2*x" and "x/2" parse and "x/y" does not.
-    """
-    return _parse(src, variables, "polynomial")[0]
-
-
-def parse_rational(src: str, variables: Sequence[str]) -> tuple[Polynomial, Polynomial]:
-    """Parse a rational expression as a (numerator, denominator) pair.
-
     Grammar: integer literals, variable names, parentheses, binary + - * /
     and ^ with a non-negative integer exponent.  * and / share a precedence
     and associate to the left, ^ binds tighter, and a sign may precede any
     factor, so "2/3^2" is 2/9, "t/2/3" is t/6 and "2*-x" is -2x.
-    Multiplication is always explicit.  Division by a nonzero constant is
-    folded into the numerator, so the denominator is the constant 1 unless
-    the expression divides by a non-constant.  Unknown names, syntax errors
-    and division by zero carry the offending position.
+    Multiplication is always explicit.  A polynomial may divide only by a
+    nonzero constant, so "3/2*x" and "x/2" parse and "x/y" does not.
+    Unknown names, syntax errors and division by zero carry the offending
+    position.
     """
-    return _parse(src, variables, "rational")
+    return _parse(src, variables, "polynomial")[0]
 
 
 def parse_form(src: str, variables: Sequence[str]) -> list:
     """Parse a form such as "<1, t/2> - <3>" into (sign, numerator,
     denominator, text, position) tuples, one per entry.
 
-    A form is "0" or signed groups "<e1, ..., ek>", a sign between any two;
-    each entry is a ``parse_rational`` expression, and "⟨", "⟩", "−" read
-    as "<", ">", "-".
+    A form is "0" or signed groups "<e1, ..., ek>", a sign between any two,
+    and "⟨", "⟩", "−" read as "<", ">", "-".  Each entry is read as by
+    ``parse`` but may divide by a non-constant; its denominator is the
+    constant 1 unless it does.
     """
     return _parse(src.translate(_FORM_CHARS), variables, "form")
 
@@ -353,12 +321,13 @@ def check_names(variables: Sequence[str]) -> list[str]:
 
 
 def _parse(src: str, variables: Sequence[str], mode: str):
-    """Read src as a "polynomial", a "rational" expression or a "form".
+    """Read src as a "polynomial", which divides only by nonzero constants,
+    or as a "form", whose entries may divide by anything nonzero.
 
     Every value is a pair (num, den) of term dicts with int or Fraction
     coefficients, den None for 1 until the expression divides by a
     non-constant.  No Polynomial arithmetic runs; Polynomials are made only
-    for the pairs returned.
+    for the pairs returned, one per form entry or one for a polynomial.
     """
     names = check_names(variables)
     nvars = len(names)
@@ -682,6 +651,21 @@ def _reduce_basis(basis: list[Ints], lead: list[Exps]) -> list[tuple[Exps, Ints]
     return out
 
 
+def _combine(pairs: Iterable[tuple]) -> tuple[dict[int, int], int]:
+    """The sum of c * vec / d over pairs (c, (vec, d)) of an int and a normal
+    form, as a vector of nonzero ints and its denominator, the lcm of the d;
+    the two may share a factor."""
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, (_, d) in pairs))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for c, (vec, d) in pairs:
+        c *= den // d
+        for k, a in vec.items():
+            acc[k] = get(k, 0) + c * a
+    return {k: v for k, v in acc.items() if v}, den
+
+
 class QuotientBasis:
     """A reduced Groebner basis, ``reduced``, as ``_reduce_basis`` returns it
     over the integers, with its standard monomials, ``_standard``; these are
@@ -766,15 +750,7 @@ class QuotientBasis:
             if missing:
                 stack.extend(missing)
                 continue
-            parts = [cache[t] for t in shifted]
-            den = math.lcm(*(d for _, d in parts))
-            acc: dict[int, int] = {}
-            get = acc.get
-            for c, (vec, d) in zip(head.values(), parts):
-                c *= den // d
-                for k, a in vec.items():
-                    acc[k] = get(k, 0) + c * a
-            acc = {k: v for k, v in acc.items() if v}
+            acc, den = _combine(zip(head.values(), [cache[t] for t in shifted]))
             den *= head_den
             common = math.gcd(den, *acc.values())
             if common > 1:

@@ -200,6 +200,24 @@ def test_gw_specialize_and_transfer():
     assert code == 0 and "⟨1⟩ + ⟨-1⟩" in text
 
 
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        # the product (1+t)/(1+t) cancels to <1>
+        (["gw", "mul", "--field", "Qt", "<1+t>", "<1/(1+t)>"], "⟨(1)/(1)⟩\n"),
+        (["gw", "mul", "--field", "Qt", "<(2+t)*(1+t)/((1+t)*(3-t))>", "<1>"],
+         "⟨(-2 + -1*t)/(-3 + t)⟩\n"),
+        (["gw", "specialize", "<(2+t)*(1+t)/((1+t)*(3-t))>"], "⟨6⟩\n"),
+        # t^3/t is an even power of t: no "t*" prefix
+        (["gw", "mul", "--field", "Qt", "<t^3*(1+t)/(t*(2-t))>", "<1>"],
+         "⟨(-1 + -1*t)/(-2 + t)⟩\n"),
+    ],
+)
+def test_gw_qt_classes_cancel_common_factors(argv, printed, monkeypatch):
+    monkeypatch.delenv("QUADSING_ASCII", raising=False)
+    assert _run(*argv) == (0, printed)
+
+
 def test_gw_json_validates():
     code, doc = _run_json("gw", "add", "--json", "<1,2>", "<3>")
     assert code == 0
@@ -556,6 +574,9 @@ def test_field_without_odd_prime_modulus_is_a_parse_error(label):
         (["gw", "diagonalize", '[["1/7"]]', "--field", "Fp:7"], "denominator"),
         (["milnor", "--vars", "x", "x^2 + 1/0*x"], "division by zero"),
         (["milnor", "--vars", "x,x", "x^2"], "duplicate variable names"),
+        # an empty name in --vars is kept and refused, not dropped
+        (["milnor", "--vars", "x,,y", "x^2 - y^3"], "variable name '' at index 1 is not an identifier"),
+        (["milnor", "--vars", "x,y,", "x^2 - y^3"], "variable name '' at index 2 is not an identifier"),
     ],
 )
 def test_malformed_input_is_a_parse_error(argv, named):

@@ -690,6 +690,20 @@ def test_specialize_is_additive():
     assert gw.specialize(a) == _form(1, 3) - _form(7)
 
 
+def test_ratfunc_common_factors_cancel():
+    """A factor that numerator and denominator share is divided out, so the
+    class is stored in lowest terms and specializes through its units."""
+    assert _qt("(1+t)/(1+t)") == _qt("1") == gw.GWElement.unit(QT)
+    assert _qt("(1+t)/(1+t)").pos == ((0, uv_poly([1]), uv_poly([1])),)
+    e = _qt("(2+t)*(1+t)/((1+t)*(3-t))")
+    assert e == _qt("(2+t)/(3-t)")
+    assert gw.specialize(e) == _form(6)
+    assert _qt("1+t") * _qt("1/(1+t)") == gw.GWElement.unit(QT)
+    # t^3 / t leaves an even power of t
+    ((parity, num, den),) = _qt("t^3*(1+t)/(t*(2-t))").pos
+    assert (parity, num, den) == (0, uv_poly([-1, -1]), uv_poly([-2, 1]))
+
+
 # ---------------------------------------------------------------------------
 # transfer
 # ---------------------------------------------------------------------------

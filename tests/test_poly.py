@@ -14,7 +14,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadsing import _univar as uv
+from oracles import substitute
 from quadsing import ekl, gw
 from quadsing import poly as P
 from quadsing.errors import (
@@ -75,7 +75,7 @@ def test_parse_errors_carry_positions():
         ("parse", "x^(-2)", ParseError, "exponent must be a non-negative integer", 2),
         ("parse", "x + w", UnknownVariableError, "unknown variable 'w'", 4),
         ("parse", "", ParseError, "expected a number, variable, or '(', found 'end of input'", 0),
-        ("parse_rational", "t/0", ParseError, "division by zero", 1),
+        ("parse_form", "<t/0>", ParseError, "division by zero", 2),
         ("parse_gw", "<1,,2>", ParseError, "expected a number, variable, or '(', found ','", 3),
         ("parse_gw", "<1> - 0", ParseError, "expected '<', found '0'", 6),
         ("parse_gw", "<0>", ParseError, "bad square-class entry '0': zero has no square class", 1),
@@ -86,7 +86,7 @@ def test_parse_error_contract(read, src, error, message, position):
     message and position, whatever evaluates the expressions."""
     call = {
         "parse": lambda: P.parse(src, XYZ),
-        "parse_rational": lambda: P.parse_rational(src, ("t",)),
+        "parse_form": lambda: P.parse_form(src, ("t",)),
         "parse_gw": lambda: gw.parse_gw(src),
     }[read]
     with pytest.raises(ParseError) as info:
@@ -234,13 +234,26 @@ def _constant_divisors(sub):
 @settings(max_examples=150, deadline=None)
 @given(_trees(XY, _constant_divisors))
 def test_parse_matches_polynomial_arithmetic(tree):
+    """The parsed polynomial equals the tree evaluated with Polynomial
+    arithmetic, and, on a side that shares no code with ``poly``, the tree
+    evaluated and expanded in sympy."""
     def leaf(t):
         if t[0] == "num":
             return P.Polynomial.constant(2, t[1])
         return P.Polynomial.variable(2, XY.index(t[1]))
 
+    parsed = _p(_render(tree))
     expected = _evaluate(tree, leaf, lambda a, b: a * (1 / b.constant_term()))
-    assert _p(_render(tree)) == expected
+    assert parsed == expected
+
+    symbols = dict(zip(XY, sympy.symbols(XY)))
+
+    def sympy_leaf(t):
+        return sympy.Rational(t[1]) if t[0] == "num" else symbols[t[1]]
+
+    value = sympy.expand(_evaluate(tree, sympy_leaf, lambda a, b: a / b))
+    terms = sympy.Poly(value, *symbols.values()).terms()
+    assert parsed.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in terms if c}
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,9 +262,11 @@ def test_parse_matches_polynomial_arithmetic(tree):
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=3, max_size=3),
 )
 def test_parse_ratfunc_matches_direct_evaluation(tree, points):
+    """A one-entry form reads the expression as num/den, which takes its
+    value at every point where the expression is defined."""
     text = _render(tree)
     try:
-        num, den = (uv.of_polynomial(q) for q in P.parse_rational(text, ("t",)))
+        ((_, num, den, _, _),) = P.parse_form(f"<{text}>", ("t",))
     except ParseError:
         # only a divisor that is identically zero is rejected
         num = den = None
@@ -263,7 +278,12 @@ def test_parse_ratfunc_matches_direct_evaluation(tree, points):
         except ZeroDivisionError:
             continue
         assert num is not None, text
-        assert uv.eval_at(num, x) / uv.eval_at(den, x) == value, text
+        assert _at(num, x) / _at(den, x) == value, text
+
+
+def _at(q, x):
+    """The value of a one-variable Polynomial at x."""
+    return sum((c * x**e for (e,), c in q.terms.items()), Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -283,8 +303,9 @@ def test_parse_ratfunc_matches_direct_evaluation(tree, points):
 )
 def test_parse_rational_keeps_the_constants_of_a_non_constant_divisor(src, num, den):
     """A divisor with fractional coefficients, or one that is itself a
-    quotient, divides by all of its value: the quotient is num/den."""
-    top, bottom = P.parse_rational(src, ("t",))
+    quotient, divides by all of its value: the one entry of the form <src>
+    is num/den."""
+    ((_, top, bottom, _, _),) = P.parse_form(f"<{src}>", ("t",))
     assert top * P.parse(den, ("t",)) == bottom * P.parse(num, ("t",))
 
 
@@ -322,7 +343,7 @@ def test_substitute_linear_change():
     f = _p("x^2 - y^2")
     u = _p("x + y")
     v = _p("x - y")
-    assert P.substitute(f, [u, v]) == _p("4*x*y")
+    assert substitute(f, [u, v]) == _p("4*x*y")
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,7 +356,7 @@ def test_substitute_matches_term_by_term_expansion(f, u, v, c):
     expected = P.Polynomial.zero(2)
     for exps, a in f.terms.items():
         expected = expected + P.Polynomial.constant(2, a) * u ** exps[0] * v ** exps[1]
-    result = P.substitute(f, [u, v])
+    result = substitute(f, [u, v])
     assert result == expected
     assert all(type(a) is Fraction and a for a in result.terms.values())
 
@@ -865,7 +886,7 @@ def test_operations_return_fresh_exact_polynomials(f, g, h, k, c):
         _leading_is_the_grevlex_maximum(p)  # reads every operand first
     results = [
         f + g, f - g, f * g, f ** k, -f, f.diff(0), f.diff(1), f * c, f + c, c - f,
-        P.substitute(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
+        substitute(f, [g, h]), P.parse(P.format_poly(f, XY), XY),
     ]
     for r in results:
         assert all(type(v) is Fraction and v for v in r.terms.values())
@@ -887,7 +908,7 @@ _X2 = P.Polynomial.variable(2, 0)
         (lambda: _X1 * _X2, "different variable counts"),
         (lambda: _X1 ** -1, "non-negative"),
         (lambda: P.Polynomial.zero(1).leading(), "no leading term"),
-        (lambda: P.substitute(_X2, [_X2]), "one image polynomial per variable"),
+        (lambda: substitute(_X2, [_X2]), "one image polynomial per variable"),
         (lambda: P.is_quasi_homogeneous(_X2, (1,), 1), "weight vector length"),
         (lambda: P.groebner([_X1, _X2]), "mixed variable counts"),
         (lambda: ekl.bezoutian([_X2]), "m polynomials in m variables"),
