@@ -55,10 +55,8 @@ def lc(p: Poly) -> Fraction:
     return p[-1]
 
 
-def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return ZERO
+def scale(p: Poly, c: Fraction) -> Poly:
+    """p times the nonzero Fraction c."""
     return tuple(x * c for x in p)
 
 

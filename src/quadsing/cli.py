@@ -282,6 +282,8 @@ def _cmd_euler(args, out) -> None:
     from . import euler, gw
 
     if args.quadric is not None:
+        if args.ambient is not None:
+            raise ParseError("euler --quadric takes no --ambient")
         e = euler.chi_split_quadric(args.quadric)
         if args.json:
             _print_json(out, {
@@ -316,6 +318,8 @@ def _cmd_monodromy(args, out) -> None:
     from . import tate
 
     if args.kummer:
+        if args.dimension is not None:
+            raise ParseError("monodromy --kummer takes no --dimension")
         N = tate.kummer_monodromy()
         NN = tate.compose(N.twist(-1), N)
         if args.json:
@@ -370,6 +374,9 @@ _JSON_KINDS = {
     "a string": lambda v: type(v) is str,
     "an integer": lambda v: type(v) is int,
     "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a string or a list of strings": (
+        lambda v: type(v) is str or _JSON_KINDS["a list of strings"](v)
+    ),
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
 }
 
@@ -408,9 +415,9 @@ def _cmd_batch(args, out) -> None:
             if "residue_field" in entry:
                 g = gw.parse_poly_in_x(_entry_field(entry, "residue_field", "a string"))
                 ectx = gw.FieldCtx.extension(g)
-                raw = entry["milnor_form"]
-                if isinstance(raw, list):
-                    raw = " + ".join(str(part) for part in raw)
+                raw = _entry_field(entry, "milnor_form", "a string or a list of strings")
+                if type(raw) is list:
+                    raw = " + ".join(raw)
                 mu = gw.parse_gw(raw, ectx)
                 degree = _entry_field(entry, "degree", "an integer")
                 dimension = _entry_field(entry, "dimension", "an integer")

@@ -578,9 +578,7 @@ def diag_form(entries: Sequence, ctx: FieldCtx = RATIONALS) -> GWElement:
 
 
 def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ValueError("Legendre symbol of a multiple of p")
+    """The Legendre symbol (a/p), for a prime to the odd prime p."""
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
@@ -803,8 +801,8 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
 def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
     """The diagonal of a congruence diagonalization, not normalized.
 
-    No square class is taken, so no integer is factored: calling this alone
-    checks that a symmetric matrix is nonsingular.  Entries are read as
+    These are the raw pivots that ``diagonalize`` normalizes; no square
+    class is taken, so no integer is factored.  Entries are read as
     rationals, or reduced into F_p over a prime field, where they stay
     reduced.  Pivoting is deterministic: the first nonzero diagonal entry of
     the trailing block is used, and if the whole diagonal vanishes the row j

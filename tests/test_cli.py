@@ -403,6 +403,11 @@ def test_batch_reports_bad_entry_index(tmp_path, capsys):
          '"degree" must be an integer, not "2"'),
         # once an uncaught AttributeError
         ({"vars": ["x", "y"], "poly": 5}, '"poly" must be a string, not 5'),
+        ({"residue_field": "x^2-2", "milnor_form": 5, "degree": 2, "dimension": 1},
+         '"milnor_form" must be a string or a list of strings, not 5'),
+        # once a parse error at position 6 of "<1> + 7"
+        ({"residue_field": "x^2-2", "milnor_form": ["<1>", 7], "degree": 2, "dimension": 1},
+         '"milnor_form" must be a string or a list of strings, not ["<1>", 7]'),
     ],
 )
 def test_batch_entry_types_are_checked(tmp_path, entry, message):
@@ -599,6 +604,11 @@ def test_malformed_input_is_a_parse_error(argv, named):
          "all partial derivatives vanish identically"),
         (["milnor", "--vars", "x,y", "--weights", "1,1", "x^2 - y^3"], 1, "invalid-input",
          "f is not quasi-homogeneous for the given weights"),
+        # once exit 0, the option ignored
+        (["euler", "--quadric", "2", "--ambient", "5"], 2, "parse-error",
+         "euler --quadric takes no --ambient"),
+        (["monodromy", "--kummer", "--dimension", "3"], 2, "parse-error",
+         "monodromy --kummer takes no --dimension"),
     ],
 )
 def test_rejected_arguments_exit_with_their_codes(argv, exit_code, error, message):

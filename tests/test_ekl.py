@@ -31,6 +31,7 @@ from quadsing.errors import (
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
 
 
 def _form(*entries):
@@ -72,15 +73,14 @@ def test_bezoutian_diagonal_system():
 
 
 def test_bezoutian_divided_difference_identity():
-    """det of the divided-difference matrix recovers g_i(X) - g_i(Y) row-wise.
-
-    The implementation asserts this internally; here a nontrivial system is
-    pushed through to make sure the assertion is actually exercised.
-    """
+    """The divided differences of a nontrivial system satisfy
+    g_i(X) - g_i(Y) = sum_j Delta_ij * (X_j - Y_j) row by row, which
+    ``_oracle_bezoutian`` checks, and their determinant is the Bezoutian."""
     gs = [P.parse("2*x*y", XY), P.parse("x^2 + 4*y^3", XY)]
     b = ekl.bezoutian(gs)
     assert b.nvars == 4
     assert b.total_degree() == 3
+    assert b == _oracle_bezoutian(gs)
 
 
 _polynomials = st.integers(1, 3).flatmap(
@@ -100,6 +100,7 @@ _polynomials = st.integers(1, 3).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(_polynomials)
 @example(P.parse("x*y + x", XY))
+@example(P.parse("3*x^3*w - 2*y^2*z + z^4 - x*y*z*w", XYZW))
 def test_divided_differences_write_each_contribution_once(g):
     """Term c*x^e of g gives e_j terms to Delta_j, at monomials that give
     back the term, so no two meet and none cancels; the Deltas satisfy
@@ -199,6 +200,8 @@ def test_hessian_matches_the_fraction_determinant(f):
 @given(st.integers(1, 3).flatmap(lambda m: st.lists(_rational_polynomials(m), min_size=m, max_size=m)))
 @example([P.parse("2*x*y/3", XY), P.parse("-x^2/2 + 4*y^3", XY)])
 @example(P.partials(P.parse("x^3/2 + 3*y^3/4 - x*y/6", XY)))
+@example(P.partials(P.parse("3*x^4 + 5*y^5 - 2*z^6 + 7*w^7 + x*y*z*w", XYZW)))
+@example(P.partials(P.parse("x^3/2 - y^2*z*w + 3*z^4/4 - w^3*x", XYZW)))
 def test_bezoutian_matches_the_fraction_determinant(gs):
     """The Bezoutian, an integer determinant of the denominator-cleared
     divided differences, is the Fraction determinant of the oracle's, with
@@ -874,14 +877,14 @@ _C4 = (
     "src, names, weights",
     [
         (_Q4, XYZ, None),
-        (_C4, ("x", "y", "z", "w"), None),
+        (_C4, XYZW, None),
         ("x^2 - y^2 + z^2", XYZ, None),  # Morse: socle degree 0
         ("x^3 + y^3 + z^3", XYZ, None),  # socle degree 3 is odd
         (_CUBIC, XYZ, None),
         ("5*x^4", ("x",), None),
         ("x^25 + y^25", XY, None),
         ("x^12 - 2*y^13", XY, (13, 12)),
-        ("3*x^4 + 5*y^5 - 2*z^6 + 7*w^7", ("x", "y", "z", "w"), (105, 84, 70, 60)),
+        ("3*x^4 + 5*y^5 - 2*z^6 + 7*w^7", XYZW, (105, 84, 70, 60)),
         ("x^3 + y^4", XY, (4, 3)),  # E6
         ("x^2*y + y^4", XY, (3, 2)),  # D5
         ("x^3 + x*y^3", XY, (3, 2)),  # E7
@@ -982,6 +985,8 @@ def _ungraded_inputs(draw):
 @example((P.parse("x^2*y/2 + y^5/3", XY), XY))
 @example((P.parse("x^2 - y^2 + 5*y^3", XY), XY))
 @example((P.parse("(x + 2*y^2)^3 + y^4", XY), XY))
+@example((P.parse("x^2 + y^2 + z^3 + 2*w^3", XYZW), XYZW))
+@example((P.parse("x^2 - y^2 + z^3 + w^3 + x*z*w", XYZW), XYZW))
 def test_ungraded_gram_matches_the_fraction_sum(case):
     """The integer assembly of the ungraded Gram matrix is, entry for entry,
     the Fraction sum of the oracle Bezoutian's coefficients times the
@@ -992,6 +997,8 @@ def test_ungraded_gram_matches_the_fraction_sum(case):
     gs = P.partials(f)
     quotient = _local_quotient(gs)
     gram = _oracle_gram(gs, quotient)
+    d = len(gram)
+    assert all(gram[i][j] == gram[j][i] for i in range(d) for j in range(i))
     bf = ekl.ss_form(s)
     assert bf.basis == quotient.standard_monomials
     assert bf.gram == tuple(tuple(row) for row in gram)

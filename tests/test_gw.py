@@ -1272,11 +1272,13 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: gw.factorint(0), ValueError),
         (lambda: gw.FieldCtx.extension([5]), InvalidExtensionError),  # degree 0
         (lambda: gw.FieldCtx.extension([1, 2]), InvalidExtensionError),  # not monic
+        (lambda: gw.FieldCtx("extension"), InvalidExtensionError),  # no minimal polynomial
         (lambda: gw.diag_form([0], _Q2), ValueError),
         (lambda: QQ.least_nonresidue(), UnsupportedInvariantError),
         (lambda: QT.normalize(0), ValueError),
         (lambda: QT.normalize(((1,), ())), ZeroDivisionError),
         (lambda: gw.diag_form([1]) + 1, TypeError),
+        (lambda: 2.5 * gw.GWElement.unit(), TypeError),  # only an int scales an element
         (lambda: gw.is_equal(1, 2), TypeError),
         (lambda: gw.diag_form([(0, 1)], QT).discriminant(), UnsupportedInvariantError),
         (lambda: gw.diagonalize([[1]], QT), UnsupportedInvariantError),

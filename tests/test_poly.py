@@ -42,6 +42,7 @@ def test_parse_basic_forms():
     assert f.coefficient((2, 0)) == 1
     assert f.coefficient((0, 3)) == -1
     assert f.total_degree() == 3
+    assert P.Polynomial.zero(3).total_degree() == -1
     assert _p("3/2*x*y").coefficient((1, 1)) == Fraction(3, 2)
     assert _p("-x") == P.Polynomial.monomial(2, (1, 0), -1)
     assert _p("x - - y") == _p("x + y")
