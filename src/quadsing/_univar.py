@@ -19,7 +19,9 @@ ONE: Poly = (Fraction(1),)
 
 
 def poly(coeffs) -> Poly:
-    """Build a canonical polynomial from an iterable of exact numbers."""
+    """A canonical polynomial from a sequence of exact numbers, not a str."""
+    if isinstance(coeffs, str):
+        raise TypeError(f"coefficients must be a sequence of numbers, not the string {coeffs!r}")
     return trim(tuple(map(rational, coeffs)))
 
 

@@ -383,9 +383,11 @@ _JSON_KINDS = {
 
 def _entry_field(entry: dict, key: str, kind: str, required: bool = True):
     """entry[key], checked to be the JSON value that kind names; an optional
-    key may be absent or null."""
+    key may be absent or null, and a missing required key is a ParseError."""
     if not required and entry.get(key) is None:
         return None
+    if key not in entry:
+        raise ParseError(f'"{key}" is required')
     value = entry[key]
     if not _JSON_KINDS[kind](value):
         raise ParseError(f'"{key}" must be {kind}, not {json.dumps(value)}')

@@ -237,11 +237,13 @@ def transfer_conductor_point(
     The caller supplies the quadratic Milnor form over the residue field
     (this module does not compute EKL data over extensions); the conductor
     expression is formed over the extension and pushed down along the
-    trace.
+    trace.  The degree r is at least 1 and the dimension n at least 0.
     """
     if milnor_form_ext.ctx.min_poly != uv.poly(g):
         FieldCtx.extension(g)  # a reducible g is invalid before it is a mismatch
         raise InputDomainError("the Milnor form must live over Q[x]/(g)")
     if r < 1:
         raise InputDomainError("degree must be positive")
+    if n < 0:
+        raise InputDomainError("dimension must be non-negative")
     return transfer(g, _assemble_rhs(r, n, milnor_form_ext))

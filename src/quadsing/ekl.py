@@ -305,8 +305,8 @@ def ss_form(s: SingularityInput) -> BilinearForm:
 
     An ungraded input is a single piece: the Bezoutian of the partials,
     taken over the integers once their denominators are cleared, is reduced
-    in the X and Y blocks separately and summed over one denominator (see
-    ``_bezoutian_form``), its symmetry is asserted, and the whole Gram
+    in the X and Y blocks separately, each row summed by ``poly._combine``
+    (see ``_bezoutian_form``), its symmetry is asserted, and the whole Gram
     matrix is diagonalized; a degenerate one cannot occur for an isolated
     singularity and raises DegenerateFormError if it does.
     """
@@ -489,35 +489,29 @@ def _bezoutian_form(gs, quotient):
     """Gram matrix and class of an ungraded Jacobian ring, read off the
     Bezoutian (see ``ss_form``).
 
-    Each Bezoutian term reads its two normal forms once, and the entries
-    are summed over the integers on one denominator, the lcm of the terms'
-    c.denominator * dx * dy; only a nonzero sum becomes a Fraction.  The
+    Each Bezoutian term c * X^a * Y^b reads its two normal forms once and
+    adds c * NF(X^a)_k * NF(Y^b) to row k, an integer over
+    c.denominator * dx * dy; ``poly._combine`` sums each row over the lcm of
+    its denominators, and only a nonzero sum becomes a Fraction.  The
     symmetry check still runs over every entry of the returned matrix, as
     it is what callers read.
     """
     d = quotient.dimension
     m = len(gs)
-    terms = []
+    rows: list[list[tuple]] = [[] for _ in range(d)]
     for exps, c in bezoutian(gs).terms.items():
         vx, dx = quotient.nf_vector(exps[:m])
         if not vx:
             continue
         vy, dy = quotient.nf_vector(exps[m:])
-        terms.append((c.numerator, c.denominator * dx * dy, vx, vy))
-    den = math.lcm(*(t_den for _, t_den, _, _ in terms))
-    sums: list[dict[int, int]] = [{} for _ in range(d)]
-    for c, t_den, vx, vy in terms:
-        c *= den // t_den
+        y = (vy, c.denominator * dx * dy)
         for k, a in vx.items():
-            ca = c * a
-            row = sums[k]
-            for l, b in vy.items():
-                row[l] = row.get(l, 0) + ca * b
+            rows[k].append((c.numerator * a, y))
     gram = [[Fraction(0)] * d for _ in range(d)]
-    for k, row in enumerate(sums):
+    for k, pairs in enumerate(rows):
+        row, den = P._combine(pairs)
         for l, v in row.items():
-            if v:
-                gram[k][l] = Fraction(v, den)
+            gram[k][l] = Fraction(v, den)
     for i in range(d):
         for j in range(i + 1, d):
             if gram[i][j] != gram[j][i]:

@@ -9,15 +9,16 @@ with sign +1 and one with sign -1.  Supported base fields:
 * odd prime fields (``FieldCtx.prime_field(p)``): classes are 1 or a fixed
   least non-residue, equality is rank plus discriminant;
 * rational functions in one variable t (``RATIONAL_FUNCTIONS``): classes are
-  kept as an exact power of t times a unit at t=0, ready for ``specialize``;
+  a parity of t times a unit at t=0 in lowest terms, ready for ``specialize``;
 * simple extensions Q[x]/(g) (``FieldCtx.extension(g)``): storage-only
   contexts whose classes are polynomial residues, consumed by ``transfer``;
   g is checked irreducible exactly, by a discriminant test up to degree 2
   and by sympy, imported on demand, from degree 3.
 
 Virtual elements stay unreduced apart from cancellation of identical
-classes between the two signs, so ``==`` is structural; use ``is_equal``
-for equality in the ring.
+representatives between the two signs, so ``==`` is structural; use
+``is_equal`` for equality in the ring.  Over Q(t) the unit is not reduced to
+its square class, so ``==`` and cancellation tell <4*t^2> from <1>.
 """
 
 from __future__ import annotations
@@ -281,10 +282,9 @@ class FieldCtx:
                 raise ValueError("zero has no square class")
             return 1 if _legendre(v, self.p) == 1 else self.least_nonresidue()
         if self.kind == _RATFUNC:
-            num, den = _as_ratfunc(value)
-            return _normalize_ratfunc(num, den)
+            return _normalize_ratfunc(*_as_ratfunc(value))
         # extension: reduce mod g, canonical trimmed coefficient tuple
-        res = _as_residue(value, self.min_poly)
+        res = uv.mod(_as_poly(value), self.min_poly)
         if uv.is_zero(res):
             raise ValueError("zero has no square class")
         return res
@@ -350,13 +350,19 @@ def _uv_str(p: uv.Poly, var: str) -> str:
     return " + ".join(parts)
 
 
+def _as_poly(value) -> uv.Poly:
+    """An outside value as a polynomial: a tuple or a list as ascending
+    coefficients, any other value as one number, by ``errors.rational``."""
+    return uv.poly(value) if isinstance(value, (tuple, list)) else uv.const(value)
+
+
 def _as_ratfunc(value) -> tuple[uv.Poly, uv.Poly]:
-    if isinstance(value, tuple) and len(value) == 2 and not isinstance(value[0], (int, Fraction)):
+    """(num, den) of an outside value over Q(t): a 2-tuple of two coefficient
+    sequences is the pair, and any other value ``_as_poly`` over 1."""
+    pair = isinstance(value, tuple) and len(value) == 2
+    if pair and all(isinstance(v, (tuple, list)) for v in value):
         return uv.poly(value[0]), uv.poly(value[1])
-    if isinstance(value, (int, Fraction)):
-        return uv.const(value), uv.ONE
-    # an iterable of coefficients: a polynomial in t
-    return uv.poly(value), uv.ONE
+    return _as_poly(value), uv.ONE
 
 
 def _normalize_ratfunc(num: uv.Poly, den: uv.Poly):
@@ -383,20 +389,13 @@ def _normalize_ratfunc(num: uv.Poly, den: uv.Poly):
     return ((on - od) % 2, num, den)
 
 
-def _as_residue(value, g: uv.Poly) -> uv.Poly:
-    if isinstance(value, (int, Fraction)):
-        res = uv.const(value)
-    else:
-        res = uv.poly(value)
-    return uv.mod(res, g)
-
-
 RATIONALS = FieldCtx(_RATIONALS)
 RATIONAL_FUNCTIONS = FieldCtx(_RATFUNC)
 
 
 class SquareClass(namedtuple("SquareClass", "ctx rep")):
-    """A square class of a field, in canonical form; immutable."""
+    """A square class of a field by its representative, which is canonical
+    except over Q(t) (see the module docstring); immutable."""
 
     __slots__ = ()
 
@@ -752,7 +751,7 @@ def trace_form_gram(g, c) -> list[list[Fraction]]:
     """
     g = uv.monic(uv.poly(g))
     d = uv.degree(g)
-    c = _as_residue(c, g)
+    c = uv.mod(_as_poly(c), g)
     power_sums = [Fraction(d)]
     for k in range(1, 3 * d - 2):
         p = -k * g[d - k] if k <= d else Fraction(0)
@@ -819,7 +818,7 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
     nonzeros per row.
     """
     if ctx.kind == _RATIONALS:
-        p, of = None, Fraction
+        p, of = None, rational
     elif ctx.kind == _PRIME:
         p = ctx.p
 

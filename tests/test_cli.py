@@ -408,6 +408,8 @@ def test_batch_reports_bad_entry_index(tmp_path, capsys):
         # once a parse error at position 6 of "<1> + 7"
         ({"residue_field": "x^2-2", "milnor_form": ["<1>", 7], "degree": 2, "dimension": 1},
          '"milnor_form" must be a string or a list of strings, not ["<1>", 7]'),
+        # once "malformed ('milnor_form')"
+        ({"residue_field": "x^2+1", "degree": 2, "dimension": 1}, '"milnor_form" is required'),
     ],
 )
 def test_batch_entry_types_are_checked(tmp_path, entry, message):
@@ -625,7 +627,8 @@ def test_rejected_arguments_exit_with_their_codes(argv, exit_code, error, messag
         ('{"vars": ["x"], "poly": "x^2"}', 2, "parse-error",
          "batch file must contain a JSON array"),
         ("[1]", 2, "parse-error", "batch entry 0: entry must be a JSON object"),
-        ('[{"vars": ["x"]}]', 2, "parse-error", "batch entry 0: malformed ('poly')"),
+        # once "malformed ('poly')"
+        ('[{"vars": ["x"]}]', 2, "parse-error", 'batch entry 0: "poly" is required'),
     ],
 )
 def test_unusable_batch_files_exit_with_their_codes(tmp_path, content, exit_code, error, message):
@@ -683,6 +686,19 @@ def test_batch_degree_below_one_is_invalid_input(tmp_path):
     assert doc["error"] == {
         "code": "invalid-input",
         "message": "batch entry 0: a declared degree must be at least 1, not 0",
+    }
+
+
+def test_batch_negative_dimension_is_invalid_input(tmp_path):
+    f = tmp_path / "bad.json"
+    # once a parse-error, "malformed (only non-negative integer powers are defined)"
+    entry = {"residue_field": "x^2+1", "milnor_form": "<1>", "degree": 2, "dimension": -1}
+    f.write_text(json.dumps([entry]))
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == 1
+    assert doc["error"] == {
+        "code": "invalid-input",
+        "message": "batch entry 0: dimension must be non-negative",
     }
 
 

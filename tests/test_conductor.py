@@ -274,6 +274,9 @@ def test_transfer_point_errors_keep_their_codes():
     mu = gw.diag_form([1], gw.FieldCtx.extension(g))
     with pytest.raises(InputDomainError, match="degree must be positive"):
         cond.transfer_conductor_point(g, mu, 0, 1)
+    # once the ValueError of GWElement.__pow__
+    with pytest.raises(InputDomainError, match="dimension must be non-negative"):
+        cond.transfer_conductor_point(g, mu, 2, -1)
     with pytest.raises(InputDomainError, match="must live over"):
         cond.transfer_conductor_point(uv_poly([2, 0, 1]), mu, 2, 1)
     # a reducible g is reported before the mismatch and before the degree

@@ -7,6 +7,7 @@ groebner for the quotient, Berkowitz determinants) before being frozen.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -900,6 +901,55 @@ _C4 = (
 )
 def test_graded_form_matches_the_bezoutian(src, names, weights):
     _assert_matches_bezoutian(ekl.singularity(src, names, weights))
+
+
+# every route of ss_form: the README inputs, one input per milnor-sparse slot
+# shape (Brieskorn-Pham sums, D, E and X3 curves, and the local-fault
+# shapes), the dense references, two declared gradings, two rational inputs
+# and an ungraded ternary whose Jacobian ring is not local
+_PINNED_FORMS = [
+    ("x^3 - x", ("x",), None),
+    ("x^2 - y^2 + y^3", XY, None),
+    ("x^2 - y^3", XY, None),
+    ("x^3 + y^3", XY, None),
+    ("x^2 - y^2", XY, None),
+    ("3*x^4 + 5*y^5 - 2*z^6 + 7*w^7", XYZW, None),
+    ("4*x^4 - 3*y^6 + 5*z^7", XYZ, None),
+    ("2*x^15 - 7*y^16", XY, None),
+    ("x^5 + 9*y^6", XY, None),
+    ("-3*x^2*y + 4*y^21", XY, None),
+    ("2*x^3*y - 5*y^10", XY, None),
+    ("7*x^3 + 2*x*y^8", XY, None),
+    ("x^2 - y^2 + 3*y^4", XY, None),
+    (_OCTIC, XY, None),
+    (_SEPTIC, XY, None),
+    (_CUBIC, XYZ, None),
+    (_Q4, XYZ, None),
+    (_C4, XYZW, None),
+    ("x^2*y + y^4", XY, (3, 2)),
+    ("x^3 + y^4", XY, (4, 3)),
+    ("x^3/2 + 3*y^3/4", XY, None),
+    ("x^3/6 - 5*y^4/4 + x^2*z/3 - z^3", XYZ, (4, 3, 4)),
+    ("x^3 + y^3 + z^4 + x*y*z^3 - z^6", XYZ, None),
+]
+
+
+def test_pinned_forms_keep_their_digest():
+    """The basis, the nonzero Gram entries with their positions and types,
+    and the class of each pinned input hash to a fixed SHA-256: a change to
+    any route of ``ss_form`` that moves one value or type fails here."""
+    digest = hashlib.sha256()
+    for src, names, weights in _PINNED_FORMS:
+        bf = ekl.ss_form(ekl.singularity(src, names, weights))
+        gram = [
+            (i, j, type(v).__name__, str(v))
+            for i, row in enumerate(bf.gram)
+            for j, v in enumerate(row)
+            if v
+        ]
+        classes = [[(type(a).__name__, a) for a in side] for side in (bf.gw.pos, bf.gw.neg)]
+        digest.update(repr((src, bf.basis, gram, classes)).encode())
+    assert digest.hexdigest() == "3a6359bbbdace7064d1c59bd9d3f47fe3badb0329dfb7df9d8e9b5005fe0ed08"
 
 
 def _seeded_dense_form(seed, names, degree):

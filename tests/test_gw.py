@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -1303,6 +1304,51 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
 def test_invalid_field_data_and_operands_are_rejected(call, error):
     with pytest.raises(error):
         call()
+
+
+_GAUSS = gw.FieldCtx.extension((1, 0, 1))  # Q[x]/(x^2 + 1)
+_FLOAT = TypeError("a float is not an exact rational: 0.5")
+
+
+def _string_coefficients(text):
+    return TypeError(f"coefficients must be a sequence of numbers, not the string {text!r}")
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # once <(1 + 2*t)/(1)>, which specializes to <1>
+        (lambda: gw.GWElement(QT, pos=["12"]), gw.GWElement(QT, pos=[12])),
+        (lambda: gw.specialize(gw.GWElement(QT, pos=["12"])), gw.diag_form([3])),
+        # once <1 + 2*x>
+        (lambda: gw.GWElement(_GAUSS, pos=["12"]), gw.GWElement(_GAUSS, pos=[12])),
+        (lambda: gw.trace_form_gram((1, 0, 1), "12"), gw.trace_form_gram((1, 0, 1), 12)),
+        # once ValueError: Invalid literal for Fraction: '/'
+        (lambda: gw.GWElement(QT, pos=["1/3"]), gw.GWElement(QT, pos=[Fraction(1, 3)])),
+        (lambda: gw.GWElement(_GAUSS, pos=["1/3"]), gw.GWElement(_GAUSS, pos=[Fraction(1, 3)])),
+        # once "'float' object is not iterable"
+        (lambda: gw.GWElement(QT, pos=[0.5]), _FLOAT),
+        (lambda: gw.GWElement(_GAUSS, pos=[0.5]), _FLOAT),
+        # once <2>; over F_5 it already raised
+        (lambda: gw.diagonalize([[0.5]]), _FLOAT),
+        (lambda: gw.diagonalize([[0.5]], gw.FieldCtx.prime_field(5)), _FLOAT),
+        # once read digit by digit: Q[x]/(x + 1), and the trace form of x^2 + 1
+        (lambda: uv.poly("11"), _string_coefficients("11")),
+        (lambda: gw.FieldCtx.extension("11"), _string_coefficients("11")),
+        (lambda: gw.trace_form_gram("101", 1), _string_coefficients("101")),
+        (lambda: gw.transfer("101", gw.GWElement.unit(_GAUSS)), _string_coefficients("101")),
+        (lambda: cond.transfer_conductor_point("101", gw.GWElement.unit(_GAUSS), 2, 1),
+         _string_coefficients("101")),
+    ],
+)
+def test_outside_numbers_are_read_by_one_rule(call, expected):
+    """A string is one number, a tuple or a list a coefficient sequence, and
+    a float a TypeError, over every field and in every reader."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_contexts_and_elements_behave_as_values():
