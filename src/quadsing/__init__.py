@@ -6,8 +6,8 @@ quadratic Milnor number realized by the Scheja-Storch bilinear form, the
 quadratic conductor identity relating it to compactly supported Euler
 characteristics, and the motivic (Tate twist) picture of local monodromy.
 
-Everything is exact arithmetic over Q, odd prime fields, or Q(t); no floats
-anywhere.
+Everything is exact arithmetic over Q, odd prime fields, or Q((t)); no
+floats anywhere.
 
 The public names below are exported lazily (PEP 562): ``import quadsing``
 loads no submodule, and the first use of a name imports the one module that
@@ -32,8 +32,8 @@ _EXPORTS = {
             "split_quadric_singularity", "transfer_conductor_point", "verify",
         ),
         "ekl": (
-            "BilinearForm", "SingularityInput", "bezoutian", "jacobian_hilbert_series",
-            "milnor_rank_weighted", "quadratic_milnor", "singularity", "ss_form",
+            "BilinearForm", "SingularityInput", "bezoutian", "quadratic_milnor", "singularity",
+            "ss_form",
         ),
         "errors": (
             "ContextMismatchError", "DegenerateFormError", "InadmissibleWeightsError",
@@ -41,7 +41,10 @@ _EXPORTS = {
             "InvalidIdealError", "NotIsolatedError", "ParseError",
             "QuadsingError", "UnknownVariableError", "UnsupportedInvariantError",
         ),
-        "euler": ("chi_split_quadric", "euler_rank", "primitive_hodge"),
+        "euler": (
+            "chi_split_quadric", "euler_rank", "jacobian_hilbert_series", "milnor_rank_weighted",
+            "primitive_hodge",
+        ),
         "gw": (
             "RATIONAL_FUNCTIONS", "RATIONALS", "FieldCtx", "GWElement", "SquareClass",
             "diag_form", "diagonalize", "hilbert_symbol", "is_equal", "parse_gw", "specialize",

@@ -1,9 +1,10 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 A polynomial is a tuple of Fractions in ascending degree with no trailing
-zeros; the empty tuple is zero.  These helpers back the trace-form transfer
-and the rational-function square classes of ``gw``, which reads a unit's
-constant term by index; there is no evaluation here.
+zeros; the empty tuple is zero.  These helpers back the residue-field classes
+and the trace-form transfer of ``gw``, and its reading of rational functions
+over Q((t)), whose first nonzero coefficients ``gw`` reads by index; there is
+no evaluation here.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ def lc(p: Poly) -> Fraction:
     return p[-1]
 
 
-def scale(p: Poly, c: Fraction) -> Poly:
-    """p times the nonzero Fraction c."""
-    return tuple(x * c for x in p)
-
-
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
@@ -100,10 +96,5 @@ def mod(p: Poly, q: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if not p:
         return ZERO
-    return scale(p, 1 / lc(p))
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    while q:
-        p, q = q, mod(p, q)
-    return monic(p)
+    inv = 1 / lc(p)
+    return tuple(c * inv for c in p)

@@ -13,8 +13,9 @@ brackets.
 
 Each handler imports the modules it runs inside its body, so a call loads
 only those and their imports: ``monodromy`` loads ``tate`` alone; ``gw``
-loads ``gw``, ``poly`` and ``_univar``; ``milnor`` adds ``ekl``; and only
-``conductor``, ``euler`` and ``batch`` load ``conductor``, ``euler``, ``tate``.
+loads ``gw``, ``poly`` and ``_univar``; ``milnor`` adds ``ekl``; ``euler
+--degree`` loads ``euler`` alone, and ``euler --quadric`` adds ``gw`` and
+``tate``; and only ``conductor`` and ``batch`` load ``conductor``.
 """
 
 from __future__ import annotations
@@ -279,11 +280,13 @@ def _cmd_conductor(args, out) -> None:
 
 
 def _cmd_euler(args, out) -> None:
-    from . import euler, gw
+    from . import euler
 
     if args.quadric is not None:
         if args.ambient is not None:
             raise ParseError("euler --quadric takes no --ambient")
+        from . import gw
+
         e = euler.chi_split_quadric(args.quadric)
         if args.json:
             _print_json(out, {

@@ -13,7 +13,7 @@ The left-hand side is realized two ways:
   rank and is rejected; every report carries a note to that effect);
 * at rank level for any degree, through graded Jacobian-ring Euler
   characteristics, or through the Milnor-Orlik number, the sum of
-  ``ekl.jacobian_hilbert_series``, for weighted inputs.
+  ``euler.jacobian_hilbert_series``, for weighted inputs.
 
 Verdicts state exactly the checks that ran; anything unverifiable is
 reported as skipped with the reason.
@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from . import _univar as uv
 from . import poly as P
-from .ekl import SingularityInput, milnor_rank_weighted, quadratic_milnor
+from .ekl import SingularityInput, quadratic_milnor
 from .errors import InputDomainError
-from .euler import chi_split_quadric, euler_rank
+from .euler import chi_split_quadric, euler_rank, milnor_rank_weighted
 from .gw import (
     RATIONALS,
     FieldCtx,

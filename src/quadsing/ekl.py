@@ -41,11 +41,7 @@ from fractions import Fraction
 from operator import add, index
 
 from . import poly as P
-from .errors import (
-    InadmissibleWeightsError,
-    InputDomainError,
-    NotIsolatedError,
-)
+from .errors import InputDomainError, NotIsolatedError
 from .gw import GWElement, RATIONALS, diagonalize
 
 
@@ -522,36 +518,3 @@ def _bezoutian_form(gs, quotient):
 def quadratic_milnor(s: SingularityInput) -> GWElement:
     """The class of ``ss_form``; its rank is the Milnor number at the origin."""
     return ss_form(s).gw
-
-
-def jacobian_hilbert_series(weights: Sequence[int], r: int) -> tuple[int, ...]:
-    """Coefficients of prod_i (1 - t^(r - a_i)) / prod_i (1 - t^(a_i)).
-
-    For f quasi-homogeneous of degree r with an isolated singularity,
-    coefficient k is the dimension of the weighted-degree-k piece of the
-    Jacobian ring.  Each factor 1 - t^a is divided out exactly by the stride
-    recurrence q[k] = p[k] + q[k-a]; a remainder means no isolated
-    singularity has these weights and raises InadmissibleWeightsError.
-    """
-    if any(a < 1 or a > r for a in weights):
-        raise InadmissibleWeightsError(f"weights must lie in [1, {r}] for degree {r}")
-    series = [1]
-    for a in weights:  # multiply by 1 - t^e, top down
-        e = r - a
-        series += [0] * e
-        for k in reversed(range(e, len(series))):
-            series[k] -= series[k - e]
-    for a in weights:
-        for k in range(a, len(series)):
-            series[k] += series[k - a]
-        if any(series[-a:]):
-            raise InadmissibleWeightsError(
-                f"weights {tuple(weights)} and degree {r} give no polynomial Hilbert series"
-            )
-        del series[-a:]
-    return tuple(series)
-
-
-def milnor_rank_weighted(weights: Sequence[int], r: int) -> int:
-    """The Milnor number: the sum of ``jacobian_hilbert_series``."""
-    return sum(jacobian_hilbert_series(weights, r))

@@ -8,8 +8,12 @@ with sign +1 and one with sign -1.  Supported base fields:
   discriminant and Hasse invariants at the finitely many relevant places;
 * odd prime fields (``FieldCtx.prime_field(p)``): classes are 1 or a fixed
   least non-residue, equality is rank plus discriminant;
-* rational functions in one variable t (``RATIONAL_FUNCTIONS``): classes are
-  a parity of t times a unit at t=0 in lowest terms, ready for ``specialize``;
+* Laurent series in t (``RATIONAL_FUNCTIONS``, the CLI's ``Qt``): the field
+  Q((t)), whose elements are read as rational functions.  A unit is t^m * u
+  with u(0) != 0, and u / u(0) is a square in Q[[t]], so its class is the
+  pair (m mod 2, the squarefree class of u(0)); so <1 + t> = <1>, which
+  holds in Q((t)) though not in Q(t).  Equality is decided through the two
+  residue forms (``is_equal``), and ``specialize`` reads the class of u(0);
 * simple extensions Q[x]/(g) (``FieldCtx.extension(g)``): storage-only
   contexts whose classes are polynomial residues, consumed by ``transfer``;
   g is checked irreducible exactly, by a discriminant test up to degree 2
@@ -17,8 +21,7 @@ with sign +1 and one with sign -1.  Supported base fields:
 
 Virtual elements stay unreduced apart from cancellation of identical
 representatives between the two signs, so ``==`` is structural; use
-``is_equal`` for equality in the ring.  Over Q(t) the unit is not reduced to
-its square class, so ``==`` and cancellation tell <4*t^2> from <1>.
+``is_equal`` for equality in the ring.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ class FieldCtx:
         if self.kind == _PRIME:
             return f"Fp:{self.p}"
         if self.kind == _RATFUNC:
-            return "Q(t)"
+            return "Q(t)"  # the field Q((t)), under its short label
         return "Q[x]/(" + ",".join(str(c) for c in self.min_poly) + ")"
 
     # -- square-class plumbing -----------------------------------------
@@ -282,7 +285,14 @@ class FieldCtx:
                 raise ValueError("zero has no square class")
             return 1 if _legendre(v, self.p) == 1 else self.least_nonresidue()
         if self.kind == _RATFUNC:
-            return _normalize_ratfunc(*_as_ratfunc(value))
+            num, den = _as_ratfunc(value)
+            if uv.is_zero(num):
+                raise ValueError("zero has no square class")
+            if uv.is_zero(den):
+                raise ZeroDivisionError("zero denominator in a rational function")
+            on = next(i for i, c in enumerate(num) if c)
+            od = next(i for i, c in enumerate(den) if c)
+            return ((on - od) % 2, _squarefree(num[on] / den[od]))
         # extension: reduce mod g, canonical trimmed coefficient tuple
         res = uv.mod(_as_poly(value), self.min_poly)
         if uv.is_zero(res):
@@ -298,33 +308,30 @@ class FieldCtx:
         if self.kind == _PRIME:
             return self.normalize(a * b)
         if self.kind == _RATFUNC:
-            pa, na, da = a
-            pb, nb, db = b
-            num, den = uv.mul(na, nb), uv.mul(da, db)
-            parity, n2, d2 = _normalize_ratfunc(num, den)
-            return ((pa + pb + parity) % 2, n2, d2)
+            return ((a[0] + b[0]) % 2, RATIONALS.mul_reps(a[1], b[1]))
         return uv.mod(uv.mul(a, b), self.min_poly)
 
     def one_rep(self):
         if self.kind in (_RATIONALS, _PRIME):
             return 1
         if self.kind == _RATFUNC:
-            return (0, uv.ONE, uv.ONE)
+            return (0, 1)
         return uv.ONE
 
     @property
     def variables(self) -> tuple[str, ...]:
-        """The variable of this field's elements: t over Q(t), x over Q[x]/(g)."""
+        """The variable of this field's elements: t over Q((t)), x over Q[x]/(g)."""
         return {_RATFUNC: ("t",), _EXTENSION: ("x",)}.get(self.kind, ())
 
     def rep_str(self, rep) -> str:
         if self.kind in (_RATIONALS, _PRIME):
             return str(rep)
         if self.kind == _RATFUNC:
-            parity, num, den = rep
-            head = "t*" if parity else ""
-            return head + "(" + _uv_str(num, "t") + ")/(" + _uv_str(den, "t") + ")"
-        return _uv_str(rep, "x")
+            parity, c = rep
+            if not parity:
+                return str(c)
+            return {1: "t", -1: "-t"}.get(c, f"{c}*t")
+        return _uv_str(rep)
 
 
 def _mod_p(value, p: int) -> int:
@@ -336,18 +343,21 @@ def _mod_p(value, p: int) -> int:
     return fr.numerator * pow(den, -1, p) % p
 
 
-def _uv_str(p: uv.Poly, var: str) -> str:
-    parts = []
+def _uv_str(p: uv.Poly) -> str:
+    """A residue in x as the expression grammar reads it, e.g. "-3 - 2*x"."""
+    out = ""
     for i, c in enumerate(p):
         if c == 0:
             continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*{var}" if c != 1 else var)
+        term = str(abs(c))
+        if i:
+            x = "x" if i == 1 else f"x^{i}"
+            term = x if abs(c) == 1 else f"{term}*{x}"
+        if out:
+            out += (" - " if c < 0 else " + ") + term
         else:
-            parts.append(f"{c}*{var}^{i}" if c != 1 else f"{var}^{i}")
-    return " + ".join(parts)
+            out = "-" * (c < 0) + term
+    return out
 
 
 def _as_poly(value) -> uv.Poly:
@@ -357,7 +367,7 @@ def _as_poly(value) -> uv.Poly:
 
 
 def _as_ratfunc(value) -> tuple[uv.Poly, uv.Poly]:
-    """(num, den) of an outside value over Q(t): a 2-tuple of two coefficient
+    """(num, den) of an outside value over Q((t)): a 2-tuple of two coefficient
     sequences is the pair, and any other value ``_as_poly`` over 1."""
     pair = isinstance(value, tuple) and len(value) == 2
     if pair and all(isinstance(v, (tuple, list)) for v in value):
@@ -365,37 +375,12 @@ def _as_ratfunc(value) -> tuple[uv.Poly, uv.Poly]:
     return _as_poly(value), uv.ONE
 
 
-def _normalize_ratfunc(num: uv.Poly, den: uv.Poly):
-    """Canonical (t-parity, unit numerator, unit denominator) triple.
-
-    The exact power of t is sliced off numerator and denominator at their
-    first nonzero coefficients, and the unit part is reduced to lowest terms
-    with a monic denominator.  Both units keep a nonzero constant term, as
-    does their gcd, so ``specialize`` reads u(0) as num[0] / den[0].
-    """
-    if uv.is_zero(num):
-        raise ValueError("zero has no square class")
-    if uv.is_zero(den):
-        raise ZeroDivisionError("zero denominator in a rational function")
-    on = next(i for i, c in enumerate(num) if c)
-    od = next(i for i, c in enumerate(den) if c)
-    num, den = num[on:], den[od:]
-    g = uv.gcd(num, den)
-    if uv.degree(g) > 0:
-        num = uv.divmod_poly(num, g)[0]
-        den = uv.divmod_poly(den, g)[0]
-    c = 1 / uv.lc(den)
-    num, den = uv.scale(num, c), uv.scale(den, c)
-    return ((on - od) % 2, num, den)
-
-
 RATIONALS = FieldCtx(_RATIONALS)
 RATIONAL_FUNCTIONS = FieldCtx(_RATFUNC)
 
 
 class SquareClass(namedtuple("SquareClass", "ctx rep")):
-    """A square class of a field by its representative, which is canonical
-    except over Q(t) (see the module docstring); immutable."""
+    """A square class of a field by its canonical representative; immutable."""
 
     __slots__ = ()
 
@@ -677,7 +662,8 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     Fields, ch. I) C + L and C + R are isometric iff L and R are.  What is
     left is compared through rank, signature, discriminant, and Hasse
     invariants at every relevant place; over a prime field rank and
-    discriminant decide.  The discriminants are gcd-reduced products of the
+    discriminant decide, and over Q((t)) rank and the two residue forms
+    (``_residues_agree``).  The discriminants are gcd-reduced products of the
     squarefree entries and the relevant primes come from factoring each
     distinct class that did not cancel, so no product of entries is ever
     factored.  Each Hasse invariant is the closed form of ``_hasse_witt``,
@@ -693,6 +679,8 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     kind = a.ctx.kind
     if kind == _PRIME:
         return a.rank == b.rank and a.discriminant() == b.discriminant()
+    if kind == _RATFUNC:
+        return a.rank == b.rank and all(_residues_agree(a, b, m) for m in (0, 1))
     if kind != _RATIONALS:
         raise UnsupportedInvariantError(
             f"equality is not decidable over {a.ctx.label()} here"
@@ -712,29 +700,36 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     return True
 
 
+def _residues_agree(a: GWElement, b: GWElement, m: int) -> bool:
+    """Whether a and b over Q((t)) have the same m-th residue form in W(Q).
+
+    By Springer's theorem (Lam, Introduction to Quadratic Forms over Fields,
+    ch. VI) W(Q((t))) is W(Q) + W(Q), a form sum <c_i * t^m_i> going to the
+    forms of the c_i with m_i even and with m_i odd; so, at equal ranks, a
+    and b agree in GW iff both differences of residue forms vanish in W(Q).
+    The difference d, of rank 2k, is 0 there iff d = k * (<1> + <-1>) in
+    GW(Q).  Comparing the residue forms themselves in GW(Q) would be wrong:
+    <t, -t> and <1, -1> are both hyperbolic, but their residues differ.
+    """
+    def residue(reps):
+        return [c for parity, c in reps if parity == m]
+
+    d = GWElement(RATIONALS, *_cancel(residue(a.pos + b.neg), residue(a.neg + b.pos)), _raw=True)
+    k, odd = divmod(d.rank, 2)
+    return not odd and is_equal(d, k * GWElement(RATIONALS, (-1, 1), _raw=True))
+
+
 # ---------------------------------------------------------------------------
-# specialize: GW(Q(t)) -> GW(Q) at t=0
+# specialize: GW(Q((t))) -> GW(Q) at t=0
 # ---------------------------------------------------------------------------
 
 
 def specialize(e: GWElement) -> GWElement:
-    """Send <t^m * u> to the square class of u(0).
-
-    Representatives are stored with the exact power of t split off and with
-    units whose constant terms are nonzero (``_normalize_ratfunc``).
-    """
+    """Send <t^m * u> to the square class of u(0), which its stored pair
+    (m mod 2, c) carries as c."""
     if e.ctx.kind != _RATFUNC:
         raise ContextMismatchError("specialize expects an element over Q(t)")
-
-    def value(rep):
-        _parity, num, den = rep
-        return num[0] / den[0]
-
-    return GWElement(
-        RATIONALS,
-        pos=[value(r) for r in e.pos],
-        neg=[value(r) for r in e.neg],
-    )
+    return GWElement(RATIONALS, *_cancel([c for _, c in e.pos], [c for _, c in e.neg]), _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +887,8 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
 def _display_key(ctx: FieldCtx, rep):
     if ctx.kind in (_RATIONALS, _PRIME):
         return (abs(rep), rep < 0)
+    if ctx.kind == _RATFUNC:
+        return (rep[0], abs(rep[1]), rep[1] < 0)
     return rep
 
 

@@ -91,7 +91,7 @@ def test_c5_milnor_orlik_weighted_ranks(capsys):
         ok = ok and P.is_quasi_homogeneous(f, weights, r)
         s = ekl.singularity(src, ("x", "y"), weights=weights, degree=r)
         mu_rank = ekl.quadratic_milnor(s).rank
-        product = ekl.milnor_rank_weighted(weights, r)
+        product = euler.milnor_rank_weighted(weights, r)
         groebner_dim = P.groebner(P.partials(f)).dimension
         ok = ok and mu_rank == product == groebner_dim
     _report(capsys, 5, "weighted ranks against the Milnor-Orlik product", ok)

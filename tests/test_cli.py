@@ -203,14 +203,22 @@ def test_gw_specialize_and_transfer():
 @pytest.mark.parametrize(
     "argv, printed",
     [
-        # the product (1+t)/(1+t) cancels to <1>
-        (["gw", "mul", "--field", "Qt", "<1+t>", "<1/(1+t)>"], "⟨(1)/(1)⟩\n"),
-        (["gw", "mul", "--field", "Qt", "<(2+t)*(1+t)/((1+t)*(3-t))>", "<1>"],
-         "⟨(-2 + -1*t)/(-3 + t)⟩\n"),
+        # the product (1+t)/(1+t) is <1>
+        (["gw", "mul", "--field", "Qt", "<1+t>", "<1/(1+t)>"], "⟨1⟩\n"),
+        # u(0) = 2/3, whose class is 6
+        (["gw", "mul", "--field", "Qt", "<(2+t)*(1+t)/((1+t)*(3-t))>", "<1>"], "⟨6⟩\n"),
         (["gw", "specialize", "<(2+t)*(1+t)/((1+t)*(3-t))>"], "⟨6⟩\n"),
-        # t^3/t is an even power of t: no "t*" prefix
-        (["gw", "mul", "--field", "Qt", "<t^3*(1+t)/(t*(2-t))>", "<1>"],
-         "⟨(-1 + -1*t)/(-2 + t)⟩\n"),
+        # t^3/t is an even power of t: no "*t" suffix
+        (["gw", "mul", "--field", "Qt", "<t^3*(1+t)/(t*(2-t))>", "<1>"], "⟨2⟩\n"),
+        # <4*t^2> and <1> are one class, so they cancel, and equality is decided
+        (["gw", "add", "--field", "Qt", "<4*t^2>", "- <1>"], "0\n"),
+        (["gw", "equal", "--field", "Qt", "<4*t^2>", "<1>"], "equal: true\n"),
+        # both are hyperbolic planes, though their residue forms differ
+        (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>"], "equal: true\n"),
+        # 1 + t is a square in Q((t))
+        (["gw", "equal", "--field", "Qt", "<1+t>", "<1>"], "equal: true\n"),
+        (["gw", "equal", "--field", "Qt", "<t>", "<1>"], "equal: false\n"),
+        (["gw", "equal", "--field", "Qt", "<t,t>", "<1,1>"], "equal: false\n"),
     ],
 )
 def test_gw_qt_classes_cancel_common_factors(argv, printed, monkeypatch):
@@ -781,6 +789,8 @@ _LOADS = (
         (["monodromy", "--quadratic", "--dimension", "1", "--json"], {"gw", "poly", "ekl"}),
         (["gw", "equal", "<1,-1>", "<2,-2>", "--json"], {"ekl", "conductor", "euler", "tate"}),
         (["milnor", "--vars", "x,y", "x^2 - y^3", "--json"], {"conductor", "euler", "tate"}),
+        (["euler", "--degree", "4", "--ambient", "3", "--json"],
+         {"ekl", "poly", "gw", "_univar", "tate"}),
         (["conductor", "--vars", "x,y", "--degree", "2", "x^2 - y^2", "--json"], set()),
     ],
 )

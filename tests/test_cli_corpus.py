@@ -19,7 +19,9 @@ are even, a virtual one among them, and an equal and an unequal partner.
 trailing minors of its pairing block instead of a second elimination: the
 dense octic, septic and ternary cubic, two inputs whose antidiagonal middle
 takes the fallback through ``gw.diagonalize``, and a chain with declared
-weights.
+weights.  The ``Qt`` rows of ``RENDERERS`` and ``GW_ACTIONS`` were re-recorded
+when a class over Q((t)) came to be stored as (parity of t, squarefree u(0)):
+sums and products print as ``<c>`` or ``<c*t>``, and ``gw equal`` decides.
 """
 
 from __future__ import annotations
@@ -96,11 +98,11 @@ CLI_COLD_JSON = [
 ]
 RENDERERS = [
     (["gw", "add", "--field", "Qt", "<t, 1+t>", "⟨t*(1+t)/(2−t)⟩"], 0,
-     "2560d8c260bfee3818e4de4dacb8bfbeaedd593fb14d3596f3d8f7e8d777b81a"),
+     "30d2b7013c83c78a2f34df142702c2c22ab655ed98cd35930b2d04bc7716991e"),
     (["gw", "add", "--field", "Qt", "<t, 1+t>", "⟨t*(1+t)/(2−t)⟩", "--json"], 1,
      "74baf12d3006dfb5ed9ff2fd08cdfde860c432752fc3635aa98354932859f495"),
     (["gw", "mul", "--field", "Qt", "<-t^2/3>", "< 1/2 - t , t^3 >"], 0,
-     "dd3435dd1fd165adf693ae80b173fdb5afa060393c18e43e655831144c0c8cea"),
+     "1a3f65d6e9498a76e11b04ffab6c0b689a95aa17263d92916ea4d75a7f62e948"),
     (["gw", "specialize", "⟨3*t^2⟩ − ⟨1 + t⟩"], 0,
      "2cea6f968a10bc2f44834d422c5e98d0b2ecd1915b815824f951ed77be19d28c"),
     (["gw", "transfer", "--min-poly", "x^3-2", "<1, x> - <x^2 + 1/2>"], 0,
@@ -171,7 +173,7 @@ GW_ACTIONS = [
     (["gw", "mul", "--field", "Fp:5", "<2>", "<2,3>", "--json"], 0,
      "0b0a68f63b29d179e753469a732ccd953150e16e4d3e2e3eef5c468f7ac202cf"),
     (["gw", "mul", "--field", "Qt", "<-t^2/3>", "< 1/2 - t , t^3 >"], 0,
-     "dd3435dd1fd165adf693ae80b173fdb5afa060393c18e43e655831144c0c8cea"),
+     "1a3f65d6e9498a76e11b04ffab6c0b689a95aa17263d92916ea4d75a7f62e948"),
     (["gw", "mul", "--field", "Qt", "<-t^2/3>", "< 1/2 - t , t^3 >", "--json"], 1,
      "74baf12d3006dfb5ed9ff2fd08cdfde860c432752fc3635aa98354932859f495"),
     # transfer along g of degree 1, 2 and 3
@@ -221,10 +223,10 @@ GW_ACTIONS = [
      "84dbbf3449afa8aef5aa604e2b55b4f8624986ac2b980e7b9289702a8b5e3d53"),
     (["gw", "equal", "--field", "Fp:7", "<1,1>", "<3,5>", "--json"], 0,
      "d9115dc79df0418b8037c3010e58ef04bc222dc5872c5d0a9de52824266ef747"),
-    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>"], 1,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>", "--json"], 1,
-     "34276d103e86226676a7977e07b65c131eb208997a82a8775320f62f13f57eb7"),
+    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>"], 0,
+     "84dbbf3449afa8aef5aa604e2b55b4f8624986ac2b980e7b9289702a8b5e3d53"),
+    (["gw", "equal", "--field", "Qt", "<t,-t>", "<1,-1>", "--json"], 0,
+     "d9115dc79df0418b8037c3010e58ef04bc222dc5872c5d0a9de52824266ef747"),
     (["gw", "invariants", "--field", "Qt", "<t>"], 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["gw", "invariants", "--field", "Qt", "<t>", "--json"], 1,

@@ -67,6 +67,27 @@ def test_rhs_smooth_point_is_zero():
     assert gw.is_equal(rhs, gw.GWElement.zero())
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 7: the weighted multiplier r * prod(weights) depends on the "
+    "scale of the declared grading",
+)
+@pytest.mark.parametrize(
+    "src, grading, scaled",
+    [
+        ("x^2 + y^3", ((3, 2), 6), ((6, 4), 12)),
+        ("x^3 + y^3", ((1, 1), 3), ((3, 3), 9)),
+    ],
+)
+def test_rhs_does_not_depend_on_the_scale_of_the_grading(src, grading, scaled):
+    """A grading and its multiple describe one singularity, so they should
+    give one right-hand side; today they give -<1> - <-1> against
+    -<1> - <-2>, and -2<1> - <-1> - <-3> against -2<1> - 2<-1>."""
+    (weights, degree), (weights2, degree2) = grading, scaled
+    rhs = cond.rhs_conductor(_sing(src, weights=weights, degree=degree))
+    assert gw.is_equal(rhs, cond.rhs_conductor(_sing(src, weights=weights2, degree=degree2)))
+
+
 # ---------------------------------------------------------------------------
 # quadric lhs and the rank oracle
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import substitute
-from quadsing import ekl, gw
+from quadsing import ekl, euler, gw
 from quadsing import poly as P
 from quadsing.errors import (
     InadmissibleWeightsError,
@@ -572,29 +572,29 @@ def test_smooth_point_gives_zero_dimensional_ring():
 
 
 def test_milnor_rank_weighted_values():
-    assert ekl.milnor_rank_weighted((3, 2), 6) == 2
-    assert ekl.milnor_rank_weighted((5, 2), 10) == 4
-    assert ekl.milnor_rank_weighted((4, 3), 12) == 6
-    assert ekl.milnor_rank_weighted((1, 1), 2) == 1
+    assert euler.milnor_rank_weighted((3, 2), 6) == 2
+    assert euler.milnor_rank_weighted((5, 2), 10) == 4
+    assert euler.milnor_rank_weighted((4, 3), 12) == 6
+    assert euler.milnor_rank_weighted((1, 1), 2) == 1
     # no weight needs to divide the degree: D5, E7 and x^3*y + y^5
-    assert ekl.milnor_rank_weighted((3, 2), 8) == 5
-    assert ekl.milnor_rank_weighted((3, 2), 9) == 7
-    assert ekl.milnor_rank_weighted((4, 3), 15) == 11
+    assert euler.milnor_rank_weighted((3, 2), 8) == 5
+    assert euler.milnor_rank_weighted((3, 2), 9) == 7
+    assert euler.milnor_rank_weighted((4, 3), 15) == 11
 
 
 def test_milnor_rank_weighted_rejects_bad_weights():
     # (1 - t^5)(1 - t^4) / ((1 - t^3)(1 - t^2)) is not a polynomial
     with pytest.raises(InadmissibleWeightsError):
-        ekl.milnor_rank_weighted((3, 2), 7)
+        euler.milnor_rank_weighted((3, 2), 7)
     with pytest.raises(InadmissibleWeightsError):
-        ekl.jacobian_hilbert_series((5, 2), 4)
+        euler.jacobian_hilbert_series((5, 2), 4)
 
 
 def test_jacobian_hilbert_series_values():
-    assert ekl.jacobian_hilbert_series((3, 2), 8) == (1, 0, 1, 1, 1, 0, 1)
-    assert ekl.jacobian_hilbert_series((1, 1, 1), 3) == (1, 3, 3, 1)
+    assert euler.jacobian_hilbert_series((3, 2), 8) == (1, 0, 1, 1, 1, 0, 1)
+    assert euler.jacobian_hilbert_series((1, 1, 1), 3) == (1, 3, 3, 1)
     # a linear term: the Jacobian ring is zero
-    assert ekl.jacobian_hilbert_series((2, 1), 2) == ()
+    assert euler.jacobian_hilbert_series((2, 1), 2) == ()
 
 
 def _chain_weights(blocks):
@@ -639,7 +639,7 @@ def test_jacobian_hilbert_series_counts_standard_monomials(blocks, coeffs):
     palindromic about half the socle degree, and sums to the dimension of
     the Scheja-Storch form."""
     weights, r = _chain_weights(blocks)
-    series = ekl.jacobian_hilbert_series(weights, r)
+    series = euler.jacobian_hilbert_series(weights, r)
     assume(sum(series) <= 150)
     src, names = _chain_source(blocks, coeffs)
     s = ekl.singularity(src, names, weights=weights, degree=r)
@@ -662,7 +662,7 @@ def test_weighted_rank_matches_groebner_dimension():
     for src, weights, r in battery:
         s = ekl.singularity(src, XY, weights=weights, degree=r)
         mu = ekl.quadratic_milnor(s)
-        assert mu.rank == ekl.milnor_rank_weighted(weights, r)
+        assert mu.rank == euler.milnor_rank_weighted(weights, r)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +679,7 @@ def _graded_inputs(draw):
     blocks = draw(_chains)
     coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3))
     weights, r = _chain_weights(blocks)
-    assume(sum(ekl.jacobian_hilbert_series(weights, r)) <= 60)
+    assume(sum(euler.jacobian_hilbert_series(weights, r)) <= 60)
     src, names = _chain_source(blocks, coeffs)
     return ekl.singularity(src, names, weights=weights, degree=r)
 
@@ -1249,7 +1249,7 @@ def test_the_form_is_the_one_at_the_origin(c):
 )
 def test_higher_order_terms_keep_the_local_class(src, principal, weights, r):
     bf = ekl.ss_form(ekl.singularity(src, XY))
-    assert bf.dimension == ekl.milnor_rank_weighted(weights, r)
+    assert bf.dimension == euler.milnor_rank_weighted(weights, r)
     assert gw.is_equal(bf.gw, ekl.quadratic_milnor(ekl.singularity(principal, XY, weights)))
     assert P.groebner(P.partials(P.parse(src, XY))).dimension > bf.dimension
 

@@ -692,17 +692,17 @@ def test_specialize_is_additive():
 
 
 def test_ratfunc_common_factors_cancel():
-    """A factor that numerator and denominator share is divided out, so the
-    class is stored in lowest terms and specializes through its units."""
+    """A class over Q((t)) is stored as (parity of t, squarefree u(0)), so a
+    factor that numerator and denominator share, or a square, leaves no trace."""
     assert _qt("(1+t)/(1+t)") == _qt("1") == gw.GWElement.unit(QT)
-    assert _qt("(1+t)/(1+t)").pos == ((0, uv_poly([1]), uv_poly([1])),)
+    assert _qt("(1+t)/(1+t)").pos == ((0, 1),)
     e = _qt("(2+t)*(1+t)/((1+t)*(3-t))")
-    assert e == _qt("(2+t)/(3-t)")
+    assert e == _qt("(2+t)/(3-t)") == _qt("6")
     assert gw.specialize(e) == _form(6)
     assert _qt("1+t") * _qt("1/(1+t)") == gw.GWElement.unit(QT)
     # t^3 / t leaves an even power of t
-    ((parity, num, den),) = _qt("t^3*(1+t)/(t*(2-t))").pos
-    assert (parity, num, den) == (0, uv_poly([-1, -1]), uv_poly([-2, 1]))
+    assert _qt("t^3*(1+t)/(t*(2-t))").pos == ((0, 2),)
+    assert _qt("4*t^2") - _qt("1") == gw.GWElement.zero(QT)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,7 +1209,7 @@ def test_constant_entry_is_the_same_rational_over_every_field(c):
     """Over Q, over Q(t) and as an extension residue, a constant entry is c."""
     for text in (str(c), f"({c.numerator})/({c.denominator})", f"-(-{c.numerator}/{c.denominator})"):
         assert gw.parse_gw(f"<{text}>", QQ) == _form(c)
-        assert gw.parse_gw(f"<{text}>", QT).pos == ((0, (c,), (1,)),)
+        assert gw.parse_gw(f"<{text}>", QT).pos == ((0, QQ.normalize(c)),)
         assert gw.parse_gw(f"<{text}>", EXT).pos == ((c,),)
 
 
@@ -1384,7 +1384,90 @@ def test_json_round_trip():
 
 def test_parse_ratfunc_expressions():
     e = _qt("(1+t)^2/(2-t)")
-    assert e.pos == ((0, uv_poly([-1, -2, -1]), uv_poly([-2, 1])),)
+    assert e.pos == ((0, 2),)
     e = _qt("t^3/(1+t)")
     assert e.rank == 1
-    assert e.pos == ((1, uv_poly([1]), uv_poly([1, 1])),)
+    assert e.pos == ((1, 1),)
+
+
+def test_extension_residues_print_without_plus_minus():
+    e = gw.parse_gw("<1 - x, -2*x - 3>", _GAUSS)
+    assert repr(e) == "GWElement(Q[x]/(1,0,1), '<-3 - 2*x> + <1 - x>')"
+    f = gw.parse_gw("<-x^2 + 1/2 - x/3>", gw.FieldCtx.extension((-2, 0, 0, 1)))
+    assert gw.format_terms(f) == "⟨1/2 - 1/3*x - x^2⟩"
+
+
+# ---------------------------------------------------------------------------
+# Q((t)): canonical classes, and equality through the residue forms
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(_UV, _UV)
+@example(uv_poly([1, 1]), uv_poly([2]))
+def test_qt_classes_ignore_squares_and_even_powers_of_t(u, v):
+    """<u * v^2>, <u / v^2> and <t^2 * u> are <u> as stored values, since a
+    class over Q((t)) is (parity of t, squarefree u(0))."""
+    unit = gw.GWElement(QT, pos=[u])
+    square = uv.mul(v, v)
+    assert gw.GWElement(QT, pos=[uv.mul(u, square)]) == unit
+    assert gw.GWElement(QT, pos=[(u, square)]) == unit
+    assert gw.GWElement(QT, pos=[(0, 0, *u)]) == unit
+
+
+def _laurent(m, c):
+    """c * t^m as a coefficient tuple."""
+    return (0,) * m + (c,)
+
+
+def _witt_oracle(left, right):
+    """Equality of two genuine forms over Q((t)), given as (m, c) for
+    <c * t^m>: equal ranks and, for each parity, residue forms that are
+    isometric once the shorter is padded with hyperbolic planes <1, -1>."""
+    if len(left) != len(right):
+        return False
+    for m in (0, 1):
+        a = [c for parity, c in left if parity == m]
+        b = [c for parity, c in right if parity == m]
+        k, odd = divmod(len(a) - len(b), 2)
+        if odd:
+            return False
+        a, b = a + [1, -1] * max(-k, 0), b + [1, -1] * max(k, 0)
+        if not _hasse_minkowski(a, b):
+            return False
+    return True
+
+
+_QT_CLASS = st.tuples(st.integers(0, 1), st.sampled_from(_CLASSES))
+
+
+@st.composite
+def _qt_forms(draw):
+    """Two genuine forms over Q((t)) of one rank, and a third subtracted from
+    both: either drawn freely, or one core with hyperbolic planes
+    <c * t^m, -c * t^m> of independent parities added on each side, so that
+    both verdicts occur."""
+    common = draw(st.lists(_QT_CLASS, max_size=3))
+    left = draw(st.lists(_QT_CLASS, max_size=6))
+    if draw(st.booleans()):
+        return left, draw(st.lists(_QT_CLASS, min_size=len(left), max_size=len(left))), common
+    planes = draw(st.lists(st.tuples(_QT_CLASS, _QT_CLASS), max_size=3))
+    right = left + [e for (m, c), _ in planes for e in ((m, c), (m, -c))]
+    left = left + [e for _, (m, c) in planes for e in ((m, c), (m, -c))]
+    return left, right, common
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qt_forms())
+@example(([(1, 1), (1, -1)], [(0, 1), (0, -1)], []))
+@example(([(1, 1), (1, 1)], [(0, 1), (0, 1)], []))
+def test_qt_is_equal_matches_the_residue_form_oracle(forms):
+    left, right, common = forms
+    expected = _witt_oracle(left, right)
+
+    def element(entries):
+        return gw.GWElement(QT, pos=[_laurent(m, c) for m, c in entries])
+
+    a, b, c = element(left), element(right), element(common)
+    assert gw.is_equal(a, b) is expected
+    assert gw.is_equal(a - c, b - c) is expected
