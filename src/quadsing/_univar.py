@@ -70,27 +70,19 @@ def mul(p: Poly, q: Poly) -> Poly:
     return trim(out)
 
 
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Field division with remainder; q must be nonzero."""
+def mod(p: Poly, q: Poly) -> Poly:
+    """The remainder of p on division by q, over the field Q; q must be nonzero."""
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
     rem = list(p)
     dq = degree(q)
-    quo = [Fraction(0)] * max(0, len(p) - dq)
     inv = 1 / lc(q)
     for k in range(len(rem) - 1, dq - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        f = c * inv
-        quo[k - dq] = f
-        for i, b in enumerate(q):
-            rem[k - dq + i] -= f * b
-    return trim(quo), trim(rem)
-
-
-def mod(p: Poly, q: Poly) -> Poly:
-    return divmod_poly(p, q)[1]
+        f = rem[k] * inv
+        if f:
+            for i, b in enumerate(q):
+                rem[k - dq + i] -= f * b
+    return trim(rem)
 
 
 def monic(p: Poly) -> Poly:

@@ -51,7 +51,7 @@ def _display_entries(entries) -> list[int]:
 
 def display_form(e) -> str:
     """Human-readable form of a GWElement, with hyperbolic pairs normalized
-    to <1> + <-1>."""
+    to <1> + <-1>; the constructor then cancels a class left on both sides."""
     from . import gw
 
     if e.ctx is gw.RATIONALS:

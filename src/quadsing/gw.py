@@ -20,8 +20,8 @@ with sign +1 and one with sign -1.  Supported base fields:
   and by sympy, imported on demand, from degree 3.
 
 Virtual elements stay unreduced apart from cancellation of identical
-representatives between the two signs, so ``==`` is structural; use
-``is_equal`` for equality in the ring.
+representatives between the two signs, which the ``GWElement`` constructor
+does, so ``==`` is structural; use ``is_equal`` for equality in the ring.
 """
 
 from __future__ import annotations
@@ -194,6 +194,12 @@ class FieldCtx:
     __slots__ = ("kind", "p", "min_poly")
 
     def __init__(self, kind: str, p: int | None = None, min_poly: uv.Poly | None = None):
+        if kind not in (_RATIONALS, _PRIME, _RATFUNC, _EXTENSION):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if p is not None and kind != _PRIME:
+            raise ValueError("only a prime-field context takes p")
+        if min_poly is not None and kind != _EXTENSION:
+            raise ValueError("only an extension context takes a minimal polynomial")
         self.kind = kind
         self.p = p
         self.min_poly = min_poly
@@ -402,18 +408,38 @@ class InvariantTuple(namedtuple("InvariantTuple", "rank signature discriminant h
 
 
 class GWElement:
-    """A virtual diagonal form over a fixed base-field context."""
+    """A virtual diagonal form over a fixed base-field context.
+
+    The constructor is the one place that reduces an element: a class given
+    with both signs is removed one for one, as multisets, and each side is
+    stored as a sorted tuple, so no element holds a class on both sides.
+    Values are normalized to their square classes first, unless ``_raw``
+    says they are canonical representatives already; ``_raw`` skips only
+    that step, never the cancellation.
+    """
 
     __slots__ = ("ctx", "pos", "neg")
 
     def __init__(self, ctx: FieldCtx, pos: Iterable = (), neg: Iterable = (), *, _raw=False):
-        if _raw:
-            self.ctx, self.pos, self.neg = ctx, tuple(pos), tuple(neg)
-            return
-        p = [ctx.normalize(v) for v in pos]
-        n = [ctx.normalize(v) for v in neg]
+        if not _raw:
+            pos = [ctx.normalize(v) for v in pos]
+            neg = [ctx.normalize(v) for v in neg]
+        pos, neg = sorted(pos), sorted(neg)
+        if pos and neg:
+            # one pass over the two sorted sides drops each shared class
+            kept_pos, kept_neg, i, j = [], [], 0, 0
+            while i < len(pos) and j < len(neg):
+                if pos[i] == neg[j]:
+                    i, j = i + 1, j + 1
+                elif pos[i] < neg[j]:
+                    kept_pos.append(pos[i])
+                    i += 1
+                else:
+                    kept_neg.append(neg[j])
+                    j += 1
+            pos, neg = kept_pos + pos[i:], kept_neg + neg[j:]
         self.ctx = ctx
-        self.pos, self.neg = _cancel(p, n)
+        self.pos, self.neg = tuple(pos), tuple(neg)
 
     # -- basics ---------------------------------------------------------
 
@@ -459,34 +485,29 @@ class GWElement:
 
     def __add__(self, other):
         self._check(other)
-        pos, neg = _cancel(list(self.pos) + list(other.pos), list(self.neg) + list(other.neg))
-        return GWElement(self.ctx, pos, neg, _raw=True)
+        return GWElement(self.ctx, self.pos + other.pos, self.neg + other.neg, _raw=True)
 
     def __neg__(self):
         return GWElement(self.ctx, self.neg, self.pos, _raw=True)
 
     def __sub__(self, other):
         self._check(other)
-        return self + (-other)
+        return GWElement(self.ctx, self.pos + other.neg, self.neg + other.pos, _raw=True)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self._int_mul(other)
         self._check(other)
-        ctx = self.ctx
-        pos, neg = [], []
-        for a in self.pos:
-            for b in other.pos:
-                pos.append(ctx.mul_reps(a, b))
-            for b in other.neg:
-                neg.append(ctx.mul_reps(a, b))
-        for a in self.neg:
-            for b in other.pos:
-                neg.append(ctx.mul_reps(a, b))
-            for b in other.neg:
-                pos.append(ctx.mul_reps(a, b))
-        pos, neg = _cancel(pos, neg)
-        return GWElement(ctx, pos, neg, _raw=True)
+        mul = self.ctx.mul_reps
+        # like signs multiply to +, unlike signs to -
+        pos, neg = (
+            [mul(a, b) for xs, ys in pairs for a in xs for b in ys]
+            for pairs in (
+                ((self.pos, other.pos), (self.neg, other.neg)),
+                ((self.pos, other.neg), (self.neg, other.pos)),
+            )
+        )
+        return GWElement(self.ctx, pos, neg, _raw=True)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -494,9 +515,8 @@ class GWElement:
         return NotImplemented
 
     def _int_mul(self, k: int):
-        # no class sits on both sides of self, so nothing in k * self cancels
         term = self if k >= 0 else -self
-        return GWElement(self.ctx, sorted(term.pos * abs(k)), sorted(term.neg * abs(k)), _raw=True)
+        return GWElement(self.ctx, term.pos * abs(k), term.neg * abs(k), _raw=True)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -534,21 +554,6 @@ class GWElement:
         raise UnsupportedInvariantError(
             f"invariants are not computed over {self.ctx.label()}"
         )
-
-
-def _cancel(pos: list, neg: list) -> tuple[tuple, tuple]:
-    """Remove classes occurring with both signs, one for one as multisets;
-    sort for determinism."""
-    if not neg:
-        return tuple(sorted(pos)), ()
-    neg = list(neg)
-    out_pos = []
-    for a in pos:
-        try:
-            neg.remove(a)
-        except ValueError:
-            out_pos.append(a)
-    return tuple(sorted(out_pos)), tuple(sorted(neg))
 
 
 def diag_form(entries: Sequence, ctx: FieldCtx = RATIONALS) -> GWElement:
@@ -656,19 +661,19 @@ def _relevant_primes(entries: Sequence[int]) -> list[int]:
 def is_equal(a: GWElement, b: GWElement) -> bool:
     """Exact equality in the Grothendieck-Witt ring.
 
-    Over Q, [a] = [b] iff the genuine forms a.pos + b.neg and b.pos + a.neg
-    are isometric.  A class on both sides is dropped first, one for one:
-    by Witt's cancellation theorem (Lam, Introduction to Quadratic Forms over
-    Fields, ch. I) C + L and C + R are isometric iff L and R are.  What is
-    left is compared through rank, signature, discriminant, and Hasse
-    invariants at every relevant place; over a prime field rank and
-    discriminant decide, and over Q((t)) rank and the two residue forms
-    (``_residues_agree``).  The discriminants are gcd-reduced products of the
-    squarefree entries and the relevant primes come from factoring each
-    distinct class that did not cancel, so no product of entries is ever
-    factored.  Each Hasse invariant is the closed form of ``_hasse_witt``,
-    one pass over the entries and at most one Legendre symbol, so no Hilbert
-    symbol is evaluated.
+    Both sides are read off d = a - b, whose construction has dropped every
+    class on both signs, one for one.  Over Q, [a] = [b] iff the genuine
+    forms d.pos and d.neg are isometric: by Witt's cancellation theorem
+    (Lam, Introduction to Quadratic Forms over Fields, ch. I) C + L and
+    C + R are isometric iff L and R are.  They are compared through rank,
+    signature, discriminant, and Hasse invariants at every relevant place;
+    over a prime field rank and discriminant decide, and over Q((t)) rank
+    and the two residue forms of d (``_residue_vanishes``).  The
+    discriminants are gcd-reduced products of the squarefree entries and
+    the relevant primes come from factoring each distinct class of d, so no
+    product of entries is ever factored.  Each Hasse invariant is the closed
+    form of ``_hasse_witt``, one pass over the entries and at most one
+    Legendre symbol, so no Hilbert symbol is evaluated.
     """
     if not isinstance(a, GWElement) or not isinstance(b, GWElement):
         raise TypeError("is_equal expects two GWElements")
@@ -677,18 +682,19 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
             f"cannot compare elements over {a.ctx.label()} and {b.ctx.label()}"
         )
     kind = a.ctx.kind
-    if kind == _PRIME:
-        return a.rank == b.rank and a.discriminant() == b.discriminant()
-    if kind == _RATFUNC:
-        return a.rank == b.rank and all(_residues_agree(a, b, m) for m in (0, 1))
-    if kind != _RATIONALS:
+    if kind not in (_RATIONALS, _PRIME, _RATFUNC):
         raise UnsupportedInvariantError(
             f"equality is not decidable over {a.ctx.label()} here"
         )
-    if a.rank != b.rank:
+    d = a - b
+    if d.rank:
         return False
-    left, right = _cancel(a.pos + b.neg, b.pos + a.neg)
-    if not left:  # the ranks agree, so right is empty too
+    if kind == _PRIME:
+        return d.discriminant().rep == 1
+    if kind == _RATFUNC:
+        return all(_residue_vanishes(d, m) for m in (0, 1))
+    left, right = d.pos, d.neg
+    if not left:  # the rank is 0, so right is empty too
         return True
     if _signature(left) != _signature(right):
         return False
@@ -700,23 +706,23 @@ def is_equal(a: GWElement, b: GWElement) -> bool:
     return True
 
 
-def _residues_agree(a: GWElement, b: GWElement, m: int) -> bool:
-    """Whether a and b over Q((t)) have the same m-th residue form in W(Q).
+def _residue_vanishes(d: GWElement, m: int) -> bool:
+    """Whether d over Q((t)) has m-th residue form 0 in W(Q).
 
     By Springer's theorem (Lam, Introduction to Quadratic Forms over Fields,
     ch. VI) W(Q((t))) is W(Q) + W(Q), a form sum <c_i * t^m_i> going to the
-    forms of the c_i with m_i even and with m_i odd; so, at equal ranks, a
-    and b agree in GW iff both differences of residue forms vanish in W(Q).
-    The difference d, of rank 2k, is 0 there iff d = k * (<1> + <-1>) in
-    GW(Q).  Comparing the residue forms themselves in GW(Q) would be wrong:
-    <t, -t> and <1, -1> are both hyperbolic, but their residues differ.
+    forms of the c_i with m_i even and with m_i odd; so d = a - b, of rank 0,
+    is 0 in GW iff both its residue forms vanish in W(Q).  A residue form r,
+    of rank 2k, is 0 there iff r = k * (<1> + <-1>) in GW(Q).  Comparing
+    the residue forms of a and b in GW(Q) would be wrong: <t, -t> and
+    <1, -1> are both hyperbolic, but their residues differ.
     """
     def residue(reps):
         return [c for parity, c in reps if parity == m]
 
-    d = GWElement(RATIONALS, *_cancel(residue(a.pos + b.neg), residue(a.neg + b.pos)), _raw=True)
-    k, odd = divmod(d.rank, 2)
-    return not odd and is_equal(d, k * GWElement(RATIONALS, (-1, 1), _raw=True))
+    r = GWElement(RATIONALS, residue(d.pos), residue(d.neg), _raw=True)
+    k, odd = divmod(r.rank, 2)
+    return not odd and is_equal(r, k * GWElement(RATIONALS, (-1, 1), _raw=True))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +735,7 @@ def specialize(e: GWElement) -> GWElement:
     (m mod 2, c) carries as c."""
     if e.ctx.kind != _RATFUNC:
         raise ContextMismatchError("specialize expects an element over Q(t)")
-    return GWElement(RATIONALS, *_cancel([c for _, c in e.pos], [c for _, c in e.neg]), _raw=True)
+    return GWElement(RATIONALS, [c for _, c in e.pos], [c for _, c in e.neg], _raw=True)
 
 
 # ---------------------------------------------------------------------------
@@ -943,4 +949,4 @@ def parse_gw(text: str, ctx: FieldCtx = RATIONALS) -> GWElement:
         except ValueError as exc:
             raise ParseError(f"bad square-class entry {piece!r}: {exc}", at) from exc
         (pos if sign > 0 else neg).append(rep)
-    return GWElement(ctx, *_cancel(pos, neg), _raw=True)
+    return GWElement(ctx, pos, neg, _raw=True)

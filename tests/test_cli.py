@@ -226,6 +226,26 @@ def test_gw_qt_classes_cancel_common_factors(argv, printed, monkeypatch):
     assert _run(*argv) == (0, printed)
 
 
+@pytest.mark.parametrize(
+    "argv, printed, key, pos, neg",
+    [
+        (["conductor", "--vars", "x,y,z", "x^2 - y^2 + z^2"], "rhs = ⟨-1⟩  (rank 1)\n", "rhs",
+         [-2, 2], [1]),
+        (["gw", "add", "<2,-2>", "- <1>"], "⟨-1⟩\n", None, [-2, 2], [1]),
+        (["gw", "add", "<2,-2> - <3,-3>", "<5>"], "⟨5⟩\n", None, [-2, 2, 5], [-3, 3]),
+    ],
+)
+def test_text_prints_cancelled_sums_and_json_the_element(argv, printed, key, pos, neg,
+                                                         monkeypatch):
+    """A hyperbolic pair prints as <1> + <-1>, and a class it leaves on both
+    sides cancels in the text; JSON keeps the element's own representatives."""
+    monkeypatch.delenv("QUADSING_ASCII", raising=False)
+    code, text = _run(*argv)
+    assert code == 0 and printed in text
+    code, doc = _run_json(*argv, "--json")
+    assert code == 0 and (doc[key] if key else doc) == {"field": "Q", "pos": pos, "neg": neg}
+
+
 def test_gw_json_validates():
     code, doc = _run_json("gw", "add", "--json", "<1,2>", "<3>")
     assert code == 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from quadsing import _univar as uv
 from quadsing import conductor as cond
-from quadsing import ekl, gw, tate
+from quadsing import cli, ekl, gw, tate
 from quadsing import poly as P
 from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
@@ -92,6 +92,31 @@ def test_cancellation_of_matching_classes():
     e = _form(3) - _form(12)  # 12 ~ 3
     assert e.rank == 0
     assert e.pos == () and e.neg == ()
+
+
+def test_raw_construction_cancels_and_sorts():
+    """``_raw`` skips normalization only: the constructor still cancels a
+    class on both sides and sorts each side."""
+    assert gw.GWElement(QQ, [1, 2], [1], _raw=True) == gw.diag_form([2])
+    e = gw.GWElement(QQ, [3, -1, 2, 3], [3, 5, -1], _raw=True)
+    assert (e.pos, e.neg) == ((2, 3), (5,))
+
+
+_ENTRIES = st.lists(st.integers(-12, 12).filter(bool), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES, _ENTRIES)
+@example([2, -2], [1])  # the RHS of conductor on x^2 - y^2 + z^2
+def test_displayed_sums_are_cancelled_and_read_back_as_the_element(pos, neg):
+    """``cli.display_form`` rewrites hyperbolic pairs as <1> + <-1>; what it
+    prints is a reduced sum, which parses to as many classes as it shows,
+    and is the same element of GW(Q)."""
+    e = gw.GWElement(QQ, pos, neg)
+    text = cli.display_form(e)
+    back = gw.parse_gw(text)
+    assert len(re.findall("[⟨<]", text)) == len(back.pos) + len(back.neg)
+    assert gw.is_equal(back, e)
 
 
 def test_addition_and_negation_are_structural():
@@ -716,15 +741,22 @@ def test_trace_form_gram_gaussian_integers():
     assert gram == [[2, 0], [0, -2]]
 
 
+_X = sympy.Poly(sympy.Symbol("x"), domain=sympy.QQ)
+
+
+def _sympy_poly(coeffs):
+    """A polynomial in x over QQ, from ascending rational coefficients."""
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], _X.gen, domain=sympy.QQ)
+
+
 def _trace_by_multiplication(g, h):
-    """Trace of multiplication by h on the power basis of Q[x]/(g), g monic:
-    the sum of the coefficients of x^j in h * x^j mod g."""
-    x = uv_poly([0, 1])
-    column, trace = uv.mod(h, g), Fraction(0)
-    for j in range(uv.degree(g)):
-        trace += column[j] if j < len(column) else 0
-        column = uv.mod(uv.mul(column, x), g)
-    return trace
+    """Trace of multiplication by h on the power basis of Q[x]/(g), in
+    sympy's arithmetic: the sum of the coefficients of x^j in h * x^j mod g."""
+    column, trace = h.rem(g), sympy.Rational(0)
+    for j in range(g.degree()):
+        trace += column.nth(j)
+        column = (column * _X).rem(g)
+    return Fraction(int(trace.p), int(trace.q))
 
 
 _SMALL = st.integers(-4, 4)
@@ -740,16 +772,17 @@ _SMALL = st.integers(-4, 4)
 @example([-1, 0], 3)  # x^2 - 1 = (x - 1)(x + 1)
 def test_trace_form_gram_matches_multiplication_by_x(low, c):
     """Newton's identities give the multiplication trace, entry for entry,
-    for every monic g, reducible or not, and every residue c."""
-    g = uv_poly(low + [1])
-    d = uv.degree(g)
-    residue = uv.const(c) if isinstance(c, int) else uv_poly(c)
-    x_power = uv_poly([1])
+    for every monic g, reducible or not, and every residue c; the oracle
+    reduces mod g with sympy's ``Poly.rem``, not with ``_univar``."""
+    g = _sympy_poly(low + [1])
+    d = g.degree()
+    residue = _sympy_poly([c] if isinstance(c, int) else c)
+    x_power = _sympy_poly([1])
     want = []
     for _ in range(2 * d - 1):
-        want.append(_trace_by_multiplication(g, uv.mul(residue, x_power)))
-        x_power = uv.mul(x_power, uv_poly([0, 1]))
-    gram = gw.trace_form_gram(g, c)
+        want.append(_trace_by_multiplication(g, residue * x_power))
+        x_power = x_power * _X
+    gram = gw.trace_form_gram(uv_poly(low + [1]), c)
     assert gram == [[want[i + j] for j in range(d)] for i in range(d)]
     assert all(type(v) is Fraction for row in gram for v in row)
 
@@ -1299,6 +1332,13 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: tate.TateMap.identity(tate.TateObject([(0, 0)])).scale(0.5), TypeError),
         (lambda: tate.TateMap(tate.TateObject([(0, 0)]), tate.TateObject([(0, 0)]), [[0.5]]),
          TypeError),
+        # a context is checked for its kind, and for p and g where they belong,
+        # before the checks of that kind
+        (lambda: gw.FieldCtx("bogus"), ValueError),  # unknown kind
+        (lambda: gw.FieldCtx("rationals", p=7), ValueError),  # p outside a prime field
+        (lambda: gw.FieldCtx("extension", p=7), ValueError),
+        (lambda: gw.FieldCtx("rational-functions", min_poly=uv.ONE), ValueError),
+        (lambda: gw.FieldCtx("prime-field", p=7, min_poly=uv.ONE), ValueError),
     ],
 )
 def test_invalid_field_data_and_operands_are_rejected(call, error):
