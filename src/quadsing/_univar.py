@@ -59,8 +59,6 @@ def lc(p: Poly) -> Fraction:
 
 
 def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:

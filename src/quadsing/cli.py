@@ -54,7 +54,7 @@ def display_form(e) -> str:
     to <1> + <-1>; the constructor then cancels a class left on both sides."""
     from . import gw
 
-    if e.ctx is gw.RATIONALS:
+    if e.ctx == gw.RATIONALS:
         e = gw.GWElement(e.ctx, _display_entries(e.pos), _display_entries(e.neg), _raw=True)
     return gw.format_terms(e, unicode_brackets=_unicode_ok())
 
@@ -175,7 +175,7 @@ def _specialize(e):
 def _transfer(e):
     from . import gw
 
-    return gw.transfer(e.ctx.min_poly, e)
+    return gw.transfer(e)
 
 
 #: each gw action: its number of arguments, the field they are read over, and
@@ -426,7 +426,7 @@ def _cmd_batch(args, out) -> None:
                 mu = gw.parse_gw(raw, ectx)
                 degree = _entry_field(entry, "degree", "an integer")
                 dimension = _entry_field(entry, "dimension", "an integer")
-                contribution = cond.transfer_conductor_point(g, mu, degree, dimension)
+                contribution = cond.transfer_conductor_point(mu, degree, dimension)
                 points.append({
                     "kind": "transfer-point",
                     "residue_field": entry["residue_field"],

@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 
-from . import _univar as uv
 from . import poly as P
 from .ekl import SingularityInput, quadratic_milnor
 from .errors import InputDomainError
 from .euler import chi_split_quadric, euler_rank, milnor_rank_weighted
 from .gw import (
     RATIONALS,
-    FieldCtx,
     GWElement,
     diag_form,
     diagonalize,
@@ -58,9 +55,11 @@ def conductor_multiplier(s: SingularityInput) -> int:
 
 
 def _assemble_rhs(w: int, n: int, mu: GWElement) -> GWElement:
-    """<w> - <1> + (-<w>)^n * mu, over the field of mu."""
+    """<w> - <1> + (-<w>)^n * mu, over the field of mu; as <w>^2 = <1>,
+    (-<w>)^n = (-1)^n * <w>^(n mod 2), at no cost however large n is."""
     wcls = diag_form([w], mu.ctx)
-    return wcls - diag_form([1], mu.ctx) + (-wcls) ** n * mu
+    one = diag_form([1], mu.ctx)
+    return wcls - one + (-1) ** n * (wcls if n % 2 else one) * mu
 
 
 def rhs_conductor(s: SingularityInput) -> GWElement:
@@ -229,21 +228,18 @@ def verify(s: SingularityInput) -> ConductorReport:
     return ConductorReport(s, rhs, lhs_full, lhs_rank, verdicts, notes)
 
 
-def transfer_conductor_point(
-    g: Sequence, milnor_form_ext: GWElement, r: int, n: int
-) -> GWElement:
+def transfer_conductor_point(milnor_form_ext: GWElement, r: int, n: int) -> GWElement:
     """Transfer <r> - <1> + (-<r>)^n * mu^q from Q[x]/(g) down to GW(Q).
 
-    The caller supplies the quadratic Milnor form over the residue field
-    (this module does not compute EKL data over extensions); the conductor
-    expression is formed over the extension and pushed down along the
-    trace.  The degree r is at least 1 and the dimension n at least 0.
+    The caller supplies the quadratic Milnor form over the residue field,
+    which carries g (this module does not compute EKL data over extensions);
+    the conductor expression is formed over the extension and pushed down
+    along the trace.  The degree r is at least 1 and the dimension n at least 0.
     """
-    if milnor_form_ext.ctx.min_poly != uv.poly(g):
-        FieldCtx.extension(g)  # a reducible g is invalid before it is a mismatch
+    if milnor_form_ext.ctx.min_poly is None:
         raise InputDomainError("the Milnor form must live over Q[x]/(g)")
     if r < 1:
         raise InputDomainError("degree must be positive")
     if n < 0:
         raise InputDomainError("dimension must be non-negative")
-    return transfer(g, _assemble_rhs(r, n, milnor_form_ext))
+    return transfer(_assemble_rhs(r, n, milnor_form_ext))

@@ -16,8 +16,9 @@ with sign +1 and one with sign -1.  Supported base fields:
   residue forms (``is_equal``), and ``specialize`` reads the class of u(0);
 * simple extensions Q[x]/(g) (``FieldCtx.extension(g)``): storage-only
   contexts whose classes are polynomial residues, consumed by ``transfer``;
-  g is checked irreducible exactly, by a discriminant test up to degree 2
-  and by sympy, imported on demand, from degree 3.
+  every extension context, however it is built, checks that g is monic and
+  irreducible, exactly, by a discriminant test up to degree 2 and by sympy,
+  imported on demand, from degree 3.
 
 Virtual elements stay unreduced apart from cancellation of identical
 representatives between the two signs, which the ``GWElement`` constructor
@@ -189,7 +190,13 @@ def _squarefree(value) -> int:
 
 
 class FieldCtx:
-    """Base-field descriptor: drives normalization and printing of classes."""
+    """Base-field descriptor: drives normalization and printing of classes.
+
+    Every context is checked here, however it is built.  An extension's g
+    must be monic and irreducible, decided exactly: x^2 + b*x + c is
+    reducible iff b^2 - 4c is a rational square, 0 included, and only degree
+    3 and up asks sympy's ``Poly.is_irreducible``, imported then.
+    """
 
     __slots__ = ("kind", "p", "min_poly")
 
@@ -200,15 +207,34 @@ class FieldCtx:
             raise ValueError("only a prime-field context takes p")
         if min_poly is not None and kind != _EXTENSION:
             raise ValueError("only an extension context takes a minimal polynomial")
-        self.kind = kind
-        self.p = p
-        self.min_poly = min_poly
         if kind == _PRIME:
             if not isinstance(p, int) or p == 2 or not _is_prime(p):
                 raise ValueError("prime-field context needs an odd prime")
         elif kind == _EXTENSION:
             if min_poly is None:
                 raise InvalidExtensionError("extension context needs a minimal polynomial")
+            g = min_poly = uv.poly(min_poly)
+            n = uv.degree(g)
+            if n < 1:
+                raise InvalidExtensionError("minimal polynomial must have degree >= 1")
+            if uv.lc(g) != 1:
+                raise InvalidExtensionError("minimal polynomial must be monic")
+            if n == 1:
+                reducible = False
+            elif n == 2:
+                disc = g[1] * g[1] - 4 * g[0]
+                num, den = disc.numerator, disc.denominator
+                reducible = num >= 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+            else:
+                from sympy import Poly, Rational
+                from sympy.abc import x
+
+                reducible = not Poly([Rational(c) for c in reversed(g)], x).is_irreducible
+            if reducible:
+                raise InvalidExtensionError("minimal polynomial is reducible over Q")
+        self.kind = kind
+        self.p = p
+        self.min_poly = min_poly
 
     # -- constructors -------------------------------------------------
 
@@ -218,33 +244,8 @@ class FieldCtx:
 
     @classmethod
     def extension(cls, min_poly) -> "FieldCtx":
-        """Q[x]/(g) for monic irreducible g, given by ascending coefficients.
-
-        Irreducibility is decided exactly.  Degree 1 always is; x^2 + b*x + c
-        is reducible iff b^2 - 4c is a rational square, 0 included, read off
-        with ``isqrt`` on the numerator and the denominator.  Only degree 3
-        and up asks sympy's ``Poly.is_irreducible``, imported then.
-        """
-        g = uv.poly(min_poly)
-        n = uv.degree(g)
-        if n < 1:
-            raise InvalidExtensionError("minimal polynomial must have degree >= 1")
-        if uv.lc(g) != 1:
-            raise InvalidExtensionError("minimal polynomial must be monic")
-        if n == 1:
-            reducible = False
-        elif n == 2:
-            disc = g[1] * g[1] - 4 * g[0]
-            num, den = disc.numerator, disc.denominator
-            reducible = num >= 0 and isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
-        else:
-            from sympy import Poly, Rational
-            from sympy.abc import x
-
-            reducible = not Poly([Rational(c) for c in reversed(g)], x).is_irreducible
-        if reducible:
-            raise InvalidExtensionError("minimal polynomial is reducible over Q")
-        return cls(_EXTENSION, min_poly=g)
+        """Q[x]/(g) for monic irreducible g, given by ascending coefficients."""
+        return cls(_EXTENSION, min_poly=min_poly)
 
     # -- identity -----------------------------------------------------
 
@@ -763,19 +764,17 @@ def trace_form_gram(g, c) -> list[list[Fraction]]:
     return [[Fraction(traces[i + j]) for j in range(d)] for i in range(d)]
 
 
-def transfer(g, e: GWElement) -> GWElement:
+def transfer(e: GWElement) -> GWElement:
     """Scharlau transfer of e along the trace of Q[x]/(g) over Q.
 
-    ``g`` is a monic irreducible polynomial given by ascending coefficients;
-    ``e`` must live over the matching extension context, its classes being
-    polynomial residues mod g.  Each class <c> maps to the diagonalization
-    of the Gram matrix Tr(c * x^(i+j)).  The field of e was built from g
-    and validated then, so g is validated again only on a mismatch.
+    ``e`` must live over an extension context, whose g was checked monic and
+    irreducible when the context was made; its classes are polynomial
+    residues mod g.  Each class <c> maps to the diagonalization of the Gram
+    matrix Tr(c * x^(i+j)).
     """
-    g = uv.poly(g)
-    if e.ctx.min_poly != g:
-        FieldCtx.extension(g)  # a reducible g is invalid before it is a mismatch
-        raise ContextMismatchError("element does not live over Q[x]/(g)")
+    if e.ctx.kind != _EXTENSION:
+        raise ContextMismatchError(f"element over {e.ctx.label()} does not live over Q[x]/(g)")
+    g = e.ctx.min_poly
     out = GWElement.zero(RATIONALS)
     for rep in e.pos:
         out = out + diagonalize(trace_form_gram(g, rep))

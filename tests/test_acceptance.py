@@ -116,7 +116,7 @@ def test_c6_gw_property_suite(capsys):
     g = uv_poly([-5, 1])
     ext = gw.FieldCtx.extension(g)
     for c in (7, -3, 2):
-        ok = ok and gw.transfer(g, gw.diag_form([c], ext)) == _form(c)
+        ok = ok and gw.transfer(gw.diag_form([c], ext)) == _form(c)
 
     qt = gw.RATIONAL_FUNCTIONS
     ok = ok and gw.specialize(gw.parse_gw("<3*t^2>", qt)) == _form(3)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -246,6 +247,15 @@ def test_text_prints_cancelled_sums_and_json_the_element(argv, printed, key, pos
     assert code == 0 and (doc[key] if key else doc) == {"field": "Q", "pos": pos, "neg": neg}
 
 
+def test_display_reads_the_field_by_value(monkeypatch):
+    """An element over a context equal to RATIONALS, not the same object,
+    prints its hyperbolic pairs as the equal one does."""
+    monkeypatch.delenv("QUADSING_ASCII", raising=False)
+    e = gw.GWElement(gw.FieldCtx("rationals"), [2, -2])
+    assert e == gw.diag_form([2, -2])
+    assert cli.display_form(e) == cli.display_form(gw.diag_form([2, -2])) == "⟨1⟩ + ⟨-1⟩"
+
+
 def test_gw_json_validates():
     code, doc = _run_json("gw", "add", "--json", "<1,2>", "<3>")
     assert code == 0
@@ -384,6 +394,34 @@ def test_batch_mixed_points(tmp_path):
     assert len(doc["points"]) == 2
     assert doc["total"]["neg"] == [-2, -2, 1]
     assert doc["total"]["pos"] == []
+
+
+def _point_contribution(tmp_path, dimension):
+    f = tmp_path / "point.json"
+    point = {"residue_field": "x^2+1", "milnor_form": "<1, x>", "degree": 2,
+             "dimension": dimension}
+    f.write_text(json.dumps([point]))
+    code, doc = _run_json("batch", "--json", str(f))
+    assert code == 0
+    return doc["points"][0]["contribution"]
+
+
+def test_batch_dimension_costs_nothing(tmp_path):
+    """(-<w>)^n depends on n only through its parity, so a dimension of
+    10^12 finishes at once with the contribution of dimension 2."""
+    def timed_out(signum, frame):
+        raise TimeoutError("a batch point of dimension 10^12 took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(5)
+    try:
+        huge = _point_contribution(tmp_path, 10**12)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert huge == _point_contribution(tmp_path, 2)
+    assert _point_contribution(tmp_path, 10**12 + 1) == _point_contribution(tmp_path, 1)
+    assert _point_contribution(tmp_path, 1) != _point_contribution(tmp_path, 2)
 
 
 def test_batch_single_odp_sums_to_minus_minus_one(tmp_path):

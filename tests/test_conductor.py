@@ -261,6 +261,19 @@ def test_every_report_names_its_lhs_convention():
         assert any("convention" in note for note in report.notes)
 
 
+@pytest.mark.parametrize("w", [2, 3, 6, -5])
+@pytest.mark.parametrize("n", range(7))
+def test_assembled_rhs_matches_the_power_of_minus_w(w, n):
+    """(-<w>)^n, read off the parity of n, equals the n-fold product, over Q
+    and, after transfer, over Q[x]/(x^2 + 1)."""
+    gauss = gw.FieldCtx.extension([1, 0, 1])
+    for mu, push in ((_form(1, -3, 2) - _form(7), lambda e: e),
+                     (gw.parse_gw("<1, x> - <x + 2>", gauss), gw.transfer)):
+        wcls = gw.diag_form([w], mu.ctx)
+        want = wcls - gw.diag_form([1], mu.ctx) + (-wcls) ** n * mu
+        assert gw.is_equal(push(cond._assemble_rhs(w, n, mu)), push(want))
+
+
 # ---------------------------------------------------------------------------
 # transfer of per-point contributions
 # ---------------------------------------------------------------------------
@@ -272,7 +285,7 @@ def test_transfer_point_trivial_extension():
     g = uv_poly([0, 1])  # x itself: the residue field is Q
     ext = gw.FieldCtx.extension(g)
     mu = gw.diag_form([-1], ext)
-    out = cond.transfer_conductor_point(g, mu, 2, 1)
+    out = cond.transfer_conductor_point(mu, 2, 1)
     assert gw.is_equal(out, -_form(-1))
 
 
@@ -282,27 +295,20 @@ def test_transfer_point_gaussian():
     g = uv_poly([1, 0, 1])  # x^2 + 1
     ext = gw.FieldCtx.extension(g)
     mu = gw.diag_form([1], ext)
-    out = cond.transfer_conductor_point(g, mu, 2, 1)
+    out = cond.transfer_conductor_point(mu, 2, 1)
     assert out.rank == -2
     assert gw.is_equal(out, -_form(2) - _form(-2))
 
 
 def test_transfer_point_errors_keep_their_codes():
-    from quadsing._univar import poly as uv_poly
-    from quadsing.errors import InvalidExtensionError
-
-    g = uv_poly([1, 0, 1])  # x^2 + 1
-    mu = gw.diag_form([1], gw.FieldCtx.extension(g))
+    mu = gw.diag_form([1], gw.FieldCtx.extension([1, 0, 1]))  # over Q[x]/(x^2 + 1)
     with pytest.raises(InputDomainError, match="degree must be positive"):
-        cond.transfer_conductor_point(g, mu, 0, 1)
+        cond.transfer_conductor_point(mu, 0, 1)
     # once the ValueError of GWElement.__pow__
     with pytest.raises(InputDomainError, match="dimension must be non-negative"):
-        cond.transfer_conductor_point(g, mu, 2, -1)
+        cond.transfer_conductor_point(mu, 2, -1)
     with pytest.raises(InputDomainError, match="must live over"):
-        cond.transfer_conductor_point(uv_poly([2, 0, 1]), mu, 2, 1)
-    # a reducible g is reported before the mismatch and before the degree
-    with pytest.raises(InvalidExtensionError):
-        cond.transfer_conductor_point(uv_poly([-1, 0, 1]), mu, 0, 1)
+        cond.transfer_conductor_point(_form(1), 2, 1)
 
 
 def test_multi_point_additivity():

@@ -791,9 +791,9 @@ def test_transfer_known_extensions():
     gauss = uv_poly([1, 0, 1])  # x^2 + 1
     sqrt2 = uv_poly([-2, 0, 1])  # x^2 - 2
     e1 = gw.diag_form([1], gw.FieldCtx.extension(gauss))
-    assert sorted(gw.transfer(gauss, e1).pos) == [-2, 2]
+    assert sorted(gw.transfer(e1).pos) == [-2, 2]
     e2 = gw.diag_form([1], gw.FieldCtx.extension(sqrt2))
-    assert sorted(gw.transfer(sqrt2, e2).pos) == [1, 2]
+    assert sorted(gw.transfer(e2).pos) == [1, 2]
 
 
 def test_transfer_trivial_extension_is_identity():
@@ -801,7 +801,7 @@ def test_transfer_trivial_extension_is_identity():
         g = uv_poly([-5, 1])  # x - 5, a degree-one extension
         ext = gw.FieldCtx.extension(g)
         e = gw.diag_form([c], ext)
-        assert gw.transfer(g, e) == _form(c)
+        assert gw.transfer(e) == _form(c)
 
 
 def test_transfer_rank_scales_by_degree():
@@ -811,7 +811,7 @@ def test_transfer_rank_scales_by_degree():
     for _ in range(20):
         k = rng.randint(1, 4)
         e = gw.diag_form([1] * k, ext) - gw.diag_form([uv_poly([0, 1])], ext)
-        assert gw.transfer(g, e).rank == 2 * e.rank
+        assert gw.transfer(e).rank == 2 * e.rank
 
 
 def test_parse_gw_reads_extension_entries_in_x():
@@ -826,19 +826,13 @@ def test_parse_gw_reads_extension_entries_in_x():
 def test_transfer_rejects_reducible_polynomial():
     with pytest.raises(InvalidExtensionError):
         gw.FieldCtx.extension(uv_poly([-1, 0, 1]))  # x^2 - 1
-    with pytest.raises(InvalidExtensionError):
-        gw.transfer(uv_poly([-1, 0, 1]), _form(1))
 
 
 def test_transfer_checks_the_field_of_its_element():
-    g = uv_poly([1, 0, 1])  # x^2 + 1
-    e = gw.diag_form([1], gw.FieldCtx.extension(uv_poly([-2, 0, 1])))
     with pytest.raises(ContextMismatchError):
-        gw.transfer(g, e)
-    with pytest.raises(ContextMismatchError):
-        gw.transfer(g, _form(1))
-    # the field of e is the one built from g, so g is not validated again
-    assert gw.transfer([1, 0, 1], gw.diag_form([1], gw.FieldCtx.extension(g))) == _form(2, -2)
+        gw.transfer(_form(1))
+    # g is read off the field of e
+    assert gw.transfer(gw.diag_form([1], gw.FieldCtx.extension([1, 0, 1]))) == _form(2, -2)
 
 
 def _refuses(g) -> bool:
@@ -1339,6 +1333,12 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: gw.FieldCtx("extension", p=7), ValueError),
         (lambda: gw.FieldCtx("rational-functions", min_poly=uv.ONE), ValueError),
         (lambda: gw.FieldCtx("prime-field", p=7, min_poly=uv.ONE), ValueError),
+        # the direct constructor checks g as FieldCtx.extension does
+        (lambda: gw.FieldCtx("extension", min_poly=(-1, 0, 1)), InvalidExtensionError),
+        (lambda: gw.FieldCtx("extension", min_poly=(1, 0, 2)), InvalidExtensionError),
+        (lambda: gw.FieldCtx("extension", min_poly=(5,)), InvalidExtensionError),
+        (lambda: gw.is_equal(gw.GWElement.unit(_GAUSS), gw.GWElement.unit(_GAUSS)),
+         UnsupportedInvariantError),
     ],
 )
 def test_invalid_field_data_and_operands_are_rejected(call, error):
@@ -1376,9 +1376,6 @@ def _string_coefficients(text):
         (lambda: uv.poly("11"), _string_coefficients("11")),
         (lambda: gw.FieldCtx.extension("11"), _string_coefficients("11")),
         (lambda: gw.trace_form_gram("101", 1), _string_coefficients("101")),
-        (lambda: gw.transfer("101", gw.GWElement.unit(_GAUSS)), _string_coefficients("101")),
-        (lambda: cond.transfer_conductor_point("101", gw.GWElement.unit(_GAUSS), 2, 1),
-         _string_coefficients("101")),
     ],
 )
 def test_outside_numbers_are_read_by_one_rule(call, expected):
