@@ -478,7 +478,7 @@ def _graded_form(gs, quotient, weights, r):
             m = [1, *minors]
             pivots = [c * Fraction(m[t], m[t + 1]) for t in reversed(range(len(minors)))]
             middle = GWElement(RATIONALS, pos=pivots)
-    return gram, GWElement(RATIONALS, pos=(1, -1) * hyperbolic) + middle
+    return gram, GWElement(RATIONALS, pos=(1, -1) * hyperbolic, _raw=True) + middle
 
 
 def _bezoutian_form(gs, quotient):

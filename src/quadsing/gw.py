@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, isqrt, prod
 
 from . import _univar as uv
@@ -797,6 +798,10 @@ def diagonalize(gram, ctx: FieldCtx = RATIONALS) -> GWElement:
     return GWElement(ctx, pos=congruence_pivots(gram, ctx))
 
 
+# the exact built-in types, whose only falsy value is their zero
+_EXACT_TYPES = frozenset((int, bool, Fraction))
+
+
 def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
     """The diagonal of a congruence diagonalization, not normalized.
 
@@ -815,7 +820,13 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
     holds the current order of the trailing block.  By symmetry a pivot
     changes only the rows in its own support, so it costs O(support^2)
     rather than O(m^2): graded and Brieskorn-Pham Gram matrices have few
-    nonzeros per row.
+    nonzeros per row.  The dense input is read once: a row of ints,
+    bools and Fractions drops its zeros by truth value, and only a row
+    holding any other type compares each entry with 0.  The pivot comes
+    from a min-heap of positions whose diagonal entry may be nonzero,
+    checked when it reaches the top, so no pivot rescans the trailing
+    block: a search costs O(log m) per diagonal entry that turns nonzero,
+    not O(m) per pivot.
     """
     if ctx.kind == _RATIONALS:
         p, of = None, rational
@@ -839,7 +850,12 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
             row.pop(col, None)
 
     n = len(gram)
-    rows = [{j: w for j, v in enumerate(row) if v != 0 and (w := of(v))} for row in gram]
+    rows = [
+        {j: w for j, v in enumerate(row) if v and (w := of(v))}
+        if _EXACT_TYPES.issuperset(map(type, row))
+        else {j: w for j, v in enumerate(row) if v != 0 and (w := of(v))}
+        for row in gram
+    ]
     if any(len(row) != n for row in gram):
         raise ValueError("matrix must be square")
     for i, row in enumerate(rows):
@@ -849,10 +865,14 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
 
     order = list(range(n))  # order[k:] is the trailing block after k pivots
     where = list(range(n))  # where[order[k]] == k
+    # every position >= k whose diagonal entry is nonzero, and maybe stale
+    # ones; sorted, so already a heap
+    heap = [q for q in range(n) if q in rows[q]]
     diag = []
     for k in range(n):
-        pivot = next((q for q in range(k, n) if order[q] in rows[order[q]]), None)
-        if pivot is None:
+        while heap and (heap[0] < k or order[heap[0]] not in rows[order[heap[0]]]):
+            heappop(heap)
+        if not heap:
             pivot = next((q for q in range(k, n) if rows[order[q]]), None)
             if pivot is None:
                 raise DegenerateFormError(
@@ -869,6 +889,11 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
                 else:
                     put(ri, c, ri.get(c, 0) + v)
                     put(rows[c], i, ri.get(c, 0))
+            heappush(heap, pivot)
+        # the first nonzero diagonal entry; the row it swaps out of position k
+        # has a zero one, or it would be the pivot, so its new position needs
+        # no push
+        pivot = heap[0]
         order[k], order[pivot] = order[pivot], order[k]
         where[order[k]], where[order[pivot]] = k, pivot
         piv = order[k]
@@ -878,9 +903,12 @@ def congruence_pivots(gram, ctx: FieldCtx = RATIONALS) -> list:
         inv = 1 / d if p is None else pow(d, -1, p)
         for r in row:
             rr = rows[r]
+            had = r in rr
             f = rr.pop(piv) * inv
             for c, y in row.items():
                 put(rr, c, rr.get(c, 0) - f * y)
+            if not had and r in rr:
+                heappush(heap, where[r])
     return diag
 
 

@@ -949,6 +949,29 @@ def test_diagonalize_prime_field():
     assert gw.is_equal(e, gw.diag_form([1, -1], F7))
 
 
+@pytest.mark.parametrize("ctx", [QQ, gw.FieldCtx.prime_field(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("impl", [gw.diagonalize, gw.congruence_pivots])
+def test_non_numeric_entries_are_not_read_as_zero(impl, ctx):
+    """Only a value that compares equal to 0 is a zero entry.  None and ""
+    are falsy but no number, so a read by truth value alone would take them
+    for zeros; a float is no exact rational, unless it is zero."""
+    for gram, error in [
+        ([[None]], TypeError),
+        ([[1, None], [None, 1]], TypeError),
+        ([[""]], ValueError),
+        ([["x"]], ValueError),
+        ([[0.5]], TypeError),
+    ]:
+        with pytest.raises(error):
+            impl(gram, ctx)
+    for zero in (0.0, False, "0"):
+        with pytest.raises(DegenerateFormError):
+            impl([[zero]], ctx)
+        assert impl([[zero, 1], [1, zero]], ctx) == impl([[0, 1], [1, 0]], ctx)
+    assert impl([["1/2"]], ctx) == impl([[Fraction(1, 2)]], ctx)
+    assert impl([[True, "1/2"], ["1/2", 3]], ctx) == impl([[1, Fraction(1, 2)], [Fraction(1, 2), 3]], ctx)
+
+
 class _QOps:
     zero = Fraction(0)
 
@@ -985,10 +1008,10 @@ class _FpOps:
 
 
 def _full_elimination(gram, ctx):
-    """Congruence diagonalization by full-matrix elimination, the oracle for
-    ``gw.diagonalize``: the same pivot rule, but every row operation and its
-    column operation run over the whole matrix, and F_p entries are left
-    unreduced."""
+    """The raw pivots, in order, of a congruence diagonalization by
+    full-matrix elimination, the oracle for ``gw.congruence_pivots``: the
+    same pivot rule, but every row operation and its column operation run
+    over the whole matrix, and F_p entries are left unreduced."""
     ops = _QOps() if ctx == QQ else _FpOps(ctx.p)
     n = len(gram)
     a = [[ops.of(v) for v in row] for row in gram]
@@ -1022,7 +1045,7 @@ def _full_elimination(gram, ctx):
             for row in range(n):
                 a[row][r] = a[row][r] - f * a[row][k]
         diag.append(d)
-    return gw.GWElement(ctx, pos=diag)
+    return diag
 
 
 _DIAG_FIELDS = [QQ] + [gw.FieldCtx.prime_field(p) for p in (3, 5, 7)]
@@ -1086,6 +1109,7 @@ def _antidiagonal(values):
 
 # the Thom-Sebastiani pattern of x^3 + y^4: a Kronecker product of antidiagonals
 _E6_PATTERN = _kron(_antidiagonal([3, 3]), _antidiagonal([4, -2, 4]))
+_PALINDROME = [(-1) ** k * (k % 5 + 1) for k in range(180)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1106,6 +1130,10 @@ _E6_PATTERN = _kron(_antidiagonal([3, 3]), _antidiagonal([4, -2, 4]))
 @example(QQ, [[0, 0, 0, 0, -2], [0, 0, 0, 8, 0], [0, 0, -2, 0, 0], [0, 8, 0, 0, 0], [-2, 0, 0, 0, 0]])
 @example(QQ, _E6_PATTERN)
 @example(gw.FieldCtx.prime_field(7), _E6_PATTERN)
+# the shape of a Brieskorn-Pham Gram matrix with mu = 360: every other pivot
+# needs a row addition, and the next pivot's diagonal entry is made by a row
+# update
+@example(QQ, _antidiagonal(_PALINDROME + _PALINDROME[::-1]))
 def test_diagonalize_matches_full_elimination(ctx, gram):
     try:
         want = _full_elimination(gram, ctx)
@@ -1114,7 +1142,11 @@ def test_diagonalize_matches_full_elimination(ctx, gram):
         with pytest.raises(DegenerateFormError):
             gw.diagonalize(gram, ctx)
         return
-    assert gw.diagonalize(gram, ctx) == want
+    if ctx != QQ:
+        want = [d % ctx.p for d in want]
+    # the same pivots in the same order, not only the same class
+    assert gw.congruence_pivots(gram, ctx) == want
+    assert gw.diagonalize(gram, ctx) == gw.GWElement(ctx, pos=want)
 
 
 @settings(max_examples=100, deadline=None)
