@@ -34,18 +34,22 @@ def _unicode_ok() -> bool:
     return os.environ.get("QUADSING_ASCII", "") != "1"
 
 
-def _display_entries(entries) -> list[int]:
-    """Rewrite pairs {a, -a} as {1, -1} (a hyperbolic-plane identity); display only."""
+def _display_entries(ctx, entries) -> list:
+    """Rewrite pairs {a, -a} as {1, -1} (a hyperbolic-plane identity); display
+    only.  A pair is taken where the class of -a sorts strictly below a, so
+    over F_p, where -a is in the class of a when -1 is a square, none is."""
+    minus_one = ctx.normalize(-1)
     c = Counter(entries)
     hyper = 0
     for a in sorted(c):
-        if a > 0 and c.get(-a, 0):
-            k = min(c[a], c[-a])
+        b = ctx.mul_reps(a, minus_one)
+        if b < a and c.get(b, 0):
+            k = min(c[a], c[b])
             c[a] -= k
-            c[-a] -= k
+            c[b] -= k
             hyper += k
     out = [a for a, k in c.items() for _ in range(k)]
-    out.extend([1] * hyper + [-1] * hyper)
+    out.extend([ctx.one_rep()] * hyper + [minus_one] * hyper)
     return out
 
 
@@ -54,8 +58,8 @@ def display_form(e) -> str:
     to <1> + <-1>; the constructor then cancels a class left on both sides."""
     from . import gw
 
-    if e.ctx == gw.RATIONALS:
-        e = gw.GWElement(e.ctx, _display_entries(e.pos), _display_entries(e.neg), _raw=True)
+    pos, neg = _display_entries(e.ctx, e.pos), _display_entries(e.ctx, e.neg)
+    e = gw.GWElement(e.ctx, pos, neg, _raw=True)
     return gw.format_terms(e, unicode_brackets=_unicode_ok())
 
 
@@ -450,11 +454,9 @@ def _cmd_batch(args, out) -> None:
                 })
             contributions.append(contribution)
             total = total + contribution
-        except (QuadsingError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, QuadsingError):
-                exc.args = (f"batch entry {idx}: {exc}",)
-                raise
-            raise ParseError(f"batch entry {idx}: malformed ({exc})")
+        except QuadsingError as exc:
+            exc.args = (f"batch entry {idx}: {exc}",)
+            raise
 
     if args.json:
         _print_json(out, {"points": points, "total": gw.to_json_dict(total)})

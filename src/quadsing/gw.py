@@ -23,6 +23,8 @@ with sign +1 and one with sign -1.  Supported base fields:
 Virtual elements stay unreduced apart from cancellation of identical
 representatives between the two signs, which the ``GWElement`` constructor
 does, so ``==`` is structural; use ``is_equal`` for equality in the ring.
+Q((t)) classes, residues and an extension's g print through
+``poly.format_poly``, in the grammar that reads them back.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ class FieldCtx:
             return f"Fp:{self.p}"
         if self.kind == _RATFUNC:
             return "Q(t)"  # the field Q((t)), under its short label
-        return "Q[x]/(" + ",".join(str(c) for c in self.min_poly) + ")"
+        return f"Q[x]/({self.rep_str(self.min_poly)})"
 
     # -- square-class plumbing -----------------------------------------
 
@@ -332,14 +334,13 @@ class FieldCtx:
         return {_RATFUNC: ("t",), _EXTENSION: ("x",)}.get(self.kind, ())
 
     def rep_str(self, rep) -> str:
+        """A representative as the number it is, or over Q((t)) and Q[x]/(g) as
+        c*t^m or the residue, by ``poly.format_poly`` in the grammar that reads it."""
         if self.kind in (_RATIONALS, _PRIME):
             return str(rep)
-        if self.kind == _RATFUNC:
-            parity, c = rep
-            if not parity:
-                return str(c)
-            return {1: "t", -1: "-t"}.get(c, f"{c}*t")
-        return _uv_str(rep)
+        pair = self.kind == _RATFUNC
+        terms = {(rep[0],): rep[1]} if pair else {(i,): c for i, c in enumerate(rep)}
+        return P.format_poly(P.Polynomial(1, terms), self.variables)
 
 
 def _mod_p(value, p: int) -> int:
@@ -349,23 +350,6 @@ def _mod_p(value, p: int) -> int:
     if den == 0:
         raise ValueError("denominator vanishes in the prime field")
     return fr.numerator * pow(den, -1, p) % p
-
-
-def _uv_str(p: uv.Poly) -> str:
-    """A residue in x as the expression grammar reads it, e.g. "-3 - 2*x"."""
-    out = ""
-    for i, c in enumerate(p):
-        if c == 0:
-            continue
-        term = str(abs(c))
-        if i:
-            x = "x" if i == 1 else f"x^{i}"
-            term = x if abs(c) == 1 else f"{term}*{x}"
-        if out:
-            out += (" - " if c < 0 else " + ") + term
-        else:
-            out = "-" * (c < 0) + term
-    return out
 
 
 def _as_poly(value) -> uv.Poly:
@@ -930,15 +914,11 @@ def format_terms(e: GWElement, unicode_brackets: bool = True) -> str:
     lo, hi = ("⟨", "⟩") if unicode_brackets else ("<", ">")
     if e.is_zero_form():
         return "0"
-    parts = []
-    for rep in sorted(e.pos, key=lambda r: _display_key(e.ctx, r)):
-        parts.append(("+", f"{lo}{e.ctx.rep_str(rep)}{hi}"))
-    for rep in sorted(e.neg, key=lambda r: _display_key(e.ctx, r)):
-        parts.append(("-", f"{lo}{e.ctx.rep_str(rep)}{hi}"))
-    out = parts[0][1] if parts[0][0] == "+" else "-" + parts[0][1]
-    for sign, text in parts[1:]:
-        out += f" {sign} {text}"
-    return out
+    out = ""
+    for sign, reps in ((" + ", e.pos), (" - ", e.neg)):
+        for rep in sorted(reps, key=lambda r: _display_key(e.ctx, r)):
+            out += f"{sign}{lo}{e.ctx.rep_str(rep)}{hi}"
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
 def to_json_dict(e: GWElement) -> dict:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quadsing
 from quadsing import cli, gw
@@ -234,6 +236,8 @@ def test_gw_qt_classes_cancel_common_factors(argv, printed, monkeypatch):
          [-2, 2], [1]),
         (["gw", "add", "<2,-2>", "- <1>"], "⟨-1⟩\n", None, [-2, 2], [1]),
         (["gw", "add", "<2,-2> - <3,-3>", "<5>"], "⟨5⟩\n", None, [-2, 2, 5], [-3, 3]),
+        # <t, -t> is the same hyperbolic plane; JSON is not defined over Q((t))
+        (["gw", "add", "--field", "Qt", "<t,-t>", "- <1>"], "⟨-1⟩\n", None, None, None),
     ],
 )
 def test_text_prints_cancelled_sums_and_json_the_element(argv, printed, key, pos, neg,
@@ -244,7 +248,10 @@ def test_text_prints_cancelled_sums_and_json_the_element(argv, printed, key, pos
     code, text = _run(*argv)
     assert code == 0 and printed in text
     code, doc = _run_json(*argv, "--json")
-    assert code == 0 and (doc[key] if key else doc) == {"field": "Q", "pos": pos, "neg": neg}
+    if pos is None:
+        assert code == 1 and doc["error"]["code"] == "unsupported-invariant"
+    else:
+        assert code == 0 and (doc[key] if key else doc) == {"field": "Q", "pos": pos, "neg": neg}
 
 
 def test_display_reads_the_field_by_value(monkeypatch):
@@ -484,6 +491,83 @@ def test_batch_entry_types_are_checked(tmp_path, entry, message):
     code, doc = _run_json("batch", "--json", str(f))
     assert code == 2
     assert doc["error"] == {"code": "parse-error", "message": f"batch entry 1: {message}"}
+
+
+# valid entries of each kind, and for each key the values it is perturbed to;
+# the integers stay small, since a large composite degree is factored
+_RATIONAL_POINT = {"vars": ["x", "y"], "poly": "x^2 - y^2", "weights": None, "degree": 2}
+_TRANSFER_POINT = {"residue_field": "x^2+1", "milnor_form": "<1, x>", "degree": 2,
+                   "dimension": 1}
+_PERTURBED = {
+    "vars": [["x"], ["x", "y", "z"], ["x", "x"], [""], [], "x,y", [1], None],
+    "poly": ["x^2 + y^3", "x^3", "x*y", "x^2 -", "", "1", "y", "x^2 + y^2 + z^2", 5, None],
+    "weights": [[3, 2], [1, 1], [1], [0, 1], [-1, 2], [2.5, 1], "32", {}],
+    "degree": [1, 3, 6, 0, -1, 12, 2.5, "2", True, None, []],
+    "residue_field": ["x^2-2", "x", "x^3-2", "x^2-1", "x^2", "1", "", "2*x^2+1", "y^2+1",
+                      "1/0*x^2+1", 5, None],
+    "milnor_form": ["<1>", "<x>", ["<1>", "<x>"], [], "<0>", "<x^2+1>", "", "<1/0>", "<y>",
+                    "<t>", 5, [5], None],
+    "dimension": [0, 2, -1, 10**12, 1.9, "1", None],
+}
+
+
+@st.composite
+def _batch_entries(draw):
+    entry = dict(draw(st.sampled_from([_RATIONAL_POINT, _TRANSFER_POINT])))
+    key = draw(st.sampled_from(sorted(entry)))
+    if draw(st.booleans()):
+        del entry[key]
+    else:
+        entry[key] = draw(st.sampled_from(_PERTURBED[key]))
+    return entry
+
+
+_AS_WRITTEN = st.sampled_from([_RATIONAL_POINT, _TRANSFER_POINT, 1, None, [], "x"])
+
+
+# the file is rewritten on each example, so one tmp_path serves them all
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(_batch_entries(), _AS_WRITTEN), max_size=3))
+def test_batch_answers_every_file_with_a_code_and_json(tmp_path, entries):
+    """Valid entries with one key perturbed or dropped, beside valid entries
+    and non-objects: every file exits 0, 1 or 2 with a JSON document, so no
+    exception escapes."""
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps(entries))
+    code, doc = _run_json("batch", str(f), "--json")
+    assert code in (0, 1, 2)
+    assert ("error" in doc) == (code != 0)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.xfail(
+    strict=True,
+    raises=TimeoutError,
+    reason="ROADMAP item 5: a declared degree reaches the factoring layer unbounded",
+)
+def test_batch_semiprime_degree_ends_within_seconds(tmp_path):
+    """The transfer of <w> factors w; a 216-bit semiprime degree should end
+    with a result or an error, not a hang."""
+    from sympy import nextprime
+
+    degree = nextprime(3**70) * nextprime(5**45)
+    entry = {"residue_field": "x^2+1", "milnor_form": "<1>", "degree": int(degree),
+             "dimension": 0}
+    f = tmp_path / "points.json"
+    f.write_text(json.dumps([entry]))
+
+    def timed_out(signum, frame):
+        raise TimeoutError("a batch entry with a 216-bit degree took over 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(2)
+    try:
+        code, doc = _run_json("batch", str(f), "--json")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1) and isinstance(doc, dict)
 
 
 # ---------------------------------------------------------------------------

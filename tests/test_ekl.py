@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import random
+import signal
 from fractions import Fraction
 from unittest import mock
 
@@ -1252,6 +1253,33 @@ def test_higher_order_terms_keep_the_local_class(src, principal, weights, r):
     assert bf.dimension == euler.milnor_rank_weighted(weights, r)
     assert gw.is_equal(bf.gw, ekl.quadratic_milnor(ekl.singularity(principal, XY, weights)))
     assert P.groebner(P.partials(P.parse(src, XY))).dimension > bf.dimension
+
+
+U56 = "-5*x^8*y^4 + 4*x^5*y^4 - x^4*y^5 + 4*x^2*y^7 + y^9 - 2*x^8"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.xfail(
+    strict=True,
+    raises=TimeoutError,
+    reason="ROADMAP item 16: the congruence pivots of U56's ungraded form grow to "
+    "hundreds of bits, and factoring them runs for minutes",
+)
+def test_u56_class_arrives_within_seconds():
+    """U56 is not quasi-homogeneous; its local ring has dimension 56 and its
+    class is 28 hyperbolic planes."""
+    def timed_out(signum, frame):
+        raise TimeoutError("the class of U56 took over 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(2)
+    try:
+        bf = ekl.ss_form(ekl.singularity(U56, XY))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert bf.dimension == 56
+    assert gw.is_equal(bf.gw, 28 * _form(1, -1))
 
 
 def _at(f, point):

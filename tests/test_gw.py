@@ -1421,8 +1421,8 @@ def test_outside_numbers_are_read_by_one_rule(call, expected):
 
 
 def test_contexts_and_elements_behave_as_values():
-    assert repr(_Q2) == "FieldCtx(Q[x]/(-2,0,1))"
-    with pytest.raises(ContextMismatchError, match=r"Q\[x\]/\(-2,0,1\) and Q$"):
+    assert repr(_Q2) == "FieldCtx(Q[x]/(x^2 - 2))"
+    with pytest.raises(ContextMismatchError, match=r"Q\[x\]/\(x\^2 - 2\) and Q$"):
         gw.diag_form([(0, 1)], _Q2) + gw.diag_form([1])
     assert gw.GWElement.unit(QT) == gw.parse_gw("<1>", QT)
     # an int, a Fraction and a coefficient list are each read as an element of Q(t)
@@ -1460,10 +1460,30 @@ def test_parse_ratfunc_expressions():
 
 
 def test_extension_residues_print_without_plus_minus():
+    """Residues and the label's g print as poly.format_poly does, largest
+    term first, and the label's g reads back to the same context."""
     e = gw.parse_gw("<1 - x, -2*x - 3>", _GAUSS)
-    assert repr(e) == "GWElement(Q[x]/(1,0,1), '<-3 - 2*x> + <1 - x>')"
+    assert repr(e) == "GWElement(Q[x]/(x^2 + 1), '<-2*x - 3> + <-x + 1>')"
     f = gw.parse_gw("<-x^2 + 1/2 - x/3>", gw.FieldCtx.extension((-2, 0, 0, 1)))
-    assert gw.format_terms(f) == "⟨1/2 - 1/3*x - x^2⟩"
+    assert gw.format_terms(f) == "⟨-x^2 - 1/3*x + 1/2⟩"
+    assert _GAUSS.label() == "Q[x]/(x^2 + 1)"
+    assert gw.FieldCtx.extension(gw.parse_poly_in_x("x^2 + 1")) == _GAUSS
+
+
+@pytest.mark.parametrize(
+    "rep, text",
+    [
+        ((0, 1), "1"),
+        ((0, -3), "-3"),
+        ((1, 1), "t"),
+        ((1, -1), "-t"),
+        ((1, -6), "-6*t"),
+        ((1, 2), "2*t"),
+    ],
+)
+def test_qt_classes_print_as_c_times_a_power_of_t(rep, text):
+    assert QT.rep_str(rep) == text
+    assert gw.parse_gw(f"<{text}>", QT).pos == (rep,)
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,31 @@ def test_contexts_are_compared_by_value():
                 if any(map(names_a_context, [node.left, *node.comparators])):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_private_definition_is_referenced():
+    """Delete what nothing calls: each function or class whose name has one
+    leading underscore, at any depth, and each top-level function of the
+    private ``_univar``, is named somewhere in the package, as a name, an
+    attribute or a string."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    defined, used = {}, set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.setdefault(node.name, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    for node in trees["_univar.py"].body:
+        if isinstance(node, ast.FunctionDef):
+            defined.setdefault(node.name, f"_univar.py:{node.lineno}")
+    assert len(defined) > 50
+    assert sorted(where for name, where in defined.items() if name not in used) == []
