@@ -302,9 +302,10 @@ def ss_form(s: SingularityInput) -> BilinearForm:
     An ungraded input is a single piece: the Bezoutian of the partials,
     taken over the integers once their denominators are cleared, is reduced
     in the X and Y blocks separately, each row summed by ``poly._combine``
-    (see ``_bezoutian_form``), its symmetry is asserted, and the whole Gram
-    matrix is diagonalized; a degenerate one cannot occur for an isolated
-    singularity and raises DegenerateFormError if it does.
+    (see ``_bezoutian_form``), equal entries share one Fraction, and the
+    whole Gram matrix is diagonalized; ``congruence_pivots`` checks its
+    symmetry on the sparse rows (ValueError, a bug), and a degenerate one
+    cannot occur for an isolated singularity (DegenerateFormError).
     """
     gs = P.partials(s.f)
     if all(g.is_zero() for g in gs):
@@ -488,9 +489,10 @@ def _bezoutian_form(gs, quotient):
     Each Bezoutian term c * X^a * Y^b reads its two normal forms once and
     adds c * NF(X^a)_k * NF(Y^b) to row k, an integer over
     c.denominator * dx * dy; ``poly._combine`` sums each row over the lcm of
-    its denominators, and only a nonzero sum becomes a Fraction.  The
-    symmetry check still runs over every entry of the returned matrix, as
-    it is what callers read.
+    its denominators, and a Fraction is made only per distinct nonzero
+    (sum, denominator), one object per value; one Fraction(0) fills every
+    zero.  ``congruence_pivots`` checks symmetry on its sparse rows, in
+    O(nnz): an asymmetric matrix, a bug, raises ValueError there.
     """
     d = quotient.dimension
     m = len(gs)
@@ -503,15 +505,17 @@ def _bezoutian_form(gs, quotient):
         y = (vy, c.denominator * dx * dy)
         for k, a in vx.items():
             rows[k].append((c.numerator * a, y))
-    gram = [[Fraction(0)] * d for _ in range(d)]
+    zero = Fraction(0)
+    gram = [[zero] * d for _ in range(d)]
+    values: dict[tuple[int, int], Fraction] = {}
+    shared: dict[Fraction, Fraction] = {}
     for k, pairs in enumerate(rows):
         row, den = P._combine(pairs)
         for l, v in row.items():
-            gram[k][l] = Fraction(v, den)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if gram[i][j] != gram[j][i]:
-                raise AssertionError("Scheja-Storch Gram matrix is not symmetric; this is a bug")
+            if (x := values.get((v, den))) is None:
+                x = Fraction(v, den)
+                x = values[v, den] = shared.setdefault(x, x)
+            gram[k][l] = x
     return gram, diagonalize(gram)
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+import sympy
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import substitute
@@ -434,6 +435,83 @@ def test_signature_zero_for_plain_curve_singularities():
         k = rng.choice([3, 5, 7])
         mu = ekl.quadratic_milnor(ekl.singularity(f"x^2 - y^{k}", XY))
         assert mu.signature() == 0
+
+
+_X, _Y, _S = sympy.symbols("x y s")
+
+
+def _real_local_degree(fx, fy, a, b):
+    """The local degree at 0 of the gradient (fx, fy) of a binary form,
+    counted over the real solutions of grad f = (a, b), or None when (a, b)
+    is not a regular value.  Only sympy is used.
+
+    A solution t*u lies on a line u with b*f_x(u) = a*f_y(u); there
+    t^(d-1) * lam(u) = a^2 + b^2 with lam = a*f_x + b*f_y, which has one
+    real t when d - 1 is odd and two or none, by the sign of lam(u), when it
+    is even.  Each counts the sign of Hess(u), the same for every t, since
+    the Hessian is homogeneous of even degree.  The lines are u = (1, s) at
+    the real roots s of g(s) = (b*f_x - a*f_y)(1, s), and u = (0, 1) when g
+    drops in degree.  A line where lam or Hess vanishes, a common real root
+    of g with either, makes (a, b) not regular.
+    """
+    hess = sympy.expand(fx.diff(_X) * fy.diff(_Y) - fx.diff(_Y) ** 2)
+    lam = a * fx + b * fy
+    odd = sympy.Poly(fx, _X, _Y).total_degree() % 2
+    g = sympy.Poly((b * fx - a * fy).subs({_X: 1, _Y: _S}), _S)
+    on_line = sympy.Poly((lam * hess).subs({_X: 1, _Y: _S}), _S)
+    if sympy.gcd(g, on_line).count_roots():
+        return None
+    lines = [{_X: 1, _Y: r} for r in g.real_roots()]
+    if not (b * fx - a * fy).subs({_X: 0, _Y: 1}):
+        if not (lam * hess).subs({_X: 0, _Y: 1}):
+            return None
+        lines.append({_X: 0, _Y: 1})
+    degree = 0
+    for u in lines:
+        sign_lam, sign_hess = sympy.sign(lam.subs(u)), sympy.sign(hess.subs(u))
+        assert sign_lam in (1, -1) and sign_hess in (1, -1)
+        degree += sign_hess * (1 if odd else 1 + sign_lam)
+    return int(degree)
+
+
+@pytest.mark.parametrize(
+    "F, value, degree",
+    [
+        (_X**4 + _Y**4, (3, 1), 1),
+        (_X**4 - _Y**4, (3, 1), -1),
+        (_X**2 * _Y - _Y**3, (3, 1), -2),
+        (_X**2 * _Y + _Y**3, (3, 1), 0),
+        # grad = (3x^2, 3y^2) = (0, 5) only where x = 0, on the zero set of Hess = 36xy
+        (_X**3 + _Y**3, (0, 5), None),
+    ],
+)
+def test_real_local_degree_oracle(F, value, degree):
+    assert _real_local_degree(F.diff(_X), F.diff(_Y), *value) == degree
+
+
+@st.composite
+def _real_binary_forms(draw):
+    degree = draw(st.integers(3, 7))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
+    return _dense_form(XY, degree, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_real_binary_forms(), st.data())
+def test_signature_is_the_real_local_degree_of_the_gradient(f, data):
+    """Over R the signature of the Scheja-Storch form is the local degree of
+    grad f at 0 (Eisenbud-Levine, Khimshiashvili), counted by sympy alone
+    from the real solutions of grad f = (a, b); a non-regular (a, b) is
+    redrawn, and the number of redraws is recorded as a hypothesis event."""
+    F = sympy.Add(*(int(c) * _X**i * _Y**j for (i, j), c in f.terms.items()))
+    fx, fy = F.diff(_X), F.diff(_Y)
+    assume(F != 0 and sympy.gcd(fx, fy).is_number)
+    values = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+    redrawn = 0
+    while (degree := _real_local_degree(fx, fy, *data.draw(values))) is None:
+        redrawn += 1
+    event(f"values redrawn: {redrawn}")
+    assert ekl.ss_form(ekl.SingularityInput(f, XY)).gw.signature() == degree
 
 
 _H = gw.diag_form([1, -1])
@@ -1080,6 +1158,33 @@ def test_ungraded_kernel_stays_integer(src, monkeypatch):
     assert b == oracle
     assert tuple(tuple(row) for row in gram) == expected.gram
     assert (form.pos, form.neg) == (expected.gw.pos, expected.gw.neg)
+
+
+@pytest.mark.parametrize("src", ["2*x^3*y - 5*y^10", "x^5 + 9*y^6"])
+def test_asymmetric_ungraded_gram_is_rejected(src, monkeypatch):
+    """One unmirrored Bezoutian term, X^0 * Y^(0,1), breaks the symmetry of
+    the ungraded Gram matrix; the check in ``gw.congruence_pivots`` still
+    runs on this path and rejects it."""
+    real = ekl.bezoutian
+    monkeypatch.setattr(ekl, "bezoutian", lambda gs: real(gs) + P.Polynomial.monomial(4, (0, 0, 0, 1)))
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        ekl.ss_form(ekl.singularity(src, XY))
+
+
+@pytest.mark.parametrize(
+    "src, names, weights",
+    [case for case in _PINNED_FORMS if not any(ekl.singularity(*case).grading()[0])],
+)
+def test_equal_ungraded_gram_values_share_one_object(src, names, weights):
+    """Each distinct nonzero value of an ungraded Gram matrix is one
+    Fraction, and one Fraction(0) fills every zero: a Brieskorn-Pham matrix,
+    constant on its antidiagonal, holds a single nonzero object."""
+    gram = ekl.ss_form(ekl.singularity(src, names, weights)).gram
+    nonzero = [v for row in gram for v in row if v]
+    assert len({id(v) for v in nonzero}) == len(set(nonzero))
+    assert len({id(v) for row in gram for v in row if not v}) <= 1
+    if src == "3*x^4 + 5*y^5 - 2*z^6 + 7*w^7":
+        assert len({id(v) for v in nonzero}) == 1
 
 
 @pytest.mark.parametrize(
