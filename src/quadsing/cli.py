@@ -13,7 +13,7 @@ brackets.
 
 Each handler imports the modules it runs inside its body, so a call loads
 only those and their imports: ``monodromy`` loads ``tate`` alone; ``gw``
-loads ``gw``, ``poly`` and ``_univar``; ``milnor`` adds ``ekl``; ``euler
+loads ``gw`` and ``poly``; ``milnor`` adds ``ekl``; ``euler
 --degree`` loads ``euler`` alone, and ``euler --quadric`` adds ``gw`` and
 ``tate``; and only ``conductor`` and ``batch`` load ``conductor``.
 """

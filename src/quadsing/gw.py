@@ -18,7 +18,9 @@ with sign +1 and one with sign -1.  Supported base fields:
   contexts whose classes are polynomial residues, consumed by ``transfer``;
   every extension context, however it is built, checks that g is monic and
   irreducible, exactly, by a discriminant test up to degree 2 and by sympy,
-  imported on demand, from degree 3.
+  imported on demand, from degree 3.  Q[x]/(g) is a ``poly.QuotientBasis``,
+  like a Jacobian ring: residues are normal forms read off it, and so are
+  the traces of ``transfer``.
 
 Virtual elements stay unreduced apart from cancellation of identical
 representatives between the two signs, which the ``GWElement`` constructor
@@ -33,9 +35,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
-from . import _univar as uv
 from . import poly as P
 from .errors import (
     ContextMismatchError,
@@ -198,12 +199,14 @@ class FieldCtx:
     Every context is checked here, however it is built.  An extension's g
     must be monic and irreducible, decided exactly: x^2 + b*x + c is
     reducible iff b^2 - 4c is a rational square, 0 included, and only degree
-    3 and up asks sympy's ``Poly.is_irreducible``, imported then.
+    3 and up asks sympy's ``Poly.is_irreducible``, imported then.  An
+    extension keeps g as ``min_poly``, its ascending coefficients, and
+    Q[x]/(g) as ``quotient``, its ``poly.QuotientBasis``.
     """
 
-    __slots__ = ("kind", "p", "min_poly")
+    __slots__ = ("kind", "p", "min_poly", "quotient")
 
-    def __init__(self, kind: str, p: int | None = None, min_poly: uv.Poly | None = None):
+    def __init__(self, kind: str, p: int | None = None, min_poly: Sequence | None = None):
         if kind not in (_RATIONALS, _PRIME, _RATFUNC, _EXTENSION):
             raise ValueError(f"unknown field kind {kind!r}")
         if p is not None and kind != _PRIME:
@@ -216,11 +219,11 @@ class FieldCtx:
         elif kind == _EXTENSION:
             if min_poly is None:
                 raise InvalidExtensionError("extension context needs a minimal polynomial")
-            g = min_poly = uv.poly(min_poly)
-            n = uv.degree(g)
+            g = min_poly = _coefficients(min_poly)
+            n = len(g) - 1
             if n < 1:
                 raise InvalidExtensionError("minimal polynomial must have degree >= 1")
-            if uv.lc(g) != 1:
+            if g[n] != 1:
                 raise InvalidExtensionError("minimal polynomial must be monic")
             if n == 1:
                 reducible = False
@@ -238,6 +241,7 @@ class FieldCtx:
         self.kind = kind
         self.p = p
         self.min_poly = min_poly
+        self.quotient = None if min_poly is None else P.groebner([_polynomial(min_poly)])
 
     # -- constructors -------------------------------------------------
 
@@ -296,16 +300,15 @@ class FieldCtx:
             return 1 if _legendre(v, self.p) == 1 else self.least_nonresidue()
         if self.kind == _RATFUNC:
             num, den = _as_ratfunc(value)
-            if uv.is_zero(num):
+            if num.is_zero():
                 raise ValueError("zero has no square class")
-            if uv.is_zero(den):
+            if den.is_zero():
                 raise ZeroDivisionError("zero denominator in a rational function")
-            on = next(i for i, c in enumerate(num) if c)
-            od = next(i for i, c in enumerate(den) if c)
-            return ((on - od) % 2, _squarefree(num[on] / den[od]))
-        # extension: reduce mod g, canonical trimmed coefficient tuple
-        res = uv.mod(_as_poly(value), self.min_poly)
-        if uv.is_zero(res):
+            # the lowest-order terms, read off the sparse terms
+            on, od = min(num.terms), min(den.terms)
+            return ((on[0] - od[0]) % 2, _squarefree(num.terms[on] / den.terms[od]))
+        res = _residue(self.quotient, _as_poly(value).terms)
+        if not res:
             raise ValueError("zero has no square class")
         return res
 
@@ -319,14 +322,14 @@ class FieldCtx:
             return self.normalize(a * b)
         if self.kind == _RATFUNC:
             return ((a[0] + b[0]) % 2, RATIONALS.mul_reps(a[1], b[1]))
-        return uv.mod(uv.mul(a, b), self.min_poly)
+        return _residue(self.quotient, P._mul(_terms(a), _terms(b)))
 
     def one_rep(self):
         if self.kind in (_RATIONALS, _PRIME):
             return 1
         if self.kind == _RATFUNC:
             return (0, 1)
-        return uv.ONE
+        return (Fraction(1),)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -339,7 +342,7 @@ class FieldCtx:
         if self.kind in (_RATIONALS, _PRIME):
             return str(rep)
         pair = self.kind == _RATFUNC
-        terms = {(rep[0],): rep[1]} if pair else {(i,): c for i, c in enumerate(rep)}
+        terms = {(rep[0],): rep[1]} if pair else _terms(rep)
         return P.format_poly(P.Polynomial(1, terms), self.variables)
 
 
@@ -352,19 +355,71 @@ def _mod_p(value, p: int) -> int:
     return fr.numerator * pow(den, -1, p) % p
 
 
-def _as_poly(value) -> uv.Poly:
-    """An outside value as a polynomial: a tuple or a list as ascending
-    coefficients, any other value as one number, by ``errors.rational``."""
-    return uv.poly(value) if isinstance(value, (tuple, list)) else uv.const(value)
+def _coefficients(coeffs) -> tuple[Fraction, ...]:
+    """Ascending coefficients, with no trailing zero, from a sequence of
+    exact numbers, not a str."""
+    if isinstance(coeffs, str):
+        raise TypeError(f"coefficients must be a sequence of numbers, not the string {coeffs!r}")
+    out = tuple(map(rational, coeffs))
+    n = len(out)
+    while n and not out[n - 1]:
+        n -= 1
+    return out[:n]
 
 
-def _as_ratfunc(value) -> tuple[uv.Poly, uv.Poly]:
-    """(num, den) of an outside value over Q((t)): a 2-tuple of two coefficient
-    sequences is the pair, and any other value ``_as_poly`` over 1."""
+def _terms(coeffs) -> dict:
+    """The term dict in one variable of ascending coefficients."""
+    return {(k,): c for k, c in enumerate(coeffs) if c}
+
+
+def _polynomial(coeffs) -> P.Polynomial:
+    """The polynomial in one variable of a sequence of ascending coefficients."""
+    return P.Polynomial._of(1, _terms(_coefficients(coeffs)))
+
+
+def _as_poly(value) -> P.Polynomial:
+    """An outside value as a polynomial in one variable: a Polynomial as it
+    is, a tuple or a list as ascending coefficients, any other value as one
+    number, by ``errors.rational``."""
+    if isinstance(value, P.Polynomial):
+        return value
+    if isinstance(value, (tuple, list)):
+        return _polynomial(value)
+    return P.Polynomial.constant(1, value)
+
+
+def _as_ratfunc(value) -> tuple[P.Polynomial, P.Polynomial]:
+    """(num, den) of an outside value over Q((t)): a 2-tuple of two
+    polynomials or coefficient sequences is the pair, and any other value
+    ``_as_poly`` over 1."""
     pair = isinstance(value, tuple) and len(value) == 2
-    if pair and all(isinstance(v, (tuple, list)) for v in value):
-        return uv.poly(value[0]), uv.poly(value[1])
-    return _as_poly(value), uv.ONE
+    if pair and all(isinstance(v, (tuple, list, P.Polynomial)) for v in value):
+        return _as_poly(value[0]), _as_poly(value[1])
+    return _as_poly(value), P.Polynomial.constant(1, 1)
+
+
+def _residue(quotient: P.QuotientBasis, terms: dict) -> tuple[Fraction, ...]:
+    """The normal form of a term dict in x modulo g, for the quotient
+    Q[x]/(g) of degree d, as ascending coefficients with no trailing zero.
+
+    ``nf_vector`` reads x^e for e < 2d, which covers a product of two
+    residues times x, and keeps every power below e on the way.  A higher
+    power is (x^(e // 2))^2 * x^(e % 2), squared from the residue of the
+    half, so its cost grows with log e, and a sparse x^e is never expanded.
+    """
+    d = quotient.dimension
+    low: dict = {}
+    for (e,), c in terms.items():
+        if e < 2 * d:
+            part = {(e,): c}
+        else:
+            half = _terms(_residue(quotient, {(e // 2,): 1}))
+            part = {(k + e % 2,): c * v for (k,), v in P._mul(half, half).items()}
+        for m, v in part.items():
+            low[m] = low.get(m, 0) + v
+    scale = lcm(*(v.denominator for v in low.values()))
+    vec, den = P._combine((int(v * scale), quotient.nf_vector(m)) for m, v in low.items() if v)
+    return _coefficients(Fraction(vec.get(k, 0), den * scale) for k in range(d))
 
 
 RATIONALS = FieldCtx(_RATIONALS)
@@ -730,23 +785,37 @@ def specialize(e: GWElement) -> GWElement:
 
 
 def trace_form_gram(g, c) -> list[list[Fraction]]:
-    """Gram matrix Tr(c * x^(i+j)) of the scaled trace form on Q[x]/(g).
+    """Gram matrix Tr(c * x^(i+j)) of the scaled trace form on Q[x]/(g), for
+    g and c given by ascending coefficients, or c as one number; g need not
+    be monic or irreducible."""
+    return _trace_gram(P.groebner([_polynomial(g)]), _as_poly(c).terms)
 
-    For monic g = x^d + sum_i a_i x^i, Newton's identities give the power
-    sums p_k = Tr(x^k) = -k a_(d-k) - sum_(0<i<min(k,d+1)) a_(d-i) p_(k-i),
-    with a_j = 0 for j < 0, and Tr(c * x^k) = sum_l c_l p_(k+l).
+
+def _trace_gram(quotient: P.QuotientBasis, c: dict) -> list[list[Fraction]]:
+    """Gram matrix Tr(c * b_i * b_j) of the scaled trace form on a finite
+    quotient, over its standard monomials b, for c a term dict.
+
+    The trace of a monomial m is that of multiplication by m on the basis,
+    Tr(m) = sum_k NF(m * b_k)_k, the diagonal of the multiplication matrix
+    read off ``nf_vector`` (FGLM), and Tr is linear in c.
     """
-    g = uv.monic(uv.poly(g))
-    d = uv.degree(g)
-    c = uv.mod(_as_poly(c), g)
-    power_sums = [Fraction(d)]
-    for k in range(1, 3 * d - 2):
-        p = -k * g[d - k] if k <= d else Fraction(0)
-        for i in range(1, min(k, d + 1)):
-            p -= g[d - i] * power_sums[k - i]
-        power_sums.append(p)
-    traces = [sum(cl * power_sums[k + l] for l, cl in enumerate(c)) for k in range(2 * d - 1)]
-    return [[Fraction(traces[i + j]) for j in range(d)] for i in range(d)]
+    standard = quotient.standard_monomials
+    traces: dict = {}
+
+    def trace(m):
+        if m not in traces:
+            nfs = [quotient.nf_vector(P.mono_mul(m, b)) for b in standard]
+            den = lcm(*(d for _, d in nfs))
+            traces[m] = Fraction(
+                sum(vec.get(k, 0) * (den // d) for k, (vec, d) in enumerate(nfs)), den
+            )
+        return traces[m]
+
+    def entry(a, b):
+        ab = P.mono_mul(a, b)
+        return sum((v * trace(P.mono_mul(e, ab)) for e, v in c.items()), Fraction(0))
+
+    return [[entry(a, b) for b in standard] for a in standard]
 
 
 def transfer(e: GWElement) -> GWElement:
@@ -755,16 +824,14 @@ def transfer(e: GWElement) -> GWElement:
     ``e`` must live over an extension context, whose g was checked monic and
     irreducible when the context was made; its classes are polynomial
     residues mod g.  Each class <c> maps to the diagonalization of the Gram
-    matrix Tr(c * x^(i+j)).
+    matrix Tr(c * x^(i+j)), read off the context's quotient.
     """
     if e.ctx.kind != _EXTENSION:
         raise ContextMismatchError(f"element over {e.ctx.label()} does not live over Q[x]/(g)")
-    g = e.ctx.min_poly
     out = GWElement.zero(RATIONALS)
-    for rep in e.pos:
-        out = out + diagonalize(trace_form_gram(g, rep))
-    for rep in e.neg:
-        out = out - diagonalize(trace_form_gram(g, rep))
+    for reps, sign in ((e.pos, 1), (e.neg, -1)):
+        for rep in reps:
+            out = out + sign * diagonalize(_trace_gram(e.ctx.quotient, _terms(rep)))
     return out
 
 
@@ -929,9 +996,10 @@ def to_json_dict(e: GWElement) -> dict:
     return {"field": e.ctx.label(), "pos": list(e.pos), "neg": list(e.neg)}
 
 
-def parse_poly_in_x(text: str) -> uv.Poly:
-    """A minimal polynomial, read in x."""
-    return uv.of_polynomial(P.parse(text, ["x"]))
+def parse_poly_in_x(text: str) -> tuple[Fraction, ...]:
+    """A minimal polynomial, read in x, as ascending coefficients."""
+    f = P.parse(text, ["x"])
+    return tuple(f.coefficient((k,)) for k in range(f.total_degree() + 1))
 
 
 def parse_gw(text: str, ctx: FieldCtx = RATIONALS) -> GWElement:
@@ -946,11 +1014,11 @@ def parse_gw(text: str, ctx: FieldCtx = RATIONALS) -> GWElement:
         if not ctx.variables:
             value = num.constant_term()
         elif ctx.kind == _RATFUNC:
-            value = uv.of_polynomial(num), uv.of_polynomial(den)
+            value = num, den
         elif den.total_degree() > 0:
             raise ParseError(f"entry {piece!r} may divide only by a nonzero constant", at)
         else:
-            value = uv.of_polynomial(num)
+            value = num
         try:
             rep = ctx.normalize(value)
         except ValueError as exc:

@@ -111,9 +111,7 @@ def test_c6_gw_property_suite(capsys):
             _form(a, b), _form(a + b, a * b * (a + b))
         )
 
-    from quadsing._univar import poly as uv_poly
-
-    g = uv_poly([-5, 1])
+    g = (-5, 1)
     ext = gw.FieldCtx.extension(g)
     for c in (7, -3, 2):
         ok = ok and gw.transfer(gw.diag_form([c], ext)) == _form(c)

@@ -280,9 +280,7 @@ def test_assembled_rhs_matches_the_power_of_minus_w(w, n):
 
 
 def test_transfer_point_trivial_extension():
-    from quadsing._univar import poly as uv_poly
-
-    g = uv_poly([0, 1])  # x itself: the residue field is Q
+    g = (0, 1)  # x itself: the residue field is Q
     ext = gw.FieldCtx.extension(g)
     mu = gw.diag_form([-1], ext)
     out = cond.transfer_conductor_point(mu, 2, 1)
@@ -290,9 +288,7 @@ def test_transfer_point_trivial_extension():
 
 
 def test_transfer_point_gaussian():
-    from quadsing._univar import poly as uv_poly
-
-    g = uv_poly([1, 0, 1])  # x^2 + 1
+    g = (1, 0, 1)  # x^2 + 1
     ext = gw.FieldCtx.extension(g)
     mu = gw.diag_form([1], ext)
     out = cond.transfer_conductor_point(mu, 2, 1)

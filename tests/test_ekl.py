@@ -25,6 +25,7 @@ from oracles import substitute
 from quadsing import ekl, euler, gw
 from quadsing import poly as P
 from quadsing.errors import (
+    DegenerateFormError,
     InadmissibleWeightsError,
     InputDomainError,
     NotIsolatedError,
@@ -512,6 +513,120 @@ def test_signature_is_the_real_local_degree_of_the_gradient(f, data):
         redrawn += 1
     event(f"values redrawn: {redrawn}")
     assert ekl.ss_form(ekl.SingularityInput(f, XY)).gw.signature() == degree
+
+
+@st.composite
+def _isolated_binary_forms(draw):
+    """A binary form of degree 3 to 5, so mu <= 16, with coefficients in
+    [-5, 5] and an isolated singularity at the origin."""
+    degree = draw(st.integers(3, 5))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=degree + 1, max_size=degree + 1))
+    f = _dense_form(XY, degree, coeffs)
+    assume(not f.is_zero() and _isolated(f))
+    return f
+
+
+@settings(max_examples=25, deadline=None)
+@given(_isolated_binary_forms(), st.data())
+def test_morsification_trace_form_is_the_class(f, data):
+    """f + l, l linear, has mu critical points, all away from infinity since
+    the partials of f have no common zero there; where A = Q[x, y]/J(f + l)
+    is etale, its class is the sum over the points p of
+    Tr_k(p)/Q <Hess(p)>, the trace form Tr_A/Q(Hess * b_i * b_j), and by
+    conservation it is the class of f (Kass and Wickelgren, Duke Math. J.
+    2019).  A non-etale A makes the form degenerate, so l is redrawn, and
+    the number of redraws is recorded as a hypothesis event.
+
+    ``ekl._hessian`` of the cleared partials is L^n * Hess f, a square for
+    n = 2; ternary input would have to divide L^3 out."""
+    x, y = P.Polynomial.variable(2, 0), P.Polynomial.variable(2, 1)
+    linear = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+    mu = (f.total_degree() - 1) ** 2
+    redrawn = 0
+    while True:
+        a, b = data.draw(linear)
+        partials = P.partials(f + a * x + b * y)
+        quotient = P.groebner(partials)
+        assert quotient.dimension == mu
+        hess = ekl._hessian(P.clear_denominators(partials)[0])
+        try:
+            morse = gw.diagonalize(gw._trace_gram(quotient, hess))
+            break
+        except DegenerateFormError:
+            redrawn += 1
+    event(f"l redrawn: {redrawn}")
+    assert gw.is_equal(morse, ekl.ss_form(ekl.SingularityInput(f, XY)).gw)
+
+
+def _weighted_triples():
+    """(weights, degree, monomials) for coprime weights up to 5 and a
+    weighted degree whose monomials can make an isolated singularity: a
+    power of x or x^i*y, and a power of y or x*y^j, with mu <= 40."""
+    out = []
+    for a1, a2 in itertools.product(range(1, 6), repeat=2):
+        if math.gcd(a1, a2) != 1:
+            continue
+        for r in range(2, 50):
+            monomials = [
+                (i, j) for i in range(r // a1 + 1) for j in range(r // a2 + 1)
+                if a1 * i + a2 * j == r and i + j >= 2
+            ]
+            if not any(j <= 1 for _, j in monomials) or not any(i <= 1 for i, _ in monomials):
+                continue
+            mu = Fraction((r - a1) * (r - a2), a1 * a2)
+            if mu.denominator == 1 and 1 <= mu <= 40:
+                out.append(((a1, a2), r, monomials))
+    return out
+
+
+@st.composite
+def _quasi_homogeneous_binary(draw):
+    """f quasi-homogeneous of the drawn weights and degree, with coefficients
+    in [-5, 5] and an isolated singularity at the origin."""
+    weights, r, monomials = draw(st.sampled_from(_weighted_triples()))
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(monomials), max_size=len(monomials)))
+    f = P.Polynomial(2, dict(zip(monomials, coeffs)))
+    assume(not f.is_zero() and _isolated(f))
+    return f, weights, r
+
+
+def _orbit_degree(F):
+    """The solutions of grad F = (1, 0) for a quasi-homogeneous binary F,
+    one per orbit of t > 0, counted with the sign of Hess, or None when a
+    sign is 0.  Only sympy is used.
+
+    An orbit meets x = 1 or x = -1 once, or is (0, 1) or (0, -1); its points
+    are solutions for one t exactly when f_y vanishes on it and f_x > 0.
+    Hess has weighted degree 2r - 2a_1 - 2a_2, so its sign is the orbit's."""
+    fx, fy = F.diff(_X), F.diff(_Y)
+    hess = sympy.expand(fx.diff(_X) * fy.diff(_Y) - fx.diff(_Y) ** 2)
+    points = [{_X: s, _Y: root} for s in (1, -1) for root in sympy.Poly(fy.subs(_X, s), _Y).real_roots()]
+    points += [{_X: 0, _Y: s} for s in (1, -1) if not fy.subs({_X: 0, _Y: s})]
+    degree = 0
+    for u in points:
+        sign_fx, sign_hess = sympy.sign(fx.subs(u)), sympy.sign(hess.subs(u))
+        if sign_fx not in (1, -1) or sign_hess not in (1, -1):
+            return None
+        if sign_fx > 0:
+            degree += sign_hess
+    return int(degree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quasi_homogeneous_binary())
+def test_signature_counts_the_weighted_orbits_of_the_gradient(case):
+    """For f quasi-homogeneous of weights (a_1, a_2) and degree r, passed to
+    ``ss_form`` as declared weights, the signature is the local degree of
+    grad f, counted over the t > 0 orbits t.(x, y) = (t^a_1 x, t^a_2 y) of
+    the solutions of grad f = (1, 0); a draw with a sign 0 is skipped, and
+    the skip is recorded as a hypothesis event."""
+    f, weights, r = case
+    F = sympy.Add(*(int(c) * _X**i * _Y**j for (i, j), c in f.terms.items()))
+    degree = _orbit_degree(F)
+    event(f"skipped, a sign is 0: {degree is None}")
+    assume(degree is not None)
+    bf = ekl.ss_form(ekl.SingularityInput(f, XY, weights, r))
+    assert bf.gw.signature() == degree
 
 
 _H = gw.diag_form([1, -1])

@@ -16,11 +16,9 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadsing import _univar as uv
 from quadsing import conductor as cond
 from quadsing import cli, ekl, gw, tate
 from quadsing import poly as P
-from quadsing._univar import poly as uv_poly
 from quadsing.errors import (
     ContextMismatchError,
     DegenerateFormError,
@@ -736,8 +734,8 @@ def test_ratfunc_common_factors_cancel():
 
 
 def test_trace_form_gram_gaussian_integers():
-    g = uv_poly([1, 0, 1])  # x^2 + 1
-    gram = gw.trace_form_gram(g, uv_poly([1]))
+    g = (1, 0, 1)  # x^2 + 1
+    gram = gw.trace_form_gram(g, (1,))
     assert gram == [[2, 0], [0, -2]]
 
 
@@ -747,6 +745,13 @@ _X = sympy.Poly(sympy.Symbol("x"), domain=sympy.QQ)
 def _sympy_poly(coeffs):
     """A polynomial in x over QQ, from ascending rational coefficients."""
     return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], _X.gen, domain=sympy.QQ)
+
+
+def _product(p, q):
+    """The product of two polynomials given by ascending coefficients, in
+    sympy's arithmetic, as ascending coefficients."""
+    coeffs = (_sympy_poly(p) * _sympy_poly(q)).all_coeffs()[::-1]
+    return tuple(Fraction(int(c.p), int(c.q)) for c in coeffs)
 
 
 def _trace_by_multiplication(g, h):
@@ -771,9 +776,10 @@ _SMALL = st.integers(-4, 4)
 @example([0, 0, 0], [0, 1])  # x^3, not a field
 @example([-1, 0], 3)  # x^2 - 1 = (x - 1)(x + 1)
 def test_trace_form_gram_matches_multiplication_by_x(low, c):
-    """Newton's identities give the multiplication trace, entry for entry,
-    for every monic g, reducible or not, and every residue c; the oracle
-    reduces mod g with sympy's ``Poly.rem``, not with ``_univar``."""
+    """The traces read off the quotient's normal forms are the
+    multiplication traces, entry for entry, for every monic g, reducible or
+    not, and every residue c; the oracle reduces mod g with sympy's
+    ``Poly.rem``, not with ``poly``."""
     g = _sympy_poly(low + [1])
     d = g.degree()
     residue = _sympy_poly([c] if isinstance(c, int) else c)
@@ -782,14 +788,14 @@ def test_trace_form_gram_matches_multiplication_by_x(low, c):
     for _ in range(2 * d - 1):
         want.append(_trace_by_multiplication(g, residue * x_power))
         x_power = x_power * _X
-    gram = gw.trace_form_gram(uv_poly(low + [1]), c)
+    gram = gw.trace_form_gram(low + [1], c)
     assert gram == [[want[i + j] for j in range(d)] for i in range(d)]
     assert all(type(v) is Fraction for row in gram for v in row)
 
 
 def test_transfer_known_extensions():
-    gauss = uv_poly([1, 0, 1])  # x^2 + 1
-    sqrt2 = uv_poly([-2, 0, 1])  # x^2 - 2
+    gauss = (1, 0, 1)  # x^2 + 1
+    sqrt2 = (-2, 0, 1)  # x^2 - 2
     e1 = gw.diag_form([1], gw.FieldCtx.extension(gauss))
     assert sorted(gw.transfer(e1).pos) == [-2, 2]
     e2 = gw.diag_form([1], gw.FieldCtx.extension(sqrt2))
@@ -798,34 +804,34 @@ def test_transfer_known_extensions():
 
 def test_transfer_trivial_extension_is_identity():
     for c in (7, -3, 2, 5, -1):
-        g = uv_poly([-5, 1])  # x - 5, a degree-one extension
+        g = (-5, 1)  # x - 5, a degree-one extension
         ext = gw.FieldCtx.extension(g)
         e = gw.diag_form([c], ext)
         assert gw.transfer(e) == _form(c)
 
 
 def test_transfer_rank_scales_by_degree():
-    g = uv_poly([1, 0, 1])
+    g = (1, 0, 1)
     ext = gw.FieldCtx.extension(g)
     rng = random.Random(3)
     for _ in range(20):
         k = rng.randint(1, 4)
-        e = gw.diag_form([1] * k, ext) - gw.diag_form([uv_poly([0, 1])], ext)
+        e = gw.diag_form([1] * k, ext) - gw.diag_form([(0, 1)], ext)
         assert gw.transfer(e).rank == 2 * e.rank
 
 
 def test_parse_gw_reads_extension_entries_in_x():
-    g = uv_poly([1, 0, 1])  # x^2 + 1
+    g = (1, 0, 1)  # x^2 + 1
     ext = gw.FieldCtx.extension(g)
     e = gw.parse_gw("<1, x> - <x^3 + 2>", ext)
-    want = gw.diag_form([1, uv_poly([0, 1])], ext) - gw.diag_form([uv_poly([2, -1])], ext)
+    want = gw.diag_form([1, (0, 1)], ext) - gw.diag_form([(2, -1)], ext)
     assert e == want
     assert gw.parse_gw("<1/2>", ext) == gw.diag_form([Fraction(1, 2)], ext)
 
 
 def test_transfer_rejects_reducible_polynomial():
     with pytest.raises(InvalidExtensionError):
-        gw.FieldCtx.extension(uv_poly([-1, 0, 1]))  # x^2 - 1
+        gw.FieldCtx.extension((-1, 0, 1))  # x^2 - 1
 
 
 def test_transfer_checks_the_field_of_its_element():
@@ -874,13 +880,13 @@ def _monic_quadratics(draw):
 def test_quadratic_irreducibility_matches_sympy(g):
     x = sympy.Symbol("x")
     sym = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g)], x)
-    assert _refuses(uv_poly(g)) == (not sym.is_irreducible)
+    assert _refuses(g) == (not sym.is_irreducible)
 
 
 def test_higher_degree_irreducibility_keeps_sympys_answers():
-    assert not _refuses(uv_poly([-2, 0, 0, 1]))  # x^3 - 2
-    assert not _refuses(uv_poly([1, 0, 0, 0, 1]))  # x^4 + 1, reducible mod every prime
-    assert _refuses(uv_poly([4, 0, 0, 0, 1]))  # x^4 + 4, no rational root
+    assert not _refuses((-2, 0, 0, 1))  # x^3 - 2
+    assert not _refuses((1, 0, 0, 0, 1))  # x^4 + 1, reducible mod every prime
+    assert _refuses((4, 0, 0, 0, 1))  # x^4 + 4, no rational root
 
 
 # ---------------------------------------------------------------------------
@@ -1235,17 +1241,27 @@ def test_text_round_trip():
 
 
 F7 = gw.FieldCtx.prime_field(7)
-EXT = gw.FieldCtx.extension(uv_poly([1, 0, 1]))  # Q[x]/(x^2 + 1)
+EXT = gw.FieldCtx.extension((1, 0, 1))  # Q[x]/(x^2 + 1)
+
+
+def _trimmed(coeffs):
+    """Ascending coefficients with no trailing zero, as a tuple."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 _UV = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=4), min_size=1, max_size=4
-).map(uv_poly).filter(bool)
+).map(_trimmed).filter(bool)
 _ENTRIES = {
     QQ: st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool),
     F7: st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(
         lambda v: v.numerator % 7 and v.denominator % 7
     ),
     QT: st.tuples(_UV, _UV),
-    EXT: _UV.filter(lambda v: uv.mod(v, EXT.min_poly)),
+    EXT: _UV.filter(lambda v: not _sympy_poly(v).rem(_sympy_poly(EXT.min_poly)).is_zero),
 }
 
 
@@ -1351,7 +1367,7 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: gw.diag_form([0.5], gw.FieldCtx.prime_field(7)), TypeError),
         (lambda: gw.hilbert_symbol(0.5, 3, 3), TypeError),
         (lambda: gw.FieldCtx.extension([0.5, 1]), TypeError),
-        (lambda: uv.poly([1, 0.5]), TypeError),
+        (lambda: gw.diag_form([(1, 0.5)], _Q2), TypeError),
         (lambda: P.Polynomial(1, {(1,): 0.5}), TypeError),
         (lambda: P.Polynomial.constant(1, 0.5), TypeError),
         (lambda: P.Polynomial.monomial(1, (1,), 0.5), TypeError),
@@ -1363,14 +1379,16 @@ _Q2 = gw.FieldCtx.extension([-2, 0, 1])  # Q[x]/(x^2 - 2)
         (lambda: gw.FieldCtx("bogus"), ValueError),  # unknown kind
         (lambda: gw.FieldCtx("rationals", p=7), ValueError),  # p outside a prime field
         (lambda: gw.FieldCtx("extension", p=7), ValueError),
-        (lambda: gw.FieldCtx("rational-functions", min_poly=uv.ONE), ValueError),
-        (lambda: gw.FieldCtx("prime-field", p=7, min_poly=uv.ONE), ValueError),
+        (lambda: gw.FieldCtx("rational-functions", min_poly=(1,)), ValueError),
+        (lambda: gw.FieldCtx("prime-field", p=7, min_poly=(1,)), ValueError),
         # the direct constructor checks g as FieldCtx.extension does
         (lambda: gw.FieldCtx("extension", min_poly=(-1, 0, 1)), InvalidExtensionError),
         (lambda: gw.FieldCtx("extension", min_poly=(1, 0, 2)), InvalidExtensionError),
         (lambda: gw.FieldCtx("extension", min_poly=(5,)), InvalidExtensionError),
         (lambda: gw.is_equal(gw.GWElement.unit(_GAUSS), gw.GWElement.unit(_GAUSS)),
          UnsupportedInvariantError),
+        # a nonzero polynomial whose residue is zero has no square class
+        (lambda: gw.diag_form([(-2, 0, 1)], _Q2), ValueError),
     ],
 )
 def test_invalid_field_data_and_operands_are_rejected(call, error):
@@ -1405,7 +1423,7 @@ def _string_coefficients(text):
         (lambda: gw.diagonalize([[0.5]]), _FLOAT),
         (lambda: gw.diagonalize([[0.5]], gw.FieldCtx.prime_field(5)), _FLOAT),
         # once read digit by digit: Q[x]/(x + 1), and the trace form of x^2 + 1
-        (lambda: uv.poly("11"), _string_coefficients("11")),
+        (lambda: gw.FieldCtx("extension", min_poly="11"), _string_coefficients("11")),
         (lambda: gw.FieldCtx.extension("11"), _string_coefficients("11")),
         (lambda: gw.trace_form_gram("101", 1), _string_coefficients("101")),
     ],
@@ -1493,13 +1511,13 @@ def test_qt_classes_print_as_c_times_a_power_of_t(rep, text):
 
 @settings(max_examples=100, deadline=None)
 @given(_UV, _UV)
-@example(uv_poly([1, 1]), uv_poly([2]))
+@example((1, 1), (2,))
 def test_qt_classes_ignore_squares_and_even_powers_of_t(u, v):
     """<u * v^2>, <u / v^2> and <t^2 * u> are <u> as stored values, since a
     class over Q((t)) is (parity of t, squarefree u(0))."""
     unit = gw.GWElement(QT, pos=[u])
-    square = uv.mul(v, v)
-    assert gw.GWElement(QT, pos=[uv.mul(u, square)]) == unit
+    square = _product(v, v)
+    assert gw.GWElement(QT, pos=[_product(u, square)]) == unit
     assert gw.GWElement(QT, pos=[(u, square)]) == unit
     assert gw.GWElement(QT, pos=[(0, 0, *u)]) == unit
 
