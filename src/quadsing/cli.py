@@ -6,8 +6,9 @@ Euler data), monodromy (Tate variation and Kummer matrix), batch
 (multi-point conductor aggregation with transfers).
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage or input-syntax
-error, all set in ``run``: a subcommand handler returns nothing and
-raises on failure.  JSON output is deterministic (sorted keys, fixed indentation);
+error, all set in ``run``, which alone writes: a subcommand handler returns
+its output, the JSON payload under --json and otherwise a list of text
+lines, and raises on failure.  JSON output is deterministic (sorted keys, fixed indentation);
 text output honors QUADSING_ASCII=1 by writing <a> instead of the angle
 brackets.
 
@@ -128,14 +129,14 @@ def _invariants(e):
         "signature": inv.signature,
         "discriminant": str(inv.discriminant),
         "hasse": {str(p): v for p, v in inv.hasse.items()},
-    }, "\n".join(lines)
+    }, lines
 
 
 def _equal(a, b):
     from . import gw
 
     verdict = gw.is_equal(a, b)
-    return {"equal": verdict}, f"equal: {'true' if verdict else 'false'}"
+    return {"equal": verdict}, [f"equal: {'true' if verdict else 'false'}"]
 
 
 def _matrix_entry(v, i: int, j: int):
@@ -183,7 +184,7 @@ def _transfer(e):
 
 
 #: each gw action: its number of arguments, the field they are read over, and
-#: the operation on them, which returns an element or a (JSON, text) pair;
+#: the operation on them, which returns an element or a (JSON, text lines) pair;
 #: diagonalize reads its matrix as the form it defines
 _GW_ACTIONS = {
     "invariants": (1, "--field", _invariants),
@@ -196,7 +197,7 @@ _GW_ACTIONS = {
 }
 
 
-def _cmd_gw(args, out) -> None:
+def _cmd_gw(args):
     from . import gw
 
     arity, reads, op = _GW_ACTIONS[args.action]
@@ -217,19 +218,13 @@ def _cmd_gw(args, out) -> None:
         ctx = gw.FieldCtx.extension(gw.parse_poly_in_x(args.min_poly))
     read = _read_matrix if args.action == "diagonalize" else gw.parse_gw
     result = op(*(read(text, ctx) for text in args.args))
-    if not isinstance(result, gw.GWElement):
-        payload, text = result
-    elif args.json:
-        payload = gw.to_json_dict(result)
-    else:
-        text = display_form(result)
-    if args.json:
-        _print_json(out, payload)
-    else:
-        out.write(text + "\n")
+    if isinstance(result, gw.GWElement):
+        return gw.to_json_dict(result) if args.json else [display_form(result)]
+    payload, lines = result
+    return payload if args.json else lines
 
 
-def _cmd_milnor(args, out) -> None:
+def _cmd_milnor(args):
     from . import ekl, gw
     from . import poly as P
 
@@ -237,53 +232,49 @@ def _cmd_milnor(args, out) -> None:
     form = ekl.ss_form(s)
     mu = form.gw
     if args.json:
-        _print_json(out, {
+        return {
             "input": s.to_json_dict(),
             "dimension": form.dimension,
             "basis": [list(e) for e in form.basis],
             "gram": [[json_rational(v) for v in row] for row in form.gram],
             "form": gw.to_json_dict(mu),
-        })
-        return
-    out.write(f"f = {P.format_poly(s.f, s.var_names)}\n")
-    out.write(f"variables: {', '.join(s.var_names)}\n")
+        }
+    lines = [f"f = {P.format_poly(s.f, s.var_names)}", f"variables: {', '.join(s.var_names)}"]
     if s.weights is not None:
-        out.write(f"weights: {', '.join(str(w) for w in s.weights)} (degree {s.degree})\n")
-    out.write(f"Jacobian ring dimension: {form.dimension}\n")
-    out.write(f"diagonal form: {gw.format_terms(mu, unicode_brackets=_unicode_ok())}\n")
-    out.write(f"mu^q = {display_form(mu)}\n")
+        lines.append(f"weights: {', '.join(str(w) for w in s.weights)} (degree {s.degree})")
+    return lines + [
+        f"Jacobian ring dimension: {form.dimension}",
+        f"diagonal form: {gw.format_terms(mu, unicode_brackets=_unicode_ok())}",
+        f"mu^q = {display_form(mu)}",
+    ]
 
 
-def _cmd_conductor(args, out) -> None:
+def _cmd_conductor(args):
     from . import conductor as cond
     from . import poly as P
 
     s = _singularity_from_args(args)
     report = cond.verify(s)
     if args.json:
-        _print_json(out, report.to_json_dict())
-        return
-    out.write(f"f = {P.format_poly(s.f, s.var_names)}\n")
+        return report.to_json_dict()
+    lines = [f"f = {P.format_poly(s.f, s.var_names)}"]
     if s.weights is not None:
-        out.write(f"weights: {', '.join(str(w) for w in s.weights)} (degree {s.degree})\n")
+        lines.append(f"weights: {', '.join(str(w) for w in s.weights)} (degree {s.degree})")
     elif s.degree is not None:
-        out.write(f"degree: {s.degree}\n")
-    out.write(f"rhs = {display_form(report.rhs)}  (rank {report.rhs.rank})\n")
+        lines.append(f"degree: {s.degree}")
+    lines.append(f"rhs = {display_form(report.rhs)}  (rank {report.rhs.rank})")
     if report.lhs_full is not None:
-        out.write(f"lhs = {display_form(report.lhs_full)}\n")
+        lines.append(f"lhs = {display_form(report.lhs_full)}")
     if report.lhs_rank is not None:
-        out.write(f"lhs rank = {report.lhs_rank}\n")
+        lines.append(f"lhs rank = {report.lhs_rank}")
     verdict_text = " ".join(
         f"{k}={v if isinstance(v, str) else ('true' if v else 'false')}"
         for k, v in sorted(report.verdicts.items())
     )
-    out.write(f"verdicts: {verdict_text}\n")
-    out.write("notes:\n")
-    for note in report.notes:
-        out.write(f"  - {note}\n")
+    return lines + [f"verdicts: {verdict_text}", "notes:"] + [f"  - {note}" for note in report.notes]
 
 
-def _cmd_euler(args, out) -> None:
+def _cmd_euler(args):
     from . import euler
 
     if args.quadric is not None:
@@ -293,35 +284,33 @@ def _cmd_euler(args, out) -> None:
 
         e = euler.chi_split_quadric(args.quadric)
         if args.json:
-            _print_json(out, {
+            return {
                 "quadric_dimension": args.quadric,
                 "chi_compact": gw.to_json_dict(e),
                 "rank": e.rank,
-            })
-        else:
-            out.write(f"chi^c(split quadric, dim {args.quadric}) = {display_form(e)}\n")
-            out.write(f"rank: {e.rank}\n")
-        return
+            }
+        return [f"chi^c(split quadric, dim {args.quadric}) = {display_form(e)}", f"rank: {e.rank}"]
     if args.ambient is None:
         raise ParseError("euler needs --ambient together with --degree")
     d, N = args.degree, args.ambient
     primitive = euler.primitive_hodge(d, N)
     chi = euler.euler_rank(d, N)
     if args.json:
-        _print_json(out, {
+        return {
             "degree": d,
             "ambient": N,
             "dimension": N - 1,
             "primitive_hodge": list(primitive),
             "euler_characteristic": chi,
-        })
-    else:
-        out.write(f"smooth hypersurface of degree {d} in P^{N} (dimension {N - 1})\n")
-        out.write("primitive hodge numbers: " + ", ".join(str(h) for h in primitive) + "\n")
-        out.write(f"euler characteristic: {chi}\n")
+        }
+    return [
+        f"smooth hypersurface of degree {d} in P^{N} (dimension {N - 1})",
+        "primitive hodge numbers: " + ", ".join(str(h) for h in primitive),
+        f"euler characteristic: {chi}",
+    ]
 
 
-def _cmd_monodromy(args, out) -> None:
+def _cmd_monodromy(args):
     from . import tate
 
     if args.kummer:
@@ -330,51 +319,48 @@ def _cmd_monodromy(args, out) -> None:
         N = tate.kummer_monodromy()
         NN = tate.compose(N.twist(-1), N)
         if args.json:
-            _print_json(out, {
+            return {
                 "kind": "kummer",
                 "map": N.to_json(),
                 "nilpotent_order": 2,
                 "square_is_zero": NN.is_zero(),
-            })
-        else:
-            out.write("Kummer monodromy on 1 + 1(-1):\n")
-            for row in N.entries:
-                out.write("  [" + ", ".join(str(v) for v in row) + "]\n")
-            out.write(f"N(-1) o N = 0: {'true' if NN.is_zero() else 'false'}\n")
-        return
+            }
+        return [
+            "Kummer monodromy on 1 + 1(-1):",
+            *("  [" + ", ".join(str(v) for v in row) + "]" for row in N.entries),
+            f"N(-1) o N = 0: {'true' if NN.is_zero() else 'false'}",
+        ]
 
     if args.abstract is not None:
         if args.dimension is None:
             raise ParseError("--abstract needs --dimension")
         report = tate.abstract_variation_report(args.abstract, args.dimension)
         if args.json:
-            _print_json(out, report)
-        else:
-            out.write(f"abstract Picard-Lefschetz, degree {args.abstract}, dimension {args.dimension}\n")
-            out.write(f"identity: {report['identity']}\n")
-            out.write(f"scalar: {report['factorization']['scalar']}\n")
-            if "quadric_case" in report:
-                qc = report["quadric_case"]
-                if qc["kind"] == "zero":
-                    out.write("quadric case: variation: zero map\n")
-                else:
-                    out.write(f"quadric case: variation factored with scalar {qc['scalar']}\n")
-        return
+            return report
+        lines = [
+            f"abstract Picard-Lefschetz, degree {args.abstract}, dimension {args.dimension}",
+            f"identity: {report['identity']}",
+            f"scalar: {report['factorization']['scalar']}",
+        ]
+        if "quadric_case" in report:
+            qc = report["quadric_case"]
+            if qc["kind"] == "zero":
+                lines.append("quadric case: variation: zero map")
+            else:
+                lines.append(f"quadric case: variation factored with scalar {qc['scalar']}")
+        return lines
 
     if args.dimension is None:
         raise ParseError("--quadratic needs --dimension")
     v = tate.variation_quadric(args.dimension)
     if args.json:
-        _print_json(out, v.to_json())
-        return
-    out.write(f"quadratic singularity, fiber dimension {args.dimension}\n")
+        return v.to_json()
+    lines = [f"quadratic singularity, fiber dimension {args.dimension}"]
     if v.kind == "zero":
-        out.write("variation: zero map\n")
-        out.write("vanishing hom slots:\n")
-        for s, t in v.certificate:
-            out.write(f"  1({s[0]})[{s[1]}] -> 1({t[0]})[{t[1]}]: Hom = 0\n")
-    else:
-        out.write(f"variation: factored through 1({v.m1.target.summands[0][0]})[{v.m1.target.summands[0][1]}] with scalar {v.scalar}\n")
+        return lines + ["variation: zero map", "vanishing hom slots:"] + [
+            f"  1({s[0]})[{s[1]}] -> 1({t[0]})[{t[1]}]: Hom = 0" for s, t in v.certificate
+        ]
+    return lines + [f"variation: factored through 1({v.m1.target.summands[0][0]})[{v.m1.target.summands[0][1]}] with scalar {v.scalar}"]
 
 
 _JSON_KINDS = {
@@ -401,7 +387,7 @@ def _entry_field(entry: dict, key: str, kind: str, required: bool = True):
     return value
 
 
-def _cmd_batch(args, out) -> None:
+def _cmd_batch(args):
     from . import conductor as cond
     from . import ekl, gw
 
@@ -459,11 +445,11 @@ def _cmd_batch(args, out) -> None:
             raise
 
     if args.json:
-        _print_json(out, {"points": points, "total": gw.to_json_dict(total)})
-        return
-    for idx, (point, contrib) in enumerate(zip(points, contributions)):
-        out.write(f"point {idx} ({point['kind']}): {display_form(contrib)}\n")
-    out.write(f"sum = {display_form(total)}\n")
+        return {"points": points, "total": gw.to_json_dict(total)}
+    return [
+        f"point {idx} ({point['kind']}): {display_form(contrib)}"
+        for idx, (point, contrib) in enumerate(zip(points, contributions))
+    ] + [f"sum = {display_form(total)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +558,14 @@ def run(argv, stdout=None) -> int:
             print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     try:
-        args.handler(args, out)
+        result = args.handler(args)
     except QuadsingError as exc:
         _emit_error(out, exc, args.json)
         return 2 if isinstance(exc, ParseError) else 1
+    if args.json:
+        _print_json(out, result)
+    else:
+        out.writelines(line + "\n" for line in result)
     return 0
 
 

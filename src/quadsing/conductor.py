@@ -162,23 +162,22 @@ def verify(s: SingularityInput) -> ConductorReport:
     a reason.
     Identical inputs yield identical reports.
     """
+    # the Milnor form first: a non-isolated f fails there before the
+    # multiplier asks for a degree
     mu = quadratic_milnor(s)
     rhs = _assemble_rhs(conductor_multiplier(s), s.n, mu)
+    r = s.degree
+    n = s.n
     notes = [_CONVENTION_NOTE]
     verdicts: dict = {"gw": "skipped", "rank": "skipped"}
-    lhs_full = None
-    lhs_rank = None
+    lhs_full = lhs_rank = None
 
     if mu.is_zero_form():
         notes.append(
             "f is smooth at the origin (trivial Jacobian ring); the conductor "
             "reduces to <w> - <1> and there is no singular hypersurface to compare against"
         )
-        return ConductorReport(s, rhs, None, None, verdicts, notes)
-
-    r = s.degree
-    n = s.n
-    if s.is_weighted():
+    elif s.is_weighted():
         notes.append(
             "weighted input: the GW-level lhs for weighted hypersurfaces is not "
             "implemented; rank checked against the Milnor-Orlik product"
@@ -188,27 +187,23 @@ def verify(s: SingularityInput) -> ConductorReport:
                 "weighted multiplier w = r * product(weights) is extrapolated "
                 "beyond two variables"
             )
-        expected = (-1) ** n * milnor_rank_weighted(s.weights, r)
-        lhs_rank = expected
-        verdicts["rank"] = rhs.rank == expected
-        return ConductorReport(s, rhs, None, lhs_rank, verdicts, notes)
-
-    if not P.is_homogeneous(s.f):
+        lhs_rank = (-1) ** n * milnor_rank_weighted(s.weights, r)
+    elif not P.is_homogeneous(s.f):
         notes.append(
             "f is not homogeneous and no weights were given; no lhs realization applies"
         )
-        return ConductorReport(s, rhs, None, None, verdicts, notes)
-
     # r >= 2 and, for r = 2, a nondegenerate form: ss_form raised otherwise
-    if n < 1:
+    elif n < 1:
         notes.append("rank-level lhs needs degree >= 2 and at least two variables")
         notes.append("gw-level lhs needs at least two variables")
-        return ConductorReport(s, rhs, None, None, verdicts, notes)
-
-    lhs_rank = lhs_rank_general(r, n)
-    verdicts["rank"] = rhs.rank == lhs_rank
-
-    if r == 2:
+    elif r != 2:
+        lhs_rank = lhs_rank_general(r, n)
+        notes.append(
+            "gw-level chi^c is implemented for split quadrics only (degree 2); "
+            "degree {} checked at rank level".format(r)
+        )
+    else:
+        lhs_rank = lhs_rank_general(r, n)
         c_form = diagonalize(quadratic_form_gram(s.f))
         d_form = c_form + diag_form([-1])
         if is_split_form(c_form) and is_split_form(d_form):
@@ -219,12 +214,9 @@ def verify(s: SingularityInput) -> ConductorReport:
                 "the quadric pair of f is not split over Q; the split-quadric "
                 "gw-level lhs does not apply"
             )
-    else:
-        notes.append(
-            "gw-level chi^c is implemented for split quadrics only (degree 2); "
-            "degree {} checked at rank level".format(r)
-        )
 
+    if lhs_rank is not None:
+        verdicts["rank"] = rhs.rank == lhs_rank
     return ConductorReport(s, rhs, lhs_full, lhs_rank, verdicts, notes)
 
 

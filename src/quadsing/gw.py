@@ -83,6 +83,8 @@ _TIERS = tuple(
     (primes, prod(primes), bound)
     for primes, bound in ((_SMALL_PRIMES[:_SPLIT], 1 << 14), (_SMALL_PRIMES[_SPLIT:], 1 << 24))
 )
+# above this, ``_squarefree`` strips a repeated prime by repeated squaring
+_WORD = 1 << 64
 
 
 def _is_prime(n: int) -> bool:
@@ -113,6 +115,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _divide_out(n: int, d: int) -> tuple[int, int]:
+    """(m, e) with n = m * d^e and d not dividing m, for d > 1.
+
+    n is divided by d, d^2, d^4, ... while each divides, then by the same
+    powers downward where they divide, so e costs O(log e) divisions where
+    one division per unit of e costs e; a d that does not divide costs one.
+    Callers divide by d once themselves and call this only when d divides
+    again, so the common exponent 1 makes no call.
+    """
+    powers = []
+    q, r = divmod(n, d)
+    while not r:
+        n = q
+        powers.append(d)
+        d *= d
+        q, r = divmod(n, d)
+    e = (1 << len(powers)) - 1
+    for j in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[j])
+        if not r:
+            n = q
+            e += 1 << j
+    return n, e
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a nonzero integer, as sympy.factorint.
 
@@ -139,9 +166,9 @@ def factorint(n: int) -> dict[int, int]:
                 g //= p
                 n //= p
                 e = 1
-                while n % p == 0:
-                    n //= p
-                    e += 1
+                if n % p == 0:
+                    n, more = _divide_out(n, p)
+                    e += more
                 out[p] = e
         if n < bound:
             break
@@ -164,7 +191,12 @@ def _squarefree(value) -> int:
     P, g = gcd(n, P) is the radical of the part of n that P's primes cover:
     n // g lowers each of their exponents by one, and g, squarefree, is its
     own class, folded in as ``mul_reps`` does, a*b / gcd(a, b)^2.  Repeating
-    with g = gcd(n, g) until g = 1 strips P's primes without naming one.
+    with g = gcd(n, g) until g = 1 strips P's primes without naming one.  A
+    g that still divides an n above 2^64 after its division is stripped in
+    even powers, which leave the class, by repeated squaring: an exponent e
+    costs O(log e) divisions, and an exponent 1 its one division.  Below
+    2^64 an exponent is below 64 and a division is cheap, so one pass per
+    unit of exponent costs less than the squaring's bookkeeping.
     The cofactor rules are ``factorint``'s: below 2^14 after the primes
     below 2^7, or below 2^24 after all primes below 2^12, it is 1 or a
     prime; a larger one is tested, and only a composite one is factored.
@@ -184,6 +216,9 @@ def _squarefree(value) -> int:
                 h = gcd(out, g)
                 out = (out // h) * (g // h)
                 g = gcd(n, g)
+                if g > 1 and n > _WORD:
+                    n = _divide_out(n, g * g)[0]
+                    g = gcd(n, g)
             if n < bound:
                 break
         else:
@@ -661,10 +696,12 @@ def _hasse_witt(entries: Sequence[int], p: int) -> int:
             continue
         if a == 0:
             raise ValueError("zero has no square class")
-        alpha = 0
-        while r == 0:
-            a //= p
-            alpha += 1
+        a //= p
+        alpha = 1
+        r = a % p
+        if r == 0:
+            a, more = _divide_out(a, p)
+            alpha += more
             r = a % p
         if alpha % 2:
             k += 1

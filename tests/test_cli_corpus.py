@@ -22,6 +22,9 @@ takes the fallback through ``gw.diagonalize``, and a chain with declared
 weights.  The ``Qt`` rows of ``RENDERERS`` and ``GW_ACTIONS`` were re-recorded
 when a class over Q((t)) came to be stored as (parity of t, squarefree u(0)):
 sums and products print as ``<c>`` or ``<c*t>``, and ``gw equal`` decides.
+``CONDUCTOR`` was recorded before ``conductor.verify`` came to decide its
+route in one chain and the handlers came to return what ``run`` writes:
+every route of ``verify`` in text and in --json, and two error envelopes.
 """
 
 from __future__ import annotations
@@ -352,6 +355,50 @@ PAIRING = [
       "--json"], 0,
      "e03c9bc1d09d36325f653a1fc0d606ac350e1c5c761405ba211666d72d091d03"),
 ]
+# every route of conductor.verify in text and in --json: smooth, weighted in
+# three variables, not homogeneous, one variable, a quadric pair not split,
+# r = 3 and a split quadric with n = 2, and the not-isolated and
+# missing-degree errors; recorded before verify came to decide its route in
+# one chain
+CONDUCTOR = [
+    (["conductor", "--vars", "x,y", "x + y"], 0,
+     "46e9898e3905f473ebbd74b268e40ecb9f98607aa7a731735b3902bb0d7fa60d"),
+    (["conductor", "--vars", "x,y", "x + y", "--json"], 0,
+     "771a5b2fd1f6c7a1a4d19df48a34fd874bbf58545a4bdeba98829f417233ed6c"),
+    (["conductor", "--vars", "x,y,z", "--weights", "3,2,1", "x^2 + y^3 + z^6"], 0,
+     "c7b9ae99b28f04d984090661f4d1edd722bff20fd2eb0ecca5ea3aabc3001ec7"),
+    (["conductor", "--vars", "x,y,z", "--weights", "3,2,1", "x^2 + y^3 + z^6", "--json"], 0,
+     "657cad335c38ca5716d96b377aba68855455cdcfc3fe196d4527a0cc536610cc"),
+    (["conductor", "--vars", "x,y", "--weights", "3,2", "--degree", "6", "x^2 - y^3",
+      "--json"], 0,
+     "09cecdd0cb36c390508c34d4ea976105eeb8e9cecd55d713e7340cc0bbd3388e"),
+    (["conductor", "--vars", "x,y", "--degree", "3", "x^2 - y^2 + y^3"], 0,
+     "55f7c4bb2a37744135eb22de55735c8b9fe7a911d600df68da0aed39f7837094"),
+    (["conductor", "--vars", "x,y", "--degree", "3", "x^2 - y^2 + y^3", "--json"], 0,
+     "766146c619270a84716ba693c21ac36fafc64efa356ed73dafa94aab8ffdfd81"),
+    (["conductor", "--vars", "x", "x^3"], 0,
+     "dd7d71cf6188ed0f99a74c3e1e6d6e241425b4a8e04e6babb69a93e5b6954ef0"),
+    (["conductor", "--vars", "x", "x^3", "--json"], 0,
+     "02f285c425c9b45cd4ff43c79cf1040ddc8fd992e3e2d81e24ba3d1df81798a4"),
+    (["conductor", "--vars", "x,y", "x^2 + y^2"], 0,
+     "54009425c10c194ca068f7a6748ca56c8d1a697a069cacac961d58d8c84dc2f9"),
+    (["conductor", "--vars", "x,y", "x^2 + y^2", "--json"], 0,
+     "e03adf89549c04184eeee16701e49c1f26c84ffe840a10a3ff9a672ba4cbcc45"),
+    (["conductor", "--vars", "x,y", "x^3 + y^3"], 0,
+     "ffec05358a8302025b6b662e0a8a0efbc48227a8b2808643706a91d366a795fa"),
+    (["conductor", "--vars", "x,y", "x^3 + y^3", "--json"], 0,
+     "1b3740cf6316ade4c7c07cb0ca0cbe73b328505c04aa159d2e622fd3712904dd"),
+    (["conductor", "--vars", "x,y,z", "x^2 - y^2 + z^2"], 0,
+     "6b7c472f80e04b3d2b9b04507aa82070190d27c2350c7f88aa9437fb93e1ec5e"),
+    (["conductor", "--vars", "x,y,z", "x^2 - y^2 + z^2", "--json"], 0,
+     "86f51ab4a03b02e9093db28180eac2a942e7afd31a2b883903d8cb1de2261692"),
+    # not-isolated, which the Milnor form raises before the multiplier asks
+    # for a degree; and invalid-input, with no degree for a non-quadric
+    (["conductor", "--vars", "x,y", "x^2 + x^3", "--json"], 1,
+     "33da632a0baef00b399d21e190fcb57110c89fc36c846e1b60a74958e4d8ff72"),
+    (["conductor", "--vars", "x,y", "x^2 - y^3", "--json"], 1,
+     "bdd69c79f796f270c5f8cdd95fce12e000462d23e4f4fd6b6b58279e4e039801"),
+]
 # run with QUADSING_ASCII=1
 ASCII = [
     (["gw", "add", "<1,2>", "<-2>"], 0,
@@ -363,6 +410,7 @@ ASCII = [
 CORPUS = [
     (*call, False)
     for call in CLI_COLD + CLI_COLD_JSON + RENDERERS + GW_ACTIONS + KERNEL + HASSE + PAIRING
+    + CONDUCTOR
 ]
 CORPUS += [(*call, True) for call in ASCII]
 

@@ -4,15 +4,19 @@ sides, rank oracles, and the verification reports."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quadsing import conductor as cond
 from quadsing import cli, ekl, euler, gw
 from quadsing import poly as P
-from quadsing.errors import InputDomainError, NotIsolatedError
+from quadsing.errors import InadmissibleWeightsError, InputDomainError, NotIsolatedError
 
 XY = ("x", "y")
 
@@ -196,6 +200,56 @@ def test_verify_fermat_cubic_rank():
 def test_verify_smooth_input_skips_everything():
     report = cond.verify(_sing("x + y"))
     assert report.verdicts == {"gw": "skipped", "rank": "skipped"}
+
+
+_COPRIME_WEIGHTS = [(a, b) for a in range(1, 6) for b in range(1, 6)
+                    if a != b and math.gcd(a, b) == 1]
+
+
+@st.composite
+def _verifiable_inputs(draw):
+    """A homogeneous form in two variables of degree 2 to 5 or in three of
+    degree 2 or 3, coefficients in [-4, 4]; or a binary form of declared
+    coprime weights a != b in [1, 5] and degree a*b*k, k in {1, 2}, over the
+    monomials x^i y^j with a*i + b*j = r, coefficients in [-3, 3]."""
+    if draw(st.booleans()):
+        nvars = draw(st.sampled_from([2, 3]))
+        r = draw(st.integers(2, 5 if nvars == 2 else 3))
+        weights, degree, bound = (1,) * nvars, None, 4
+    else:
+        nvars = 2
+        a, b = draw(st.sampled_from(_COPRIME_WEIGHTS))
+        r = a * b * draw(st.sampled_from([1, 2]))
+        weights, degree, bound = (a, b), r, 3
+    monomials = [e for e in itertools.product(range(r + 1), repeat=nvars)
+                 if sum(w * k for w, k in zip(weights, e)) == r]
+    coeffs = draw(st.lists(st.integers(-bound, bound), min_size=len(monomials),
+                           max_size=len(monomials)))
+    f = P.Polynomial(nvars, {e: c for e, c in zip(monomials, coeffs) if c})
+    names = ("x", "y", "z")[:nvars]
+    return ekl.singularity(f, names, None if degree is None else weights, degree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_verifiable_inputs())
+def test_verify_checks_the_conductor_identity_at_rank_level(s):
+    """The paper's conductor identity, at rank level on random input: every
+    singular input that verify reads has a rank verdict, and it is true; a
+    GW verdict that ran is true as well."""
+    try:
+        report = cond.verify(s)
+    except (NotIsolatedError, InputDomainError, InadmissibleWeightsError) as exc:
+        event(f"skipped: {type(exc).__name__}")
+        return
+    if report.rhs.rank == 0:
+        assert report.verdicts == {"gw": "skipped", "rank": "skipped"}
+        return
+    assert report.verdicts["rank"] is True
+    assert report.lhs_rank == report.rhs.rank
+    assert report.verdicts["gw"] is not False
+    event(f"gw verdict: {report.verdicts['gw']}")
+    if report.verdicts["gw"] is True:
+        assert gw.is_equal(report.rhs, report.lhs_full)
 
 
 def _conductor_json(*argv):

@@ -58,6 +58,15 @@ def test_euler_rank_classics():
     assert euler.euler_rank(3, 1) == 3  # three points
 
 
+@pytest.mark.parametrize("d", range(2, 14))
+def test_euler_rank_matches_its_closed_form(d):
+    """chi of a smooth degree-d hypersurface in P^N is
+    ((1 - d)^(N+1) - 1) / d + N + 1, from its Chern classes alone; nothing of
+    the Jacobian ring enters this oracle."""
+    for N in range(1, 10):
+        assert euler.euler_rank(d, N) == ((1 - d) ** (N + 1) - 1) // d + N + 1
+
+
 def test_chi_split_quadric_small():
     # n = 0 is the point pair x^2 = y^2
     assert euler.chi_split_quadric(0) == _form(1, 1)

@@ -3,11 +3,13 @@ specialization, and the Scharlau transfer."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import pickle
 import random
 import re
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -297,6 +299,15 @@ def test_hilbert_symbol_is_symmetric_and_bimultiplicative():
             ) * gw.hilbert_symbol(b, c, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60).filter(bool), st.integers(-60, 60).filter(bool),
+       st.sampled_from([2, 3, 5, 7]), st.integers(0, 40))
+def test_hilbert_symbol_ignores_even_powers_of_p(a, b, p, e):
+    """(a*p^(2e), b)_p = (a, b)_p: a square leaves the symbol, however high
+    the power of p in it."""
+    assert gw.hilbert_symbol(a * p ** (2 * e), b, p) == gw.hilbert_symbol(a, b, p)
+
+
 def test_hilbert_product_formula():
     """Product over all places (including the real one) is +1."""
     rng = random.Random(2024)
@@ -361,6 +372,7 @@ _P2 = sympy.nextprime(_P1)
 @example(-(4093**2) * 5)  # 4093: the largest prime below 2^12
 @example(4099**2)  # this and the next: the two smallest composites above 2^24
 @example(-4099 * 4111)  # with no prime factor below 2^12
+@example(2**70 * 3**41 * 127**2 * 4099**5)  # exponents stripped by repeated squaring
 def test_factorint_matches_sympy(n):
     assert gw.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}
 
@@ -379,6 +391,8 @@ def test_factorint_matches_sympy(n):
 @example(4099 * 4111)
 @example(STRONG_PSEUDOPRIME)
 @example(-(STRONG_PSEUDOPRIME**2) * 127**3)
+@example(2**70 * 3**41 * 127**2 * 4099)  # above 2^64, repeated primes go by squaring
+@example(-(5**60) * 7**33 * 4093**3 * 131**4)
 def test_squarefree_of_an_int_matches_sympy(n):
     assert gw._squarefree(n) == _sympy_squarefree(n)
 
@@ -404,6 +418,36 @@ def test_squarefree_of_an_int_matches_its_fraction(n):
 def test_squarefree_rejects_zero_and_floats(value, error):
     with pytest.raises(error):
         gw._squarefree(value)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_prime_powers_are_stripped_in_logarithmic_passes():
+    """A prime power p^k is divided out in O(log k) divisions, not k: each
+    call below took seconds when every pass divided by p once."""
+    def timed_out(signum, frame):
+        raise TimeoutError("stripping a prime power of exponent 100000 took over 2 s")
+
+    def cli_out(*argv):
+        out = io.StringIO()
+        assert cli.run(list(argv), stdout=out) == 0
+        return out.getvalue()
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(2)
+    try:
+        squarefree = gw._squarefree(Fraction(5**100001, 7**100000))
+        factors = gw.factorint(5**100000)
+        symbol = gw.hilbert_symbol(5**100001, 2, 5)
+        invariants = cli_out("gw", "invariants", "<5^100001>")
+        transferred = cli_out("gw", "transfer", "--min-poly", "x-5", "<x^100001>", "--json")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert squarefree == 5
+    assert factors == {5: 100000}
+    assert symbol == gw.hilbert_symbol(5, 2, 5)
+    assert invariants == cli_out("gw", "invariants", "<5>")
+    assert transferred == cli_out("gw", "transfer", "--min-poly", "x-5", "<x>", "--json")
 
 
 @settings(max_examples=200, deadline=None)
